@@ -2,7 +2,8 @@
 
 Machine-readable JSON on stdout, a human table with --pretty, and an
 append-only JSON-lines log of self-contained result records with --log.
-Exit codes: 0 success, 1 violated claim, 2 budget exhaustion, 64 usage.
+Exit codes: 0 success, 1 violated claim, 2 budget exhaustion (including an
+exceeded davenport --cap), 64 usage.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .engine import WeightSet
 from .fdsolver import FdStatus, fd
 from .groups import parse_group
 from .randomlab import SweepConfig, threshold_sweep
-from .solver import Budget, davenport, default_threads, max_davenport_over_size
+from .solver import Budget, CapExceededError, davenport, default_threads, max_davenport_over_size
 from .verify import SUITES
 
 EXIT_OK = 0
@@ -101,8 +102,22 @@ def _log_record(args, command: str, normalized: dict, result: dict, elapsed_ms: 
 def _cmd_davenport(args) -> int:
     group = parse_group(args.group)
     weights = parse_weights(args.weights, group.exponent)
+    normalized = {"group": str(group), "weights": list(weights.residues), "cap": args.cap}
     t0 = time.perf_counter()
-    res = davenport(group, weights, cap=args.cap, threads=args.threads)
+    try:
+        res = davenport(group, weights, cap=args.cap, threads=args.threads)
+    except CapExceededError as exc:
+        ms = (time.perf_counter() - t0) * 1000
+        result = {
+            "status": "CAP_EXCEEDED",
+            "cap": exc.cap,
+            "nodes": exc.nodes,
+            "elapsed_ms": round(ms, 3),
+        }
+        _log_record(args, "davenport", normalized, result, ms)
+        lines = [f"D_A({group}) > {exc.cap} (cap exceeded)", f"nodes explored: {exc.nodes}"]
+        _emit(result, lines, args)
+        return EXIT_BUDGET
     ms = (time.perf_counter() - t0) * 1000
     result = {
         "value": res.value,
@@ -110,7 +125,6 @@ def _cmd_davenport(args) -> int:
         "nodes": res.nodes_explored,
         "elapsed_ms": round(ms, 3),
     }
-    normalized = {"group": str(group), "weights": list(weights.residues), "cap": args.cap}
     _log_record(args, "davenport", normalized, result, ms)
     _emit(
         result,
@@ -344,7 +358,9 @@ def build_parser() -> _Parser:
     p_dav = sub.add_parser("davenport", help="exact weighted Davenport constant")
     p_dav.add_argument("--group", required=True, help="invariant factors, e.g. 8 or 2x4")
     p_dav.add_argument("--weights", required=True, help="residues/ranges, e.g. 1,5-7; negatives wrap")
-    p_dav.add_argument("--cap", type=int, default=None, help="abort once the value reaches this cap")
+    p_dav.add_argument(
+        "--cap", type=int, default=None, help="stop (exit 2) once the value is shown to exceed this cap"
+    )
     common(p_dav)
     p_dav.set_defaults(func=_cmd_davenport)
 

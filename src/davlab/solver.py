@@ -1,16 +1,21 @@
-"""Exact weighted Davenport constants by memoized search over multiset prefixes.
+"""Weighted Davenport constants by bounded search over multiset prefixes.
 
-The search walks nondecreasing multisets of nonzero group elements carrying
-the bit-vector set R of weighted sums realizable from the prefix.  Appending
-x kills the prefix exactly when some weight multiple of x lands in -R or at
-0, which is one AND against a precomputed move mask.  States (last element,
-R) repeat heavily; each root subtree memoizes the exact maximal extension
-length per state.
+One kernel answers everything: does a zero-sum-free multiset of size k
+exist, and if so which is the lexicographically least?  It walks
+nondecreasing multisets of nonzero group elements carrying the bit-vector
+set R of weighted sums realizable from the prefix.  Appending x kills the
+prefix exactly when some weight multiple of x lands in -R or at 0, which is
+one AND of R against the precomputed mask A*(-x).  A fail memo per (last
+element, R) records the fewest remaining elements already shown impossible.
+
+check_dav_at_most(G, A, k) is one kernel call per root, and D_A(G) is the
+first k at which it holds, so davenport() scans k = 1, 2, ... over tables
+built once.
 
 Roots are restricted to unit-orbit minima.  Rescaling a zero-sum-free
 multiset by a unit preserves zero-sum-freeness, and the lexicographically
 least multiset of any orbit starts with an orbit-minimal element, so the
-restriction loses neither the maximum length nor the lex-least witness.
+restriction loses neither existence nor the lex-least witness.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from typing import Iterable, Optional
 from sympy import isprime
 
 from .engine import GSequence, WeightSet, _layout, dilation_orbit_reps
-from .groups import GroupSpec, canonical_roots, cyclic, element_index, index_element, scalar_mul
+from .groups import GroupSpec, canonical_roots, cyclic, element_index, index_element, neg, scalar_mul
 
-# Memo tables are cleared wholesale past this many states; bounded memory at
+# The fail memo is cleared wholesale past this many states; bounded memory at
 # the cost of re-expansion, and deterministic since clearing depends only on
 # the visit order.
 _MEMO_LIMIT = 1 << 19
@@ -76,9 +81,14 @@ def default_threads() -> int:
 
 
 class _WeightTables:
-    """Per-(group, weights) move masks for the multiset search."""
+    """Per-(group, weights) move masks for the multiset search.
 
-    __slots__ = ("group", "order", "layout", "wbits", "moves", "roots")
+    wbits[c] is the set A*c; negw[c] = wbits[-c] is the mask that kills c
+    against a reachable set R (A*c meets -R exactly when A*(-c) meets R),
+    widened to every bit when some a*c = 0.
+    """
+
+    __slots__ = ("group", "order", "layout", "wbits", "negw", "moves", "roots")
 
     def __init__(self, group: GroupSpec, weights: WeightSet):
         if weights.exponent != group.exponent:
@@ -99,119 +109,27 @@ class _WeightTables:
                 for j in idxs:
                     w |= 1 << j
                 wbits[i] = w
+            negw = wbits[:1] + wbits[:0:-1]  # -c has index n - c
         else:
+            neg_index = [0] * n
             for i in range(1, n):
                 g = index_element(group, i)
+                neg_index[i] = element_index(group, neg(group, g))
                 idxs = sorted({element_index(group, scalar_mul(group, a, g)) for a in res})
                 moves[i] = tuple(idxs)
                 w = 0
                 for j in idxs:
                     w |= 1 << j
                 wbits[i] = w
+            negw = [wbits[j] for j in neg_index]
+        self.negw = [-1 if w & 1 else w for w in negw]
         self.wbits = wbits
         self.moves = moves
         self.roots = canonical_roots(group)
 
 
-class _RootSearch:
-    """Memoized exploration of one root's subtree."""
-
-    def __init__(self, tables: _WeightTables, root: int):
-        self.tables = tables
-        self.root = root
-        self.memo: dict[tuple[int, int], int] = {}
-        self.nodes = 0
-
-    def max_len(self, cap: int) -> int:
-        """Length of the longest zero-sum-free multiset starting at the root."""
-        w = self.tables.wbits[self.root]
-        if w & 1:
-            return 0
-        if cap <= 1:
-            raise CapExceededError(cap, self.nodes)
-        return 1 + self._ext(self.root, w, 1, cap)
-
-    def _ext(self, last: int, bits: int, depth: int, cap: int) -> int:
-        memo = self.memo
-        key = (last, bits)
-        hit = memo.get(key)
-        if hit is not None:
-            if depth + hit >= cap:
-                raise CapExceededError(cap, self.nodes)
-            return hit
-        self.nodes += 1
-        tables = self.tables
-        # each surviving element strictly enlarges the reachable set, which
-        # stays inside the n-1 nonzero residues, bounding any extension
-        ub = tables.order - 1 - bits.bit_count()
-        if ub == 0:
-            memo[key] = 0
-            return 0
-        wbits = tables.wbits
-        moves = tables.moves
-        translate = tables.layout.translate
-        fatal = tables.layout.negate(bits) | 1
-        best = 0
-        for c in range(last, tables.order):
-            w = wbits[c]
-            if w & fatal:
-                continue
-            if depth + 1 >= cap:
-                # extending realizes a zero-sum-free multiset of size cap
-                raise CapExceededError(cap, self.nodes)
-            nb = bits | w
-            for m in moves[c]:
-                nb |= translate(bits, m)
-            e = self._ext(c, nb, depth + 1, cap)
-            if e + 1 > best:
-                best = e + 1
-                if best >= ub:
-                    break
-        if len(memo) >= _MEMO_LIMIT:
-            memo.clear()
-        memo[key] = best
-        return best
-
-    def witness(self, total: int, cap: int) -> list[int]:
-        """Lex-least zero-sum-free multiset of the given length from the root."""
-        prefix = [self.root]
-        bits = self.tables.wbits[self.root]
-        last = self.root
-        remaining = total - 1
-        wbits = self.tables.wbits
-        moves = self.tables.moves
-        translate = self.tables.layout.translate
-        while remaining > 0:
-            fatal = self.tables.layout.negate(bits) | 1
-            depth = len(prefix)
-            for c in range(last, self.tables.order):
-                w = wbits[c]
-                if w & fatal:
-                    continue
-                nb = bits | w
-                for m in moves[c]:
-                    nb |= translate(bits, m)
-                if self._ext(c, nb, depth + 1, cap) == remaining - 1:
-                    prefix.append(c)
-                    bits = nb
-                    last = c
-                    remaining -= 1
-                    break
-            else:
-                raise RuntimeError("witness reconstruction lost the optimal branch")
-        return prefix
-
-
 def _indices_to_sequence(group: GroupSpec, indices: Iterable[int]) -> GSequence:
     return GSequence(group, tuple(index_element(group, i) for i in sorted(indices)))
-
-
-def _dav_root_worker(args) -> tuple[int, int, int]:
-    factors, residues, root, cap = args
-    group = GroupSpec(factors)
-    tables = _WeightTables(group, WeightSet(group.exponent, residues))
-    search = _RootSearch(tables, root)
-    return root, search.max_len(cap), search.nodes
 
 
 def _run_ordered(worker, arglist, threads: int):
@@ -227,6 +145,88 @@ def _run_ordered(worker, arglist, threads: int):
         ex.shutdown(wait=True, cancel_futures=True)
 
 
+def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[int]], int]:
+    """Lex-least zero-sum-free multiset of size k starting at root, plus nodes.
+
+    Depth-first over nondecreasing extensions on an explicit stack.  A state
+    (last, R) that failed with r elements still to place fails for any r' >= r,
+    which the fail memo records.
+    """
+    w = tables.wbits[root]
+    if w & 1:
+        return None, 0
+    if k == 1:
+        return [root], 0
+    order = tables.order
+    # the reachable set must grow per element yet stay zero-free
+    if k - 1 > order - 1 - w.bit_count():
+        return None, 0
+    wbits = tables.wbits
+    negw = tables.negw
+    moves = tables.moves
+    translate = tables.layout.translate
+    fail_at: dict[tuple[int, int], int] = {}
+    nodes = 1
+    chosen = [root]
+    # open states as [reachable set, elements still to place, next candidate];
+    # the state at depth i was reached by appending chosen[i]
+    stack = [[w, k - 1, root]]
+    while stack:
+        state = stack[-1]
+        bits, remaining = state[0], state[1]
+        for c in range(state[2], order):
+            if negw[c] & bits:
+                continue
+            if remaining == 1:
+                chosen.append(c)
+                return chosen, nodes
+            nb = bits | wbits[c]
+            for m in moves[c]:
+                nb |= translate(bits, m)
+            known = fail_at.get((c, nb))
+            if (known is None or remaining - 1 < known) and remaining <= order - nb.bit_count():
+                state[2] = c + 1
+                nodes += 1
+                chosen.append(c)
+                stack.append([nb, remaining - 1, c])
+                break
+        else:
+            if len(fail_at) >= _MEMO_LIMIT:
+                fail_at.clear()
+            fail_at[(chosen.pop(), bits)] = remaining
+            stack.pop()
+    return None, nodes
+
+
+def _check_root_worker(args) -> tuple[Optional[list[int]], int]:
+    factors, residues, root, k = args
+    group = GroupSpec(factors)
+    tables = _WeightTables(group, WeightSet(group.exponent, residues))
+    return _find_zsf(tables, root, k)
+
+
+def _first_zsf(
+    tables: _WeightTables, weights: WeightSet, k: int, threads: int
+) -> tuple[Optional[list[int]], int]:
+    """Lex-least zero-sum-free multiset of size k over all roots, plus nodes.
+
+    Roots are scanned in ascending order and the scan stops at the first root
+    with a size-k extension, so nodes count up to and including that root.
+    """
+    if threads > 1 and len(tables.roots) > 1:
+        factors = tables.group.invariant_factors
+        arglist = [(factors, weights.residues, r, k) for r in tables.roots]
+        gen = _run_ordered(_check_root_worker, arglist, threads)
+    else:
+        gen = (_find_zsf(tables, r, k) for r in tables.roots)
+    nodes = 0
+    for found, n_nodes in gen:
+        nodes += n_nodes
+        if found is not None:
+            return found, nodes
+    return None, nodes
+
+
 def davenport(
     group: GroupSpec,
     weights: WeightSet,
@@ -235,8 +235,12 @@ def davenport(
 ) -> DavenportResult:
     """Exact D_A(G): least k forcing a weighted zero-sum in every length-k sequence.
 
-    Equals 1 + (maximal length of a zero-sum-free multiset).  The default cap
-    |G| can never trigger because prefix sums of any |G|-term sequence repeat.
+    Scans k = 1, 2, ... with the bounded check until no zero-sum-free multiset
+    of size k exists; that k is the value and the lex-least multiset found at
+    k - 1 is the witness.  nodes_explored sums the bounded-check nodes over
+    the scan.  Raises CapExceededError when a zero-sum-free multiset of size
+    cap exists, i.e. the value exceeds cap; the default cap |G| can never
+    trigger because prefix sums of any |G|-term sequence repeat.
     """
     if cap is None:
         cap = group.order
@@ -245,98 +249,24 @@ def davenport(
     threads = default_threads() if threads is None else max(1, threads)
     start = time.perf_counter()
     tables = _WeightTables(group, weights)
-    best = 0
-    best_root = None
+    witness: list[int] = []
     nodes = 0
-    if threads > 1 and len(tables.roots) > 1:
-        arglist = [
-            (group.invariant_factors, weights.residues, r, cap) for r in tables.roots
-        ]
-        results = list(_run_ordered(_dav_root_worker, arglist, threads))
-    else:
-        results = []
-        for r in tables.roots:
-            search = _RootSearch(tables, r)
-            length = search.max_len(cap)
-            results.append((r, length, search.nodes))
-    for r, length, n_nodes in results:
+    k = 1
+    while True:
+        found, n_nodes = _first_zsf(tables, weights, k, threads)
         nodes += n_nodes
-        if length > best:
-            best = length
-            best_root = r
-    if best_root is None:
-        witness = GSequence(group, ())
-    else:
-        # replay the winning subtree for the witness; replay expansions are
-        # not part of the reported node count so thread counts cannot skew it
-        search = _RootSearch(tables, best_root)
-        search.max_len(cap)
-        witness = _indices_to_sequence(group, search.witness(best, cap))
+        if found is None:
+            break
+        if k >= cap:
+            raise CapExceededError(cap, nodes)
+        witness = found
+        k += 1
     return DavenportResult(
-        value=best + 1,
-        witness=witness,
+        value=k,
+        witness=_indices_to_sequence(group, witness),
         nodes_explored=nodes,
         elapsed=time.perf_counter() - start,
     )
-
-
-def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[int]], int]:
-    """Lex-least zero-sum-free multiset of size k starting at root, plus nodes."""
-    w = tables.wbits[root]
-    if w & 1:
-        return None, 0
-    if k == 1:
-        return [root], 0
-    wbits = tables.wbits
-    moves = tables.moves
-    translate = tables.layout.translate
-    negate = tables.layout.negate
-    order = tables.order
-    fail_at: dict[tuple[int, int], int] = {}
-    nodes = 0
-
-    def extend(last: int, bits: int, remaining: int) -> Optional[list[int]]:
-        nonlocal nodes
-        key = (last, bits)
-        known = fail_at.get(key)
-        if known is not None and remaining >= known:
-            return None
-        if remaining > order - 1 - bits.bit_count():
-            return None  # reachable set must grow per element yet stay zero-free
-        nodes += 1
-        fatal = negate(bits) | 1
-        for c in range(last, order):
-            wc = wbits[c]
-            if wc & fatal:
-                continue
-            if remaining == 1:
-                return [c]
-            nb = bits | wc
-            for m in moves[c]:
-                nb |= translate(bits, m)
-            sub = extend(c, nb, remaining - 1)
-            if sub is not None:
-                sub.append(c)
-                return sub
-        if known is None or remaining < known:
-            if len(fail_at) >= _MEMO_LIMIT:
-                fail_at.clear()
-            fail_at[key] = remaining
-        return None
-
-    found = extend(root, w, k - 1)
-    if found is None:
-        return None, nodes
-    found.append(root)
-    found.reverse()
-    return found, nodes
-
-
-def _check_root_worker(args) -> tuple[Optional[list[int]], int]:
-    factors, residues, root, k = args
-    group = GroupSpec(factors)
-    tables = _WeightTables(group, WeightSet(group.exponent, residues))
-    return _find_zsf(tables, root, k)
 
 
 def check_dav_at_most(
@@ -349,22 +279,12 @@ def check_dav_at_most(
     if k < 1:
         raise ValueError("k must be >= 1")
     threads = default_threads() if threads is None else max(1, threads)
-    tables = _WeightTables(group, weights)
-    nodes = 0
-    if threads > 1 and len(tables.roots) > 1:
-        arglist = [(group.invariant_factors, weights.residues, r, k) for r in tables.roots]
-        gen = _run_ordered(_check_root_worker, arglist, threads)
-    else:
-        gen = (_find_zsf(tables, r, k) for r in tables.roots)
-    for found, n_nodes in gen:
-        nodes += n_nodes
-        if found is not None:
-            return BoundedCheckResult(
-                holds=False,
-                counterexample=_indices_to_sequence(group, found),
-                nodes=nodes,
-            )
-    return BoundedCheckResult(holds=True, counterexample=None, nodes=nodes)
+    found, nodes = _first_zsf(_WeightTables(group, weights), weights, k, threads)
+    if found is None:
+        return BoundedCheckResult(holds=True, counterexample=None, nodes=nodes)
+    return BoundedCheckResult(
+        holds=False, counterexample=_indices_to_sequence(group, found), nodes=nodes
+    )
 
 
 def certify_dav_value(

@@ -71,6 +71,21 @@ def test_fd_budget_exit(capsys):
     assert payload["value"] is None
 
 
+def test_davenport_cap_exceeded_is_budget_exit(capsys, tmp_path):
+    log_path = tmp_path / "records.jsonl"
+    argv = ["davenport", "--group", "64", "--weights", "1", "--cap", "10", "--log", str(log_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err
+    payload = json.loads(out)
+    assert payload["status"] == "CAP_EXCEEDED"
+    assert payload["cap"] == 10
+    assert payload["nodes"] >= 0
+    record = json.loads(log_path.read_text())
+    assert record["result"]["status"] == "CAP_EXCEEDED"
+    assert record["normalized_input"]["cap"] == 10
+
+
 def test_weights_zero_rejected(capsys):
     code, _, err = run_cli(capsys, "davenport", "--group", "6", "--weights", "1,6")
     assert code == 64

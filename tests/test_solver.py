@@ -3,7 +3,7 @@ from math import ceil
 
 import pytest
 
-from davlab.engine import WeightSet, has_weighted_zero_sum
+from davlab.engine import GSequence, WeightSet, has_weighted_zero_sum
 from davlab.groups import GroupSpec, cyclic, normalize_group
 from davlab.solver import (
     CapExceededError,
@@ -55,6 +55,8 @@ def test_witness_is_zero_sum_free_and_maximal():
         res = davenport(g, w)
         assert len(res.witness.entries) == res.value - 1
         assert not has_weighted_zero_sum(g, w, res.witness)
+        # the witness is the lex-least culprit of the bounded check one below
+        assert res.witness == check_dav_at_most(g, w, res.value - 1).counterexample
 
 
 def test_davenport_matches_brute_force():
@@ -85,6 +87,10 @@ def test_cap_aborts_early():
         davenport(cyclic(64), WeightSet(64, (1,)), cap=10)
     # cap above the true value changes nothing
     assert davenport(cyclic(8), WeightSet(8, (1, 7)), cap=8).value == 4
+    # boundary: cap == D returns D, cap == D - 1 raises
+    assert davenport(cyclic(8), WeightSet(8, (1, 7)), cap=4).value == 4
+    with pytest.raises(CapExceededError):
+        davenport(cyclic(8), WeightSet(8, (1, 7)), cap=3)
 
 
 def test_thread_count_payload_invariance():
@@ -105,6 +111,14 @@ def test_check_dav_at_most():
     assert not has_weighted_zero_sum(g, w, res.counterexample)
     with pytest.raises(ValueError):
         check_dav_at_most(g, w, 0)
+
+
+def test_check_dav_at_most_deep_search():
+    # a 1099-element chain: the kernel must not recurse once per element
+    n = 1100
+    res = check_dav_at_most(cyclic(n), WeightSet(n, (1,)), n - 1)
+    assert not res.holds
+    assert res.counterexample == GSequence(cyclic(n), ((1,),) * (n - 1))
 
 
 def test_certify_dav_value_agrees_with_solver():
