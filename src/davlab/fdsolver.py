@@ -19,7 +19,7 @@ from sympy import integer_nthroot, isprime
 
 from .engine import WeightSet, dilation_orbit_reps
 from .groups import GroupSpec, cyclic, normalize_group
-from .solver import Budget, _run_ordered, check_dav_at_most, default_threads
+from .solver import Budget, _Pool, check_dav_at_most, default_threads
 
 
 class FdStatus(str, Enum):
@@ -119,45 +119,41 @@ def fd(
     max_seconds = budget.max_seconds if budget else None
     first_size = _start_size(group, k)
     sizes_excluded = first_size - 1  # smaller sizes are ruled out by counting
-    for size in range(first_size, exp):
-        reps = list(dilation_orbit_reps(exp, size))
-        if threads > 1 and len(reps) > 1:
+    with _Pool(threads) as pool:
+        for size in range(first_size, exp):
+            reps = list(dilation_orbit_reps(exp, size))
             arglist = [(group.invariant_factors, rep, k) for rep in reps]
-            outcomes = _run_ordered(_fd_candidate_worker, arglist, threads)
-        else:
-            outcomes = (
-                _fd_candidate_worker((group.invariant_factors, rep, k)) for rep in reps
-            )
-        stopped = False
-        hit = None
-        for rep, (holds, n_nodes) in zip(reps, outcomes):
-            if (max_nodes is not None and nodes > max_nodes) or (
-                max_seconds is not None and time.perf_counter() - start > max_seconds
-            ):
-                stopped = True
-                break
-            nodes += n_nodes
-            candidates += 1
-            if holds:
-                hit = rep
-                break
-        if hit is not None:
-            return FdResult(
-                status=FdStatus.FINITE,
-                value=size,
-                witness_set=WeightSet(exp, hit),
-                sizes_excluded=size - 1,
-                search_stats=FdSearchStats(nodes, candidates, time.perf_counter() - start),
-            )
-        if stopped:
-            return FdResult(
-                status=FdStatus.UNKNOWN,
-                value=None,
-                witness_set=None,
-                sizes_excluded=sizes_excluded,
-                search_stats=FdSearchStats(nodes, candidates, time.perf_counter() - start),
-            )
-        sizes_excluded = size
+            outcomes = pool.map(_fd_candidate_worker, arglist)
+            stopped = False
+            hit = None
+            for rep, (holds, n_nodes) in zip(reps, outcomes):
+                if (max_nodes is not None and nodes > max_nodes) or (
+                    max_seconds is not None and time.perf_counter() - start > max_seconds
+                ):
+                    stopped = True
+                    break
+                nodes += n_nodes
+                candidates += 1
+                if holds:
+                    hit = rep
+                    break
+            if hit is not None:
+                return FdResult(
+                    status=FdStatus.FINITE,
+                    value=size,
+                    witness_set=WeightSet(exp, hit),
+                    sizes_excluded=size - 1,
+                    search_stats=FdSearchStats(nodes, candidates, time.perf_counter() - start),
+                )
+            if stopped:
+                return FdResult(
+                    status=FdStatus.UNKNOWN,
+                    value=None,
+                    witness_set=None,
+                    sizes_excluded=sizes_excluded,
+                    search_stats=FdSearchStats(nodes, candidates, time.perf_counter() - start),
+                )
+            sizes_excluded = size
     return FdResult(
         status=FdStatus.INFINITE,
         value=None,
@@ -175,12 +171,16 @@ def ratio_covers(p: int, residues: Iterable[int]) -> bool:
     A/A, and length-1 sequences only vanish on the zero element.
     """
     rs = list(residues)
-    seen = set()
+    units = p - 1
+    seen: set[int] = set()
+    add = seen.add
     for b in rs:
         inv = pow(b, -1, p)
         for a in rs:
-            seen.add(a * inv % p)
-    return len(seen) == p - 1
+            add(a * inv % p)
+        if len(seen) == units:
+            return True
+    return False
 
 
 def fd_fast_k2(p: int, budget: Optional[Budget] = None) -> FdResult:

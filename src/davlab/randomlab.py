@@ -19,8 +19,9 @@ from typing import Optional
 from sympy import isprime
 
 from .engine import GSequence, WeightSet, has_weighted_zero_sum
-from .groups import cyclic
-from .solver import Budget, check_dav_at_most, davenport, default_threads, _run_ordered
+from .fdsolver import ratio_covers
+from .groups import GroupSpec, cyclic
+from .solver import Budget, _Pool, check_dav_at_most, davenport, default_threads
 
 
 class Classification(str, Enum):
@@ -103,11 +104,22 @@ def sample_theta_random(n: int, theta: float, rng: random.Random) -> Optional[We
     return WeightSet(n, residues)
 
 
+def _dav_at_most(group: GroupSpec, ws: WeightSet, j: int) -> bool:
+    """D_A(Z_p) <= j: by the ratio criterion A/A = Z_p* when j = 2, else by
+    the bounded check."""
+    if j == 2:
+        return ratio_covers(group.order, ws.residues)
+    return check_dav_at_most(group, ws, j).holds
+
+
 def classify_dav(p: int, weights, k: int) -> Classification:
     """Where D_A(Z_p) sits relative to k: LT, EQ, or GT.
 
-    The k-1 check is skipped when the all-ones sequence of length k-1 is
-    already zero-sum-free, which rules LT out without a search.
+    Two tests decide it, D_A <= k - 1 and D_A <= k.  A test of D_A <= 2 is
+    the exact criterion A/A = Z_p* (fdsolver.ratio_covers), which costs
+    O(|A|^2) instead of a move-table build; larger bounds go through the
+    bounded check.  The k-1 test is skipped when the all-ones sequence of
+    length k-1 is already zero-sum-free, which rules LT out without a search.
     """
     if not isprime(p):
         raise ValueError(f"p = {p} must be prime")
@@ -119,9 +131,9 @@ def classify_dav(p: int, weights, k: int) -> Classification:
     group = cyclic(p)
     if k >= 2:
         ones = GSequence.of(group, [(1,)] * (k - 1))
-        if has_weighted_zero_sum(group, ws, ones) and check_dav_at_most(group, ws, k - 1).holds:
+        if has_weighted_zero_sum(group, ws, ones) and _dav_at_most(group, ws, k - 1):
             return Classification.LT
-    if check_dav_at_most(group, ws, k).holds:
+    if _dav_at_most(group, ws, k):
         return Classification.EQ
     return Classification.GT
 
@@ -165,29 +177,30 @@ def threshold_sweep(
     window = theoretical_window(config.p, config.k, config.omega)
     rows: list[SweepRow] = []
     partial = False
-    for ti, theta in enumerate(config.theta_grid):
-        if budget and budget.max_seconds is not None:
-            if time.perf_counter() - start > budget.max_seconds:
-                partial = True
-                break
-        jobs = [
-            (config.p, config.k, config.seed, ti, tr, theta)
-            for tr in range(config.trials)
-        ]
-        outcomes = list(_run_ordered(_sweep_trial_worker, jobs, threads))
-        n_le = sum(1 for _, code in outcomes if code in (0, 1))
-        n_eq = sum(1 for _, code in outcomes if code == 1)
-        n_empty = sum(1 for _, code in outcomes if code == -1)
-        total_size = sum(size for size, _ in outcomes)
-        rows.append(
-            SweepRow(
-                theta=theta,
-                empirical_p_le=n_le / config.trials,
-                empirical_p_eq=n_eq / config.trials,
-                mean_size=total_size / config.trials,
-                trials_empty=n_empty,
+    with _Pool(threads) as pool:
+        for ti, theta in enumerate(config.theta_grid):
+            if budget and budget.max_seconds is not None:
+                if time.perf_counter() - start > budget.max_seconds:
+                    partial = True
+                    break
+            jobs = [
+                (config.p, config.k, config.seed, ti, tr, theta)
+                for tr in range(config.trials)
+            ]
+            outcomes = list(pool.map(_sweep_trial_worker, jobs))
+            n_le = sum(1 for _, code in outcomes if code in (0, 1))
+            n_eq = sum(1 for _, code in outcomes if code == 1)
+            n_empty = sum(1 for _, code in outcomes if code == -1)
+            total_size = sum(size for size, _ in outcomes)
+            rows.append(
+                SweepRow(
+                    theta=theta,
+                    empirical_p_le=n_le / config.trials,
+                    empirical_p_eq=n_eq / config.trials,
+                    mean_size=total_size / config.trials,
+                    trials_empty=n_empty,
+                )
             )
-        )
     return SweepResult(
         config=config,
         rows=tuple(rows),

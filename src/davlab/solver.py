@@ -10,7 +10,11 @@ element, R) records the fewest remaining elements already shown impossible.
 
 check_dav_at_most(G, A, k) is one kernel call per root, and D_A(G) is the
 first k at which it holds, so davenport() scans k = 1, 2, ... over tables
-built once.
+built once.  The tables hold the masks A*c and A*(-c) for every c; the move
+list of c (the indices of A*c) is built the first time the kernel extends a
+prefix by c, since a search that prunes early never extends by most c.
+With threads > 1 each public call opens one process pool and keeps it for
+all of its batches.
 
 Roots are restricted to unit-orbit minima.  Rescaling a zero-sum-free
 multiset by a unit preserves zero-sum-freeness, and the lexicographically
@@ -28,7 +32,7 @@ from typing import Iterable, Optional
 
 from sympy import isprime
 
-from .engine import GSequence, WeightSet, _layout, dilation_orbit_reps
+from .engine import GSequence, WeightSet, _layout, dilation_orbit_reps, iter_bits
 from .groups import GroupSpec, canonical_roots, cyclic, element_index, index_element, neg, scalar_mul
 
 # The fail memo is cleared wholesale past this many states; bounded memory at
@@ -85,7 +89,9 @@ class _WeightTables:
 
     wbits[c] is the set A*c; negw[c] = wbits[-c] is the mask that kills c
     against a reachable set R (A*c meets -R exactly when A*(-c) meets R),
-    widened to every bit when some a*c = 0.
+    widened to every bit when some a*c = 0.  moves[c], the ascending indices
+    of A*c, starts as None and is filled by the kernel the first time it
+    extends a prefix by c: most elements are only ever tested against negw.
     """
 
     __slots__ = ("group", "order", "layout", "wbits", "negw", "moves", "roots")
@@ -99,15 +105,12 @@ class _WeightTables:
         self.order = n = group.order
         self.layout = _layout(group)
         wbits = [0] * n
-        moves: list[tuple[int, ...]] = [()] * n
         res = weights.residues
         if group.is_cyclic:
             for i in range(1, n):
-                idxs = sorted({a * i % n for a in res})
-                moves[i] = tuple(idxs)
                 w = 0
-                for j in idxs:
-                    w |= 1 << j
+                for a in res:
+                    w |= 1 << (a * i % n)
                 wbits[i] = w
             negw = wbits[:1] + wbits[:0:-1]  # -c has index n - c
         else:
@@ -115,16 +118,14 @@ class _WeightTables:
             for i in range(1, n):
                 g = index_element(group, i)
                 neg_index[i] = element_index(group, neg(group, g))
-                idxs = sorted({element_index(group, scalar_mul(group, a, g)) for a in res})
-                moves[i] = tuple(idxs)
                 w = 0
-                for j in idxs:
-                    w |= 1 << j
+                for a in res:
+                    w |= 1 << element_index(group, scalar_mul(group, a, g))
                 wbits[i] = w
             negw = [wbits[j] for j in neg_index]
         self.negw = [-1 if w & 1 else w for w in negw]
         self.wbits = wbits
-        self.moves = moves
+        self.moves: list[Optional[tuple[int, ...]]] = [None] * n
         self.roots = canonical_roots(group)
 
 
@@ -132,17 +133,44 @@ def _indices_to_sequence(group: GroupSpec, indices: Iterable[int]) -> GSequence:
     return GSequence(group, tuple(index_element(group, i) for i in sorted(indices)))
 
 
-def _run_ordered(worker, arglist, threads: int):
-    """Yield worker results in submission order, optionally via processes."""
-    if threads <= 1 or len(arglist) <= 1:
-        for a in arglist:
-            yield worker(a)
-        return
-    ex = ProcessPoolExecutor(max_workers=min(threads, len(arglist)))
-    try:
-        yield from ex.map(worker, arglist, chunksize=max(1, len(arglist) // (4 * threads)))
-    finally:
-        ex.shutdown(wait=True, cancel_futures=True)
+class _Pool:
+    """Ordered map over worker processes, open for the length of one public call.
+
+    Runs serially when threads <= 1 or a batch holds at most one job.  The
+    executor starts on the first parallel batch with min(threads, batch)
+    workers and is replaced only when a later batch can use more of them.
+    """
+
+    def __init__(self, threads: int):
+        self.threads = threads
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._workers = 0
+
+    def __enter__(self) -> "_Pool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
+            self._workers = 0
+
+    def map(self, worker, arglist):
+        """Yield worker results in submission order."""
+        if self.threads <= 1 or len(arglist) <= 1:
+            for a in arglist:
+                yield worker(a)
+            return
+        workers = min(self.threads, len(arglist))
+        if workers > self._workers:
+            self.close()
+            self._executor = ProcessPoolExecutor(max_workers=workers)
+            self._workers = workers
+        chunksize = max(1, len(arglist) // (4 * self.threads))
+        yield from self._executor.map(worker, arglist, chunksize=chunksize)
 
 
 def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[int]], int]:
@@ -181,7 +209,10 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
                 chosen.append(c)
                 return chosen, nodes
             nb = bits | wbits[c]
-            for m in moves[c]:
+            mv = moves[c]
+            if mv is None:
+                mv = moves[c] = tuple(iter_bits(wbits[c]))
+            for m in mv:
                 nb |= translate(bits, m)
             known = fail_at.get((c, nb))
             if (known is None or remaining - 1 < known) and remaining <= order - nb.bit_count():
@@ -206,17 +237,17 @@ def _check_root_worker(args) -> tuple[Optional[list[int]], int]:
 
 
 def _first_zsf(
-    tables: _WeightTables, weights: WeightSet, k: int, threads: int
+    tables: _WeightTables, weights: WeightSet, k: int, pool: _Pool
 ) -> tuple[Optional[list[int]], int]:
     """Lex-least zero-sum-free multiset of size k over all roots, plus nodes.
 
     Roots are scanned in ascending order and the scan stops at the first root
     with a size-k extension, so nodes count up to and including that root.
     """
-    if threads > 1 and len(tables.roots) > 1:
+    if pool.threads > 1 and len(tables.roots) > 1:
         factors = tables.group.invariant_factors
         arglist = [(factors, weights.residues, r, k) for r in tables.roots]
-        gen = _run_ordered(_check_root_worker, arglist, threads)
+        gen = pool.map(_check_root_worker, arglist)
     else:
         gen = (_find_zsf(tables, r, k) for r in tables.roots)
     nodes = 0
@@ -252,15 +283,16 @@ def davenport(
     witness: list[int] = []
     nodes = 0
     k = 1
-    while True:
-        found, n_nodes = _first_zsf(tables, weights, k, threads)
-        nodes += n_nodes
-        if found is None:
-            break
-        if k >= cap:
-            raise CapExceededError(cap, nodes)
-        witness = found
-        k += 1
+    with _Pool(threads) as pool:
+        while True:
+            found, n_nodes = _first_zsf(tables, weights, k, pool)
+            nodes += n_nodes
+            if found is None:
+                break
+            if k >= cap:
+                raise CapExceededError(cap, nodes)
+            witness = found
+            k += 1
     return DavenportResult(
         value=k,
         witness=_indices_to_sequence(group, witness),
@@ -279,7 +311,8 @@ def check_dav_at_most(
     if k < 1:
         raise ValueError("k must be >= 1")
     threads = default_threads() if threads is None else max(1, threads)
-    found, nodes = _first_zsf(_WeightTables(group, weights), weights, k, threads)
+    with _Pool(threads) as pool:
+        found, nodes = _first_zsf(_WeightTables(group, weights), weights, k, pool)
     if found is None:
         return BoundedCheckResult(holds=True, counterexample=None, nodes=nodes)
     return BoundedCheckResult(
@@ -336,19 +369,14 @@ def max_davenport_over_size(p: int, k: int, threads: Optional[int] = None) -> Ma
         raise ValueError(f"size {k} not in [1, {p - 1}]")
     threads = default_threads() if threads is None else max(1, threads)
     start = time.perf_counter()
-    group = cyclic(p)
     reps = list(dilation_orbit_reps(p, k))
     best_val = 0
     best_set: Optional[tuple[int, ...]] = None
-    if threads > 1 and len(reps) > 1:
-        arglist = [(p, rep) for rep in reps]
-        results = _run_ordered(_max_dav_worker, arglist, threads)
-    else:
-        results = ((davenport(group, WeightSet(p, rep), threads=1).value, rep) for rep in reps)
-    for value, rep in results:
-        if value > best_val:
-            best_val = value
-            best_set = rep
+    with _Pool(threads) as pool:
+        for value, rep in pool.map(_max_dav_worker, [(p, rep) for rep in reps]):
+            if value > best_val:
+                best_val = value
+                best_set = rep
     assert best_set is not None
     return MaxDavenportResult(
         value=best_val,

@@ -3,6 +3,7 @@ import math
 import pytest
 from sympy import primerange
 
+from davlab.engine import WeightSet
 from davlab.fdsolver import (
     FdStatus,
     fd,
@@ -12,7 +13,7 @@ from davlab.fdsolver import (
     ratio_covers,
 )
 from davlab.groups import cyclic, normalize_group
-from davlab.solver import Budget
+from davlab.solver import Budget, check_dav_at_most
 
 from conftest import brute_fd
 
@@ -93,9 +94,17 @@ def test_fd_lower_bound():
 
 
 def test_ratio_covers():
-    assert ratio_covers(7, (1, 2, 5))
-    assert not ratio_covers(7, (1, 2))
-    assert ratio_covers(13, (1, 4, 6, 12))
+    cases = (
+        (7, (1, 2, 5), True),
+        (7, (1, 2), False),
+        (13, (1, 4, 6, 12), True),
+        (7, (1, 2, 3, 4), True),  # covered after the third of four denominators
+        (2, (1,), True),
+        (3, (1,), False),
+    )
+    for p, residues, covers in cases:
+        assert ratio_covers(p, residues) is covers, (p, residues)
+        assert check_dav_at_most(cyclic(p), WeightSet(p, residues), 2).holds is covers, (p, residues)
 
 
 def test_fd_value_via_ratio_criterion():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from davlab.engine import WeightSet
+from davlab.fdsolver import ratio_covers
 from davlab.groups import cyclic
 from davlab.randomlab import (
     Classification,
@@ -83,11 +84,23 @@ def test_classify_examples():
 def test_classify_agrees_with_full_solver():
     rng = random.Random(41)
     primes = [5, 7, 11, 13, 17, 19, 23, 29, 31]
+    cases = []
     for _ in range(100):
         p = rng.choice(primes)
         size = rng.randint(1, min(5, p - 1))
         ws = WeightSet(p, tuple(sorted(rng.sample(range(1, p), size))))
-        k = rng.randint(1, 5)
+        cases.append((p, ws, rng.randint(1, 5)))
+    # dense weight sets: D_A <= 2 is decided by the ratio criterion, both as
+    # the k = 2 test and as the k - 1 test of k = 3 (reached when -1 is in A/A)
+    for _ in range(60):
+        p = rng.choice([37, 41, 43])
+        size = rng.randint(1, rng.choice((8, p - 1)))
+        ws = WeightSet(p, tuple(sorted(rng.sample(range(1, p), size))))
+        cases.append((p, ws, rng.choice((2, 3, 4))))
+    ratio_outcomes = set()
+    for p, ws, k in cases:
+        if k == 2 or (k == 3 and any(p - a in ws for a in ws)):
+            ratio_outcomes.add((k, ratio_covers(p, ws.residues)))
         value = davenport(cyclic(p), ws).value
         got = classify_dav(p, ws, k)
         want = (
@@ -96,6 +109,7 @@ def test_classify_agrees_with_full_solver():
             else Classification.GT
         )
         assert got is want, (p, ws, k, value)
+    assert ratio_outcomes == {(2, False), (2, True), (3, False), (3, True)}
 
 
 def test_theoretical_window_values():
@@ -133,6 +147,23 @@ def test_threshold_sweep_thread_invariance():
     b = threshold_sweep(cfg, threads=4)
     assert a.rows == b.rows
     assert a.to_csv() == b.to_csv()
+
+
+def test_threshold_sweep_csv_pinned():
+    k2 = SweepConfig(p=101, k=2, theta_grid=(0.15, 0.25, 0.35), trials=20, seed=7)
+    assert threshold_sweep(k2, threads=1).to_csv() == (
+        "theta,p_le,p_eq,mean_size,empty,trials\n"
+        "0.15,0.150000,0.150000,15.550000,0,20\n"
+        "0.25,0.950000,0.950000,24.600000,0,20\n"
+        "0.35,0.950000,0.950000,34.000000,0,20\n"
+    )
+    k3 = SweepConfig(p=101, k=3, theta_grid=(0.04, 0.1, 0.3), trials=20, seed=7)
+    assert threshold_sweep(k3, threads=1).to_csv() == (
+        "theta,p_le,p_eq,mean_size,empty,trials\n"
+        "0.04,0.050000,0.050000,4.550000,0,20\n"
+        "0.1,0.700000,0.700000,9.900000,0,20\n"
+        "0.3,1.000000,0.150000,28.500000,0,20\n"
+    )
 
 
 def test_threshold_sweep_budget_partial():

@@ -3,8 +3,10 @@ from math import ceil
 
 import pytest
 
+from davlab import solver
 from davlab.engine import GSequence, WeightSet, has_weighted_zero_sum
 from davlab.groups import GroupSpec, cyclic, normalize_group
+from davlab.randomlab import SweepConfig, threshold_sweep
 from davlab.solver import (
     CapExceededError,
     certify_dav_value,
@@ -99,6 +101,24 @@ def test_thread_count_payload_invariance():
     a = davenport(g, w, threads=1)
     b = davenport(g, w, threads=3)
     assert (a.value, a.witness, a.nodes_explored) == (b.value, b.witness, b.nodes_explored)
+
+
+def test_one_process_pool_per_call(monkeypatch):
+    built = []
+
+    class CountingExecutor(solver.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", CountingExecutor)
+    # the k-scan runs k = 1..6, one parallel batch over the roots per k
+    assert davenport(normalize_group([2, 12]), WeightSet(12, (1, 5)), threads=2).value == 6
+    assert built == [2]
+    built.clear()
+    cfg = SweepConfig(p=31, k=2, theta_grid=(0.2, 0.4, 0.6), trials=4, seed=0)
+    assert len(threshold_sweep(cfg, threads=2).rows) == 3
+    assert built == [2]
 
 
 def test_check_dav_at_most():
