@@ -1,10 +1,12 @@
 """Minimum weight-set size achieving D_A(G) <= k, with infinity detection.
 
-The search enumerates weight sets by size, one representative per dilation
-orbit (D_{lambda A} = D_A for units lambda), and accepts the first
-representative passing the bounded Davenport check.  Infinity is only ever
-declared after exhausting every size up to exp(G) - 1; running out of budget
-yields UNKNOWN plus the largest size fully ruled out.
+The search runs size by size.  For a prime modulus and k = 2 it looks for
+the lex-least A containing 1 with A/A = Z_p* by a pruned depth-first search
+(_first_ratio_cover); everywhere else it visits one representative per
+dilation orbit (D_{lambda A} = D_A for units lambda) and accepts the first
+passing the bounded Davenport check.  Infinity is only ever declared after
+exhausting every size up to exp(G) - 1; running out of budget yields
+UNKNOWN plus the largest size fully ruled out.
 """
 
 from __future__ import annotations
@@ -12,14 +14,18 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from math import gcd, inf, isqrt
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
-from sympy import integer_nthroot, isprime
+from sympy import integer_nthroot, isprime, primitive_root
 
 from .engine import WeightSet, dilation_orbit_reps
 from .groups import GroupSpec, cyclic, normalize_group
 from .solver import Budget, _Pool, check_dav_at_most, default_threads
+
+# The prime k = 2 search tests its budget once per this many nodes.
+_CHECK_EVERY = 4096
 
 
 class FdStatus(str, Enum):
@@ -84,11 +90,164 @@ def _start_size(group: GroupSpec, k: int) -> int:
     return 1
 
 
+class _OutOfBudget(Exception):
+    """The node or time budget of an fd call ran out."""
+
+
+class _Meter:
+    """Counters and budget of one fd call; builds its FdResult."""
+
+    __slots__ = ("start", "nodes", "candidates", "max_nodes", "deadline")
+
+    def __init__(self, budget: Optional[Budget]):
+        self.start = time.perf_counter()
+        self.nodes = 0
+        self.candidates = 0
+        self.max_nodes = budget.max_nodes if budget else None
+        seconds = budget.max_seconds if budget else None
+        self.deadline = None if seconds is None else self.start + seconds
+
+    def check(self) -> None:
+        """Raise _OutOfBudget once nodes exceed max_nodes or time is up."""
+        if (self.max_nodes is not None and self.nodes > self.max_nodes) or (
+            self.deadline is not None and time.perf_counter() > self.deadline
+        ):
+            raise _OutOfBudget
+
+    def next_check(self) -> int:
+        """Node count at which a search should call check() again."""
+        at = self.nodes + _CHECK_EVERY
+        return at if self.max_nodes is None else min(at, self.max_nodes + 1)
+
+    def result(
+        self,
+        status: FdStatus,
+        sizes_excluded: int,
+        value: Optional[int] = None,
+        witness_set: Optional[WeightSet] = None,
+    ) -> FdResult:
+        stats = FdSearchStats(self.nodes, self.candidates, time.perf_counter() - self.start)
+        return FdResult(status, value, witness_set, sizes_excluded, stats)
+
+
+def _smallest(
+    exp: int,
+    sizes: range,
+    find: Callable[[int, _Meter], Optional[tuple[int, ...]]],
+    meter: _Meter,
+) -> FdResult:
+    """The first size at which find(size, meter) returns a weight set."""
+    excluded = sizes.start - 1  # smaller sizes are ruled out by counting
+    try:
+        for size in sizes:
+            hit = find(size, meter)
+            if hit is not None:
+                return meter.result(FdStatus.FINITE, size - 1, size, WeightSet(exp, hit))
+            excluded = size
+    except _OutOfBudget:
+        return meter.result(FdStatus.UNKNOWN, excluded)
+    return meter.result(FdStatus.INFINITE, exp - 1)
+
+
 def _fd_candidate_worker(args) -> tuple[bool, int]:
     factors, residues, k = args
     group = GroupSpec(factors)
     res = check_dav_at_most(group, WeightSet(group.exponent, residues), k, threads=1)
     return res.holds, res.nodes
+
+
+def _first_holding(
+    group: GroupSpec, k: int, pool: _Pool, size: int, meter: _Meter
+) -> Optional[tuple[int, ...]]:
+    """First dilation-orbit representative of this size with D_A(G) <= k.
+
+    The budget is tested before each candidate; nodes are bounded-check nodes.
+    """
+    reps = list(dilation_orbit_reps(group.exponent, size))
+    arglist = [(group.invariant_factors, rep, k) for rep in reps]
+    for rep, (holds, n_nodes) in zip(reps, pool.map(_fd_candidate_worker, arglist)):
+        meter.check()
+        meter.nodes += n_nodes
+        meter.candidates += 1
+        if holds:
+            return rep
+    return None
+
+
+def _discrete_logs(p: int) -> list[int]:
+    """logs[x] = e with g^e = x mod p for a primitive root g (logs[0] unused)."""
+    g = primitive_root(p)
+    logs = [0] * p
+    y = 1
+    for e in range(p - 1):
+        logs[y] = e
+        y = y * g % p
+    return logs
+
+
+def _first_ratio_cover(
+    p: int, logs: list[int], size: int, meter: _Meter
+) -> Optional[tuple[int, ...]]:
+    """Lex-least size-subset A of Z_p* containing 1 with A/A = Z_p*, or None.
+
+    Depth-first over ascending extensions of (1,), the order in which
+    dilation_orbit_reps lists representatives.  The first cover found is the
+    lex-least member of its dilation orbit (the orbit holds only covers, and
+    its least member contains 1), so it is the representative the orbit
+    enumeration would accept first.  Quotients are kept in exponent space:
+    a/b = g^(log a - log b), so with E = log A, A/A = Z_p* iff
+    E - E = Z_{p-1}, and adding x with e = log x adds the rotations E - e and
+    e - E of the bitsets of E and -E.  Adding an element to a j-set adds at
+    most 2j differences (x/a and a/x), so a j-set covering c of them is cut
+    when c + size(size-1) - j(j-1) < p - 1.  One node per extension tried;
+    candidates are the full-size sets tried.
+    """
+    m = p - 1
+    if size == 1:
+        meter.candidates += 1
+        return (1,) if m == 1 else None
+    full = (1 << m) - 1
+    need = [m - size * (size - 1) + j * (j - 1) for j in range(size + 1)]
+    nodes, candidates = meter.nodes, meter.candidates
+    check_at = meter.next_check()
+    chosen = [1]
+    # open sets as [differences, bits of E, bits of -E, next candidate]
+    stack = [[1, 1, 1, 2]]
+    try:
+        while stack:
+            state = stack[-1]
+            diffs, ebits, nbits, lo = state
+            j = len(chosen)
+            want = need[j + 1]
+            hi = p - size + j + 1  # leave room for the size - j - 1 larger elements
+            found = None
+            for x in range(lo, hi):
+                e = logs[x]
+                r = m - e
+                d = diffs | (ebits >> e | ebits << r | nbits << e | nbits >> r) & full
+                if d.bit_count() >= want:
+                    found = x
+                    break
+            tried = hi - lo if found is None else found + 1 - lo
+            nodes += tried
+            if j + 1 == size:
+                candidates += tried
+                if found is not None:
+                    return (*chosen, found)
+            if nodes >= check_at:
+                meter.nodes = nodes
+                meter.check()
+                check_at = meter.next_check()
+            if found is None or j + 1 == size:
+                stack.pop()
+                chosen.pop()
+                continue
+            state[3] = found + 1
+            chosen.append(found)
+            stack.append([d, ebits | 1 << e, nbits | 1 << r, found + 1])
+        return None
+    finally:
+        meter.nodes, meter.candidates = nodes, candidates
 
 
 def fd(
@@ -97,70 +256,26 @@ def fd(
     budget: Optional[Budget] = None,
     threads: Optional[int] = None,
 ) -> FdResult:
-    """Exact f^(D)_G(k) = min{|A| : D_A(G) <= k}, or INFINITE / UNKNOWN."""
+    """Exact f^(D)_G(k) = min{|A| : D_A(G) <= k}, or INFINITE / UNKNOWN.
+
+    Prime-order cyclic groups at k = 2 take the serial ratio-cover search of
+    fd_fast_k2; every other case checks orbit representatives, in a process
+    pool when threads > 1.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    threads = default_threads() if threads is None else max(1, threads)
-    start = time.perf_counter()
     exp = group.exponent
+    if k == 2 and group.is_cyclic and isprime(exp):
+        return fd_fast_k2(exp, budget)
+    meter = _Meter(budget)
     if k == 1:
         # a generator of a maximal-order cyclic factor never vanishes under
         # any single weight, so no A at all can force zero-sums at length 1
-        return FdResult(
-            status=FdStatus.INFINITE,
-            value=None,
-            witness_set=None,
-            sizes_excluded=exp - 1,
-            search_stats=FdSearchStats(nodes=0, candidates=0, elapsed=time.perf_counter() - start),
-        )
-    nodes = 0
-    candidates = 0
-    max_nodes = budget.max_nodes if budget else None
-    max_seconds = budget.max_seconds if budget else None
-    first_size = _start_size(group, k)
-    sizes_excluded = first_size - 1  # smaller sizes are ruled out by counting
+        return meter.result(FdStatus.INFINITE, exp - 1)
+    threads = default_threads() if threads is None else max(1, threads)
     with _Pool(threads) as pool:
-        for size in range(first_size, exp):
-            reps = list(dilation_orbit_reps(exp, size))
-            arglist = [(group.invariant_factors, rep, k) for rep in reps]
-            outcomes = pool.map(_fd_candidate_worker, arglist)
-            stopped = False
-            hit = None
-            for rep, (holds, n_nodes) in zip(reps, outcomes):
-                if (max_nodes is not None and nodes > max_nodes) or (
-                    max_seconds is not None and time.perf_counter() - start > max_seconds
-                ):
-                    stopped = True
-                    break
-                nodes += n_nodes
-                candidates += 1
-                if holds:
-                    hit = rep
-                    break
-            if hit is not None:
-                return FdResult(
-                    status=FdStatus.FINITE,
-                    value=size,
-                    witness_set=WeightSet(exp, hit),
-                    sizes_excluded=size - 1,
-                    search_stats=FdSearchStats(nodes, candidates, time.perf_counter() - start),
-                )
-            if stopped:
-                return FdResult(
-                    status=FdStatus.UNKNOWN,
-                    value=None,
-                    witness_set=None,
-                    sizes_excluded=sizes_excluded,
-                    search_stats=FdSearchStats(nodes, candidates, time.perf_counter() - start),
-                )
-            sizes_excluded = size
-    return FdResult(
-        status=FdStatus.INFINITE,
-        value=None,
-        witness_set=None,
-        sizes_excluded=exp - 1,
-        search_stats=FdSearchStats(nodes, candidates, time.perf_counter() - start),
-    )
+        find = partial(_first_holding, group, k, pool)
+        return _smallest(exp, range(_start_size(group, k), exp), find, meter)
 
 
 def ratio_covers(p: int, residues: Iterable[int]) -> bool:
@@ -184,46 +299,16 @@ def ratio_covers(p: int, residues: Iterable[int]) -> bool:
 
 
 def fd_fast_k2(p: int, budget: Optional[Budget] = None) -> FdResult:
-    """fd(Z_p, 2) via the ratio criterion instead of sequence search."""
+    """fd(Z_p, 2): the least |A| with A/A = Z_p*, by the pruned cover search.
+
+    Same value, lex-least witness and sizes_excluded as the orbit search of
+    fd(cyclic(p), 2) with the bounded check; nodes count search extensions
+    and candidates full-size sets.
+    """
     if not isprime(p):
         raise ValueError(f"modulus {p} must be prime")
-    start = time.perf_counter()
-    nodes = 0  # ratio pairs evaluated; keeps node budgets meaningful here
-    candidates = 0
-    max_nodes = budget.max_nodes if budget else None
-    max_seconds = budget.max_seconds if budget else None
-    first_size = fd_lower_bound(p, 2)
-    sizes_excluded = first_size - 1
-    for size in range(first_size, p):
-        for rep in dilation_orbit_reps(p, size):
-            if (max_nodes is not None and nodes > max_nodes) or (
-                max_seconds is not None and time.perf_counter() - start > max_seconds
-            ):
-                return FdResult(
-                    FdStatus.UNKNOWN,
-                    None,
-                    None,
-                    sizes_excluded,
-                    FdSearchStats(nodes, candidates, time.perf_counter() - start),
-                )
-            candidates += 1
-            nodes += size * size
-            if ratio_covers(p, rep):
-                return FdResult(
-                    FdStatus.FINITE,
-                    size,
-                    WeightSet(p, rep),
-                    size - 1,
-                    FdSearchStats(nodes, candidates, time.perf_counter() - start),
-                )
-        sizes_excluded = size
-    return FdResult(
-        FdStatus.INFINITE,
-        None,
-        None,
-        p - 1,
-        FdSearchStats(nodes, candidates, time.perf_counter() - start),
-    )
+    find = partial(_first_ratio_cover, p, _discrete_logs(p))
+    return _smallest(p, range(fd_lower_bound(p, 2), p), find, _Meter(budget))
 
 
 @dataclass(frozen=True)

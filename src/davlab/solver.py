@@ -35,10 +35,23 @@ from sympy import isprime
 from .engine import GSequence, WeightSet, _layout, dilation_orbit_reps, iter_bits
 from .groups import GroupSpec, canonical_roots, cyclic, element_index, index_element, neg, scalar_mul
 
-# The fail memo is cleared wholesale past this many states; bounded memory at
-# the cost of re-expansion, and deterministic since clearing depends only on
-# the visit order.
+# The fail memo is cleared wholesale past _memo_limit(|G|) states: at most
+# _MEMO_LIMIT, and fewer where keys of _MEMO_BYTES in total would not hold
+# that many.  Bounded memory at the cost of re-expansion, and deterministic
+# since clearing depends only on the visit order and the group order.
 _MEMO_LIMIT = 1 << 19
+_MEMO_BYTES = 1 << 27
+
+
+def _memo_limit(order: int) -> int:
+    """Fail-memo entries one search over a group of this order may keep.
+
+    A key (c, R) is a 2-tuple of a small int and an order-bit int: 56 + 28
+    bytes plus 24 + 4 per 30 bits of R, and about 50 more for its dict slot.
+    Up to order 720 the entry cap is the smaller bound.
+    """
+    per_key = 160 + 4 * -(-order // 30)
+    return min(_MEMO_LIMIT, _MEMO_BYTES // per_key)
 
 
 class CapExceededError(RuntimeError):
@@ -56,7 +69,12 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class Budget:
-    """Limits applied at deterministic checkpoints (candidate boundaries)."""
+    """Limits tested at deterministic checkpoints.
+
+    fd tests both before each candidate weight set on the bounded-check path
+    and every few thousand nodes inside the prime k = 2 cover search; sweeps
+    and constructions test max_seconds between rows or rounds.
+    """
 
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
@@ -193,6 +211,7 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     negw = tables.negw
     moves = tables.moves
     translate = tables.layout.translate
+    memo_limit = _memo_limit(order)
     fail_at: dict[tuple[int, int], int] = {}
     nodes = 1
     chosen = [root]
@@ -222,7 +241,7 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
                 stack.append([nb, remaining - 1, c])
                 break
         else:
-            if len(fail_at) >= _MEMO_LIMIT:
+            if len(fail_at) >= memo_limit:
                 fail_at.clear()
             fail_at[(chosen.pop(), bits)] = remaining
             stack.pop()

@@ -1,9 +1,10 @@
 import math
+import time
 
 import pytest
 from sympy import primerange
 
-from davlab.engine import WeightSet
+from davlab.engine import WeightSet, dilation_orbit_reps
 from davlab.fdsolver import (
     FdStatus,
     fd,
@@ -62,9 +63,44 @@ def test_fd_matches_brute_force():
                 assert got.value == want, (n, k)
 
 
+def _first_orbit_rep_with_dav_2(p):
+    """fd(Z_p, 2) and its witness by the orbit enumeration and the bounded check."""
+    for size in range(1, p):
+        for rep in dilation_orbit_reps(p, size):
+            if check_dav_at_most(cyclic(p), WeightSet(p, rep), 2).holds:
+                return size, rep
+    return None
+
+
 def test_fd_fast_k2_equals_general():
-    for p in primerange(3, 32):
-        assert fd_fast_k2(p).value == fd(cyclic(p), 2).value, p
+    for p in primerange(3, 24):
+        want = _first_orbit_rep_with_dav_2(p)
+        for res in (fd_fast_k2(p), fd(cyclic(p), 2)):
+            assert res.status is FdStatus.FINITE, p
+            assert (res.value, res.witness_set.residues) == want, p
+            assert res.sizes_excluded == res.value - 1, p
+    res = fd_fast_k2(2)
+    assert (res.status, res.value, res.witness_set.residues) == (FdStatus.FINITE, 1, (1,))
+    # witnesses of the orbit enumeration at sizes it takes seconds to reach
+    pinned = {29: (1, 2, 5, 16, 23, 27), 31: (1, 2, 3, 4, 5, 7, 30), 37: (1, 2, 3, 4, 10, 14, 36)}
+    for p, witness in pinned.items():
+        res = fd_fast_k2(p)
+        assert (res.value, res.witness_set.residues) == (len(witness), witness), p
+
+
+def test_fd_fast_k2_beyond_orbit_enumeration():
+    # fd(Z_p, 2) = 8 at p = 41, 43, 47, with the witnesses the orbit
+    # enumeration also finds (in 30-90 s each)
+    pinned = {
+        41: (1, 2, 3, 4, 5, 7, 9, 40),
+        43: (1, 2, 3, 4, 5, 6, 25, 39),
+        47: (1, 2, 3, 4, 5, 11, 41, 42),
+    }
+    for p, witness in pinned.items():
+        res = fd_fast_k2(p)
+        assert (res.status, res.value, res.witness_set.residues) == (FdStatus.FINITE, 8, witness), p
+        assert res.sizes_excluded == 7
+        assert ratio_covers(p, witness)
 
 
 def test_fd_budget_unknown():
@@ -75,6 +111,18 @@ def test_fd_budget_unknown():
     assert res.as_comparable  # attribute exists
     with pytest.raises(ValueError):
         res.as_comparable()
+
+
+def test_fd_budget_checked_inside_search():
+    # size 8 at p = 53 alone takes seconds; the time budget stops it mid-size
+    t0 = time.perf_counter()
+    res = fd_fast_k2(53, Budget(max_nodes=None, max_seconds=0.05))
+    assert time.perf_counter() - t0 < 1.0
+    assert res.status is FdStatus.UNKNOWN
+    assert res.sizes_excluded == 7
+    res = fd_fast_k2(31, Budget(max_nodes=1000, max_seconds=None))
+    assert res.status is FdStatus.UNKNOWN
+    assert 1000 < res.search_stats.nodes <= 1000 + 31
 
 
 def test_fd_comparable():

@@ -1,4 +1,5 @@
 import random
+import sys
 from math import ceil
 
 import pytest
@@ -139,6 +140,18 @@ def test_check_dav_at_most_deep_search():
     res = check_dav_at_most(cyclic(n), WeightSet(n, (1,)), n - 1)
     assert not res.holds
     assert res.counterexample == GSequence(cyclic(n), ((1,),) * (n - 1))
+
+
+def test_memo_limit_bounded_in_bytes():
+    # every group the suite and the benchmark search keeps the full entry cap
+    assert solver._memo_limit(499) == solver._MEMO_LIMIT
+    n = 10_000
+    limit = solver._memo_limit(n)
+    assert limit < solver._MEMO_LIMIT
+    # the largest key the kernel can store at this order: (last index, n-bit R)
+    c, bits = n - 1, (1 << n) - 1
+    key_bytes = sys.getsizeof((c, bits)) + sys.getsizeof(c) + sys.getsizeof(bits)
+    assert limit * key_bytes <= solver._MEMO_BYTES
 
 
 def test_certify_dav_value_agrees_with_solver():
