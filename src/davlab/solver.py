@@ -8,13 +8,26 @@ prefix exactly when some weight multiple of x lands in -R or at 0, which is
 one AND of R against the precomputed mask A*(-x).  A fail memo per (last
 element, R) records the fewest remaining elements already shown impossible.
 
+Reachable sets use a padded layout in which translating by any element is
+one right shift.  Every coordinate but the first gets twice its extent, so
+coordinate j has stride P_j = prod_{i>j} 2*n_i and a set takes 2^(r-1)*|G|
+bits; for cyclic groups this is the flat layout.  Each open state tiles
+T = R | {0} once by T |= T << n_j*P_j for j = r..1, which places a copy of
+every point at x_j and x_j + n_j in each coordinate.  Then for a move m,
+(T >> (S - m)) & mask is T + m, with S = sum n_j*P_j and mask the padded
+bits of G: of the two copies in coordinate j exactly one lands in
+[0, n_j), and a borrow from a negative coordinate lands in its padding.
+
 check_dav_at_most(G, A, k) is one kernel call per root, and D_A(G) is the
 first k at which it holds, so davenport() scans k = 1, 2, ... over tables
-built once.  The tables hold the masks A*c and A*(-c) for every c; the move
-list of c (the indices of A*c) is built the first time the kernel extends a
-prefix by c, since a search that prunes early never extends by most c.
-With threads > 1 each public call opens one process pool and keeps it for
-all of its batches.
+built once.  A k < D usually finds its multiset with little or no
+backtracking (k - 1 nodes when none), so nearly all of a scan is the one
+refutation at k = D.  The tables hold the masks A*c and A*(-c) for every c;
+the move list of c (the shifts S - m for m in A*c) is built the first time
+the kernel extends a prefix by c, since a search that prunes early never
+extends by most c.  With threads > 1 each public call opens one process
+pool and keeps it for all of its batches, and each worker keeps the tables
+of the last (group, weights) it searched.
 
 Roots are restricted to unit-orbit minima.  Rescaling a zero-sum-free
 multiset by a unit preserves zero-sum-freeness, and the lexicographically
@@ -28,30 +41,94 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from sympy import isprime
 
-from .engine import GSequence, WeightSet, _layout, dilation_orbit_reps, iter_bits
-from .groups import GroupSpec, canonical_roots, cyclic, element_index, index_element, neg, scalar_mul
+from .engine import GSequence, WeightSet, dilation_orbit_reps, iter_bits
+from .groups import (
+    GroupOrderError,
+    GroupSpec,
+    canonical_roots,
+    cyclic,
+    element_index,
+    index_element,
+    neg,
+    scalar_mul,
+)
 
-# The fail memo is cleared wholesale past _memo_limit(|G|) states: at most
+# The fail memo is cleared wholesale past _memo_limit(width) states: at most
 # _MEMO_LIMIT, and fewer where keys of _MEMO_BYTES in total would not hold
 # that many.  Bounded memory at the cost of re-expansion, and deterministic
-# since clearing depends only on the visit order and the group order.
+# since clearing depends only on the visit order and the group.
 _MEMO_LIMIT = 1 << 19
 _MEMO_BYTES = 1 << 27
+# The masks A*c reach about halfway up a reachable set, so the move tables of
+# a group take about |G| * width / 16 bytes.  Groups past this are refused:
+# cyclic ones past order 2^17, whose flat tables already took over 1 GiB, and
+# Z_2^r from r = 12, where padding multiplies the flat tables by 2^(r-1).
+# Since width >= |G|, no group past order 2^17 gets through.
+_TABLE_BYTES = 1 << 30
 
 
-def _memo_limit(order: int) -> int:
-    """Fail-memo entries one search over a group of this order may keep.
+def _memo_limit(width: int) -> int:
+    """Fail-memo entries one search may keep when R takes `width` bits.
 
-    A key (c, R) is a 2-tuple of a small int and an order-bit int: 56 + 28
+    A key (c, R) is a 2-tuple of a small int and a width-bit int: 56 + 28
     bytes plus 24 + 4 per 30 bits of R, and about 50 more for its dict slot.
-    Up to order 720 the entry cap is the smaller bound.
+    Up to width 720 the entry cap is the smaller bound.
     """
-    per_key = 160 + 4 * -(-order // 30)
+    per_key = 160 + 4 * -(-width // 30)
     return min(_MEMO_LIMIT, _MEMO_BYTES // per_key)
+
+
+class _Padding:
+    """One group's padded layout of reachable sets (see the module docstring).
+
+    index maps a flat index to its padded bit (None for cyclic groups, where
+    the two agree); mask holds the padded bits of G's elements; spread lists
+    the tiling shifts n_j*P_j for j = r..1; shift is S = sum n_j*P_j; width is
+    the bits a reachable set can take, 2^(r-1)*|G|.
+    """
+
+    __slots__ = ("index", "mask", "spread", "shift", "width")
+
+    def __init__(self, group: GroupSpec):
+        n = group.order
+        fs = group.invariant_factors
+        strides = [1] * len(fs)
+        for j in range(len(fs) - 2, -1, -1):
+            strides[j] = strides[j + 1] * 2 * fs[j + 1]
+        self.width = fs[0] * strides[0]
+        if n * self.width // 16 > _TABLE_BYTES:
+            raise GroupOrderError(
+                f"{group}: move tables over {self.width}-bit reachable sets would take"
+                f" about {n * self.width >> 24} MiB, over the {_TABLE_BYTES >> 20} MiB limit"
+            )
+        self.spread = tuple(nj * pj for nj, pj in zip(fs[::-1], strides[::-1]))
+        self.shift = sum(self.spread)
+        # coordinate j ranges over [0, n_j): n_j copies of the mask below it,
+        # built by doubling the copies made so far (bits of n_j from the top)
+        mask = 1
+        for nj, pj in zip(fs[::-1], strides[::-1]):
+            block, mask, copies = mask, 0, 0
+            for bit in bin(nj)[2:]:
+                mask |= mask << copies * pj
+                copies *= 2
+                if bit == "1":
+                    mask = mask << pj | block
+                    copies += 1
+        self.mask = mask
+        self.index: Optional[tuple[int, ...]] = None
+        if not group.is_cyclic:
+            index = [0]
+            for nj, pj in zip(fs, strides):
+                index = [i + x * pj for i in index for x in range(nj)]
+            self.index = tuple(index)
+
+
+_padding = lru_cache(maxsize=None)(_Padding)
 
 
 class CapExceededError(RuntimeError):
@@ -105,14 +182,16 @@ def default_threads() -> int:
 class _WeightTables:
     """Per-(group, weights) move masks for the multiset search.
 
-    wbits[c] is the set A*c; negw[c] = wbits[-c] is the mask that kills c
-    against a reachable set R (A*c meets -R exactly when A*(-c) meets R),
-    widened to every bit when some a*c = 0.  moves[c], the ascending indices
-    of A*c, starts as None and is filled by the kernel the first time it
-    extends a prefix by c: most elements are only ever tested against negw.
+    Indexed by the flat index c of an element, holding sets in the padded
+    layout of `padding`.  wbits[c] is the set A*c; negw[c] = wbits[-c] is
+    the mask that kills c against a reachable set R (A*c meets -R exactly
+    when A*(-c) meets R), widened to every bit when some a*c = 0.  moves[c],
+    the shifts S - m for the padded bits m of A*c, starts as None and is
+    filled by the kernel the first time it extends a prefix by c: most
+    elements are only ever tested against negw.
     """
 
-    __slots__ = ("group", "order", "layout", "wbits", "negw", "moves", "roots")
+    __slots__ = ("group", "order", "padding", "wbits", "negw", "moves", "roots")
 
     def __init__(self, group: GroupSpec, weights: WeightSet):
         if weights.exponent != group.exponent:
@@ -121,7 +200,7 @@ class _WeightTables:
             )
         self.group = group
         self.order = n = group.order
-        self.layout = _layout(group)
+        self.padding = _padding(group)
         wbits = [0] * n
         res = weights.residues
         if group.is_cyclic:
@@ -132,13 +211,14 @@ class _WeightTables:
                 wbits[i] = w
             negw = wbits[:1] + wbits[:0:-1]  # -c has index n - c
         else:
+            pad = self.padding.index
             neg_index = [0] * n
             for i in range(1, n):
                 g = index_element(group, i)
                 neg_index[i] = element_index(group, neg(group, g))
                 w = 0
                 for a in res:
-                    w |= 1 << element_index(group, scalar_mul(group, a, g))
+                    w |= 1 << pad[element_index(group, scalar_mul(group, a, g))]
                 wbits[i] = w
             negw = [wbits[j] for j in neg_index]
         self.negw = [-1 if w & 1 else w for w in negw]
@@ -196,7 +276,8 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
 
     Depth-first over nondecreasing extensions on an explicit stack.  A state
     (last, R) that failed with r elements still to place fails for any r' >= r,
-    which the fail memo records.
+    which the fail memo records.  Extending R by c is
+    R | ((OR over s in moves[c] of T >> s) & mask) with T the tiled R | {0}.
     """
     w = tables.wbits[root]
     if w & 1:
@@ -210,35 +291,45 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     wbits = tables.wbits
     negw = tables.negw
     moves = tables.moves
-    translate = tables.layout.translate
-    memo_limit = _memo_limit(order)
+    pad = tables.padding
+    mask, spread, shift = pad.mask, pad.spread, pad.shift
+    memo_limit = _memo_limit(pad.width)
     fail_at: dict[tuple[int, int], int] = {}
     nodes = 1
     chosen = [root]
-    # open states as [reachable set, elements still to place, next candidate];
-    # the state at depth i was reached by appending chosen[i]
-    stack = [[w, k - 1, root]]
+    # open states as [reachable set, elements still to place, next candidate,
+    # tiled R | {0} or None until a candidate needs it]; the state at depth i
+    # was reached by appending chosen[i]
+    stack = [[w, k - 1, root, None]]
     while stack:
         state = stack[-1]
-        bits, remaining = state[0], state[1]
+        bits, remaining, tiled = state[0], state[1], state[3]
         for c in range(state[2], order):
             if negw[c] & bits:
                 continue
             if remaining == 1:
                 chosen.append(c)
                 return chosen, nodes
-            nb = bits | wbits[c]
+            if tiled is None:
+                tiled = bits | 1
+                for s in spread:
+                    tiled |= tiled << s
+                state[3] = tiled
             mv = moves[c]
             if mv is None:
-                mv = moves[c] = tuple(iter_bits(wbits[c]))
-            for m in mv:
-                nb |= translate(bits, m)
+                mv = moves[c] = tuple(shift - m for m in iter_bits(wbits[c]))
+            nb = 0
+            for s in mv:
+                nb |= tiled >> s
+            nb = bits | (nb & mask)
+            if remaining > order - nb.bit_count():
+                continue
             known = fail_at.get((c, nb))
-            if (known is None or remaining - 1 < known) and remaining <= order - nb.bit_count():
+            if known is None or remaining - 1 < known:
                 state[2] = c + 1
                 nodes += 1
                 chosen.append(c)
-                stack.append([nb, remaining - 1, c])
+                stack.append([nb, remaining - 1, c, None])
                 break
         else:
             if len(fail_at) >= memo_limit:
@@ -248,11 +339,16 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     return None, nodes
 
 
+@lru_cache(maxsize=1)
+def _worker_tables(factors: tuple[int, ...], residues: tuple[int, ...]) -> _WeightTables:
+    """Tables in a worker process, kept across the roots and k of one call."""
+    group = GroupSpec(factors)
+    return _WeightTables(group, WeightSet(group.exponent, residues))
+
+
 def _check_root_worker(args) -> tuple[Optional[list[int]], int]:
     factors, residues, root, k = args
-    group = GroupSpec(factors)
-    tables = _WeightTables(group, WeightSet(group.exponent, residues))
-    return _find_zsf(tables, root, k)
+    return _find_zsf(_worker_tables(factors, residues), root, k)
 
 
 def _first_zsf(

@@ -6,7 +6,7 @@ import pytest
 
 from davlab import solver
 from davlab.engine import GSequence, WeightSet, has_weighted_zero_sum
-from davlab.groups import GroupSpec, cyclic, normalize_group
+from davlab.groups import GroupOrderError, GroupSpec, cyclic, normalize_group
 from davlab.randomlab import SweepConfig, threshold_sweep
 from davlab.solver import (
     CapExceededError,
@@ -83,6 +83,28 @@ def test_davenport_matches_brute_force_products():
         want = brute_davenport(g.invariant_factors, ws)
         got = davenport(g, WeightSet(n, ws)).value
         assert got == want, (g, ws)
+    # more than two coordinates: the padded layout doubles every one but the first
+    for fs, ws in (((2, 2, 2), (1,)), ((2, 2, 4), (1,)), ((2, 2, 4), (1, 2)), ((2, 2, 2, 2), (1,))):
+        g = normalize_group(fs)
+        assert davenport(g, WeightSet(g.exponent, ws)).value == brute_davenport(fs, ws), (fs, ws)
+
+
+@pytest.mark.parametrize(
+    "factors, weights, value, nodes, witness",
+    [
+        ((3, 9), (1,), 11, 21_323, ((0, 1),) * 8 + ((1, 0),) * 2),
+        ((3, 3, 3), (1,), 7, 24_432, ((0, 0, 1),) * 2 + ((0, 1, 0),) * 2 + ((1, 0, 0),) * 2),
+        ((5, 5), (1,), 9, 19_668, ((0, 1),) * 4 + ((1, 0),) * 4),
+        ((150,), (1, 2, 148, 149), 5, 39_583, ((1,), (3,), (9,), (27,))),
+        ((48,), (1, 47), 6, 11_398, ((1,), (2,), (4,), (8,), (16,))),
+        ((2, 2, 2, 2), (1,), 5, 336, ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))),
+    ],
+)
+def test_node_counts_and_witnesses_pinned(factors, weights, value, nodes, witness):
+    # a faster kernel must visit the same nodes in the same order
+    g = GroupSpec(factors)
+    r = davenport(g, WeightSet(g.exponent, weights), threads=1)
+    assert (r.value, r.nodes_explored, r.witness.entries) == (value, nodes, witness)
 
 
 def test_cap_aborts_early():
@@ -102,6 +124,24 @@ def test_thread_count_payload_invariance():
     a = davenport(g, w, threads=1)
     b = davenport(g, w, threads=3)
     assert (a.value, a.witness, a.nodes_explored) == (b.value, b.witness, b.nodes_explored)
+
+
+def test_worker_keeps_last_tables():
+    solver._worker_tables.cache_clear()
+    try:
+        first = solver._check_root_worker(((2, 12), (1, 5), 1, 3))
+        second = solver._check_root_worker(((2, 12), (1, 5), 1, 4))
+        info = solver._worker_tables.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        g, w = normalize_group([2, 12]), WeightSet(12, (1, 5))
+        fresh = solver._WeightTables(g, w)
+        assert first == solver._find_zsf(fresh, 1, 3)
+        assert second == solver._find_zsf(fresh, 1, 4)
+        # another group or weight set builds its own
+        solver._check_root_worker(((2, 12), (1,), 1, 3))
+        assert solver._worker_tables.cache_info().misses == 2
+    finally:
+        solver._worker_tables.cache_clear()
 
 
 def test_one_process_pool_per_call(monkeypatch):
@@ -152,6 +192,25 @@ def test_memo_limit_bounded_in_bytes():
     c, bits = n - 1, (1 << n) - 1
     key_bytes = sys.getsizeof((c, bits)) + sys.getsizeof(c) + sys.getsizeof(bits)
     assert limit * key_bytes <= solver._MEMO_BYTES
+    # rank 2: R takes twice the order in the padded layout
+    g = normalize_group([100, 100])
+    width = solver._padding(g).width
+    assert width == 2 * g.order
+    limit = solver._memo_limit(width)
+    c, bits = g.order - 1, (1 << width) - 1
+    key_bytes = sys.getsizeof((c, bits)) + sys.getsizeof(c) + sys.getsizeof(bits)
+    assert limit * key_bytes <= solver._MEMO_BYTES
+
+
+def test_move_tables_bounded_in_bytes():
+    # the padded layout gives Z_2^r sets of 2^(2r-1) bits; past the table bound
+    # the kernel refuses the group before it builds anything
+    for g in (normalize_group([2] * 12), cyclic(2**17 + 1)):
+        with pytest.raises(GroupOrderError):
+            check_dav_at_most(g, WeightSet(g.exponent, (1,)), 2)
+    for g in (normalize_group([2] * 11), cyclic(2**17)):
+        pad = solver._padding(g)
+        assert g.order * pad.width // 16 <= solver._TABLE_BYTES
 
 
 def test_certify_dav_value_agrees_with_solver():
