@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 from math import ceil, isqrt
 from typing import Optional
 
-from sympy import factorint, isprime, primitive_root
-
 from .engine import ResidueSet, WeightSet, quotient_set
 from .groups import cyclic
+from .numtheory import factorint, floor_log, isprime, primitive_root
 from .solver import Budget, check_dav_at_most, davenport
 
 
@@ -288,22 +287,13 @@ def interval_weight_set(p: int) -> ConstructionReport:
     )
 
 
-def _floor_log(base: int, n: int) -> int:
-    t = 0
-    v = base
-    while v <= n:
-        v *= base
-        t += 1
-    return t
-
-
 def symmetric_range_weight_set(n: int, r: int) -> ConstructionReport:
     """A = {±1, ..., ±r} in Z_n; solver confirms D_A = floor(log_{r+1} n) + 1."""
     if not 1 <= r < (n - 1) / 2:
         raise ValueError(f"need 1 <= r < (n-1)/2, got r={r}, n={n}")
     weights = tuple(range(1, r + 1)) + tuple(range(n - r, n))
     ws = WeightSet(n, weights)
-    expected = _floor_log(r + 1, n) + 1
+    expected = floor_log(r + 1, n) + 1
     result = davenport(cyclic(n), ws)
     if result.value != expected:
         raise ConstructionError(

@@ -29,6 +29,7 @@ from .groups import (
     scalar_mul,
     units,
 )
+from .numtheory import isprime
 
 
 @dataclass(frozen=True)
@@ -350,8 +351,6 @@ def covers_observation(group: GroupSpec, a: ResidueSet, b: ResidueSet) -> bool:
     """
     if not group.is_cyclic:
         raise ValueError("covering test is only defined over cyclic groups")
-    from sympy import isprime
-
     n = group.order
     if not isprime(n):
         raise ValueError(f"covering test needs a prime modulus, got {n}")
@@ -376,8 +375,6 @@ def dilation_orbit_reps(n: int, size: int) -> Iterator[tuple[int, ...]]:
     """
     if size < 1 or size > n - 1:
         return
-    from sympy import isprime
-
     if isprime(n):
         for rest in combinations(range(2, n), size - 1):
             s = (1,) + rest

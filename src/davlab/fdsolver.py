@@ -18,10 +18,9 @@ from functools import partial
 from math import gcd, inf, isqrt
 from typing import Callable, Iterable, Optional
 
-from sympy import integer_nthroot, isprime, primitive_root
-
 from .engine import WeightSet, dilation_orbit_reps
 from .groups import GroupSpec, cyclic, normalize_group
+from .numtheory import integer_nthroot, isprime, primitive_root
 from .solver import Budget, _Pool, check_dav_at_most, default_threads
 
 # The prime k = 2 search tests its budget once per this many nodes.

@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Iterator, Sequence
 
-from sympy import factorint
+from .numtheory import factorint
 
 Element = tuple[int, ...]
 
@@ -86,10 +86,16 @@ def normalize_group(orders: Sequence[int], order_limit: int = DEFAULT_ORDER_LIMI
     """
     if not orders:
         raise ValueError("trivial group: need at least one cyclic order")
-    by_prime: dict[int, list[int]] = {}
     for n in orders:
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"cyclic order {n!r} is not a positive integer")
+    # the group order is the product of the cyclic orders: refuse before
+    # factoring, which costs up to sqrt(n) trial divisions
+    total = prod(orders)
+    if total > order_limit:
+        raise GroupOrderError(f"group order {total} exceeds limit {order_limit}")
+    by_prime: dict[int, list[int]] = {}
+    for n in orders:
         if n == 1:
             continue  # Z_1 contributes nothing
         for p, e in factorint(n).items():
@@ -103,9 +109,6 @@ def normalize_group(orders: Sequence[int], order_limit: int = DEFAULT_ORDER_LIMI
     for j in range(depth):
         factors.append(prod(p ** exps[j] for p, exps in by_prime.items() if len(exps) > j))
     factors.reverse()
-    total = prod(factors)
-    if total > order_limit:
-        raise GroupOrderError(f"group order {total} exceeds limit {order_limit}")
     return GroupSpec(tuple(factors))
 
 

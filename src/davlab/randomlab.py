@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from sympy import isprime
-
 from .engine import GSequence, WeightSet, has_weighted_zero_sum
 from .fdsolver import ratio_covers
-from .groups import GroupSpec, cyclic
+from .groups import DEFAULT_ORDER_LIMIT, GroupOrderError, GroupSpec, cyclic
+from .numtheory import isprime
 from .solver import Budget, _Pool, check_dav_at_most, davenport, default_threads
 
 
@@ -40,6 +39,9 @@ class SweepConfig:
     omega: float = 10.0
 
     def __post_init__(self) -> None:
+        # sampling alone walks all p - 1 residues per trial: refuse first
+        if self.p > DEFAULT_ORDER_LIMIT:
+            raise GroupOrderError(f"group order {self.p} exceeds limit {DEFAULT_ORDER_LIMIT}")
         if not isprime(self.p):
             raise ValueError(f"p = {self.p} must be prime")
         if self.k < 2:

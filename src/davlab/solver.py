@@ -44,8 +44,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from sympy import isprime
-
 from .engine import GSequence, WeightSet, dilation_orbit_reps, iter_bits
 from .groups import (
     GroupOrderError,
@@ -57,6 +55,7 @@ from .groups import (
     neg,
     scalar_mul,
 )
+from .numtheory import isprime
 
 # The fail memo is cleared wholesale past _memo_limit(width) states: at most
 # _MEMO_LIMIT, and fewer where keys of _MEMO_BYTES in total would not hold

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from math import ceil, isqrt
 from typing import Optional
 
-from sympy import factorint, primerange
-
 from .constructions import (
     ConstructionError,
     complement_weight_set,
@@ -25,6 +23,7 @@ from .constructions import (
 from .engine import WeightSet
 from .fdsolver import fd, fd_relation_checks
 from .groups import cyclic, normalize_group, units
+from .numtheory import factorint, floor_log, primerange
 from .randomlab import pair_lemma_check
 from .solver import certify_dav_value, max_davenport_over_size
 
@@ -65,15 +64,6 @@ class SuiteReport:
 def _equality_check(name: str, group, weights, expected: int) -> Check:
     ok = certify_dav_value(group, weights, expected)
     return Check(name=name, computed=expected if ok else "!= expected", expected=expected, ok=ok)
-
-
-def _floor_log(base: int, n: int) -> int:
-    t = 0
-    v = base
-    while v <= n:
-        v *= base
-        t += 1
-    return t
 
 
 def known_formulas(max_n: int = 64) -> SuiteReport:
@@ -120,7 +110,7 @@ def known_formulas(max_n: int = 64) -> SuiteReport:
                         f"symmetric [-{r},{r}] mod {n}",
                         group,
                         WeightSet(n, sym),
-                        _floor_log(r + 1, n) + 1,
+                        floor_log(r + 1, n) + 1,
                     )
                 )
     return SuiteReport("known-formulas", tuple(checks), time.perf_counter() - start)

@@ -1,6 +1,7 @@
 """End-to-end CLI tests driving main() in process."""
 
 import json
+import time
 
 import pytest
 
@@ -90,6 +91,25 @@ def test_weights_zero_rejected(capsys):
     code, _, err = run_cli(capsys, "davenport", "--group", "6", "--weights", "1,6")
     assert code == 64
     assert "0 mod 6" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fd", "--group", "1000000000000000000000007", "--k", "2"),
+        (
+            "sweep", "--p", "1000000000000000000000007", "--k", "2",
+            "--theta", "0.3:0.6:2", "--trials", "1",
+        ),
+    ],
+)
+def test_huge_order_refused_fast(capsys, argv):
+    # refused before any factoring or sampling over the group's p - 1 residues
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 64
+    assert "exceeds limit" in err
 
 
 def test_unknown_flag_usage_error(capsys):

@@ -2,7 +2,6 @@ import random
 from math import isqrt
 
 import pytest
-from sympy import primerange
 
 from davlab.constructions import (
     ConstructionError,
@@ -18,6 +17,7 @@ from davlab.constructions import (
 )
 from davlab.engine import WeightSet
 from davlab.groups import cyclic
+from davlab.numtheory import primerange
 from davlab.solver import Budget, check_dav_at_most, davenport
 
 

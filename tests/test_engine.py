@@ -2,7 +2,6 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import primerange
 
 from davlab.engine import (
     GSequence,
@@ -19,6 +18,7 @@ from davlab.engine import (
     sumset,
 )
 from davlab.groups import GroupSpec, cyclic, normalize_group
+from davlab.numtheory import primerange
 
 from conftest import brute_reachable
 

@@ -2,7 +2,6 @@ import math
 import time
 
 import pytest
-from sympy import primerange
 
 from davlab.engine import WeightSet, dilation_orbit_reps
 from davlab.fdsolver import (
@@ -14,6 +13,7 @@ from davlab.fdsolver import (
     ratio_covers,
 )
 from davlab.groups import cyclic, normalize_group
+from davlab.numtheory import primerange
 from davlab.solver import Budget, check_dav_at_most
 
 from conftest import brute_fd

@@ -1,4 +1,5 @@
 import itertools
+import time
 from collections import Counter
 from math import gcd, lcm
 
@@ -68,6 +69,14 @@ def test_order_limit():
     with pytest.raises(GroupOrderError):
         normalize_group([10**4, 10**4])
     normalize_group([10**4, 10**4], order_limit=10**8)
+
+
+def test_order_limit_checked_before_factoring():
+    # trial division of this order would take about 10^12 steps
+    start = time.perf_counter()
+    with pytest.raises(GroupOrderError):
+        parse_group("1000000000000000000000007")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_parse_group():

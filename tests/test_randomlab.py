@@ -5,7 +5,7 @@ import pytest
 
 from davlab.engine import WeightSet
 from davlab.fdsolver import ratio_covers
-from davlab.groups import cyclic
+from davlab.groups import GroupOrderError, cyclic
 from davlab.randomlab import (
     Classification,
     PairLemmaReport,
@@ -34,6 +34,8 @@ def test_sweep_config_validation():
         SweepConfig(p=101, k=2, theta_grid=(0.0, 0.1), trials=5, seed=0)
     with pytest.raises(ValueError):
         SweepConfig(p=101, k=2, theta_grid=(0.1,), trials=0, seed=0)
+    with pytest.raises(GroupOrderError):
+        SweepConfig(p=1000003, k=2, theta_grid=(0.1,), trials=1, seed=0)
 
 
 def test_sweep_row_invariant():
