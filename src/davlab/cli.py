@@ -195,7 +195,21 @@ def _cmd_fd(args) -> int:
     return EXIT_BUDGET if res.status is FdStatus.UNKNOWN else EXIT_OK
 
 
+# the options each construction cannot do without
+_CONSTRUCT_NEEDS = {
+    "singer": ("q",),
+    "singer-weights": ("p",),
+    "interval": ("p",),
+    "symmetric": ("n", "r"),
+    "complement": ("p", "r"),
+    "quartic": ("p",),
+}
+
+
 def _cmd_construct(args) -> int:
+    missing = [f"--{name}" for name in _CONSTRUCT_NEEDS[args.kind] if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"construct {args.kind} needs {', '.join(missing)}")
     t0 = time.perf_counter()
     try:
         if args.kind == "singer":
@@ -350,8 +364,9 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"davlab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--threads", type=int, default=None, help="worker processes (env DAVLAB_THREADS)")
+    def common(p, threads=True):
+        if threads:
+            p.add_argument("--threads", type=int, default=None, help="worker processes (env DAVLAB_THREADS)")
         p.add_argument("--pretty", action="store_true", help="human table instead of JSON")
         p.add_argument("--log", help="append a JSON-lines result record to this file")
 
@@ -393,7 +408,7 @@ def build_parser() -> _Parser:
     p_con.add_argument("--seed", type=int, default=0)
     p_con.add_argument("--n-dilates", type=int, default=None)
     p_con.add_argument("--auto", action="store_true", help="try the default (c0, seed) schedule")
-    common(p_con)
+    common(p_con, threads=False)
     p_con.set_defaults(func=_cmd_construct)
 
     p_sw = sub.add_parser("sweep", help="Monte Carlo density sweep")
@@ -416,7 +431,7 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--p", type=int, default=None)
     p_ver.add_argument("--m", type=int, default=None)
     p_ver.add_argument("--k", type=int, default=None)
-    common(p_ver)
+    common(p_ver, threads=False)
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 

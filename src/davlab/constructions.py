@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 from math import ceil, isqrt
 from typing import Optional
 
-from .engine import ResidueSet, WeightSet, quotient_set
-from .groups import cyclic
+from .engine import WeightSet
+from .fdsolver import fd_lower_bound, ratio_missing
+from .groups import check_order, cyclic
 from .numtheory import factorint, floor_log, isprime, primitive_root
 from .solver import Budget, check_dav_at_most, davenport
 
@@ -185,14 +186,6 @@ def singer_difference_set(q: int) -> PerfectDifferenceSet:
     return PerfectDifferenceSet(v=n, elements=tuple(picked))
 
 
-def _ratio_missing(p: int, residues) -> int:
-    """How many elements of Z_p* are missed by A/A."""
-    group = cyclic(p)
-    a = ResidueSet.of(group, [(r,) for r in residues])
-    q = quotient_set(a, a)
-    return (p - 1) - len(q)
-
-
 def _exponent_cover_missing(p: int, dset) -> int:
     """Ratios of theta^D are theta^(d1-d2 mod p-1); count exponents missed."""
     m = p - 1
@@ -216,6 +209,7 @@ def singer_weight_set(p: int) -> ConstructionReport:
     exists.  Otherwise u = 1 is kept and the report carries no verified_bound,
     recording instead how many ratios are missing.
     """
+    check_order(p)
     if not isprime(p):
         raise ValueError(f"p = {p} must be prime")
     q = (isqrt(4 * p - 3) - 1) // 2
@@ -233,11 +227,10 @@ def singer_weight_set(p: int) -> ConstructionReport:
     theta = primitive_root(p)
     weights = sorted({pow(theta, d, p) for d in pds.elements})
     ws = WeightSet(p, tuple(weights))
-    missing = _ratio_missing(p, weights)
+    missing = ratio_missing(p, weights)
     if (dilation is not None) != (missing == 0):
         raise ConstructionError("ratio check disagrees with exponent cover", p=p)
-    r = isqrt(p - 1)
-    sqrt_bound = r if r * r == p - 1 else r + 1
+    sqrt_bound = fd_lower_bound(p, 2)
     return ConstructionReport(
         construction="singer-weights",
         parameters={
@@ -261,12 +254,13 @@ def singer_weight_set(p: int) -> ConstructionReport:
 
 def interval_weight_set(p: int) -> ConstructionReport:
     """A = [-floor(sqrt p), floor(sqrt p)]_* in Z_p; D_A = 2 by ratio coverage."""
+    check_order(p)
     if p == 2 or not isprime(p):
         raise ValueError(f"p = {p} must be an odd prime")
     m = isqrt(p)
     weights = tuple(range(1, m + 1)) + tuple(range(p - m, p))
     ws = WeightSet(p, weights)
-    missing = _ratio_missing(p, weights)
+    missing = ratio_missing(p, weights)
     if missing:
         # guaranteed by the covering argument with B = [1, m+1]; cannot fail
         raise ConstructionError(
@@ -319,6 +313,7 @@ def complement_weight_set(p: int, r: int) -> ConstructionReport:
     Larger r still constructs (as long as B_r is nonempty) but carries no
     verified bound, since the two-term claim only covers r < (p-1)/4.
     """
+    check_order(p)
     if not isprime(p) or p == 2:
         raise ValueError(f"p = {p} must be an odd prime")
     if r < 0:
@@ -381,6 +376,7 @@ def quartic_weight_set(
     bound is never assumed: for p up to the exhaustive limit the solver
     recertifies D_A <= 4, and the report fails loudly otherwise.
     """
+    check_order(p)
     if not isprime(p) or p < 101:
         raise ValueError(f"p = {p} must be a prime >= 101")
     if c0 <= 0:

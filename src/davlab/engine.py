@@ -2,12 +2,13 @@
 
 A subset of a group of order n lives in a single Python int of n bits, bit i
 standing for the element with flat index i.  Translating a whole set by a
-group element is then a masked shift (a rotation for cyclic groups), which is
-what makes the reachable-sum recurrence
+group element is then two masked shifts per nonzero coordinate of the
+element, whatever the group's shape, which keeps the reachable-sum recurrence
 
     R_i = R_{i-1}  union  A*x_i  union  (R_{i-1} + A*x_i)
 
-cheap enough to drive exhaustive Davenport searches.
+and the set operations cheap up to the order limit.  (The search kernel in
+solver keeps its own padded layout of reachable sets.)
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .groups import (
-    DEFAULT_ORDER_LIMIT,
     Element,
-    GroupOrderError,
     GroupSpec,
     as_element,
+    check_order,
     element_index,
     index_element,
     scalar_mul,
@@ -95,82 +95,68 @@ class GSequence:
         return len(self.entries)
 
 
-class _Layout:
-    """Shift/mask tables realizing one group's translation action on bit sets."""
+def tile(block: int, period: int, copies: int) -> int:
+    """copies of block at the multiples of period below copies*period.
 
-    __slots__ = ("group", "order", "mask", "_strides", "_digit_masks", "_cyclic")
+    Built by doubling (bits of copies from the top), so it costs O(log copies)
+    big-int shifts rather than one per copy or a big-int division.
+    """
+    acc = done = 0
+    for bit in bin(copies)[2:]:
+        acc |= acc << done * period
+        done *= 2
+        if bit == "1":
+            acc = acc << period | block
+            done += 1
+    return acc
+
+
+class _Layout:
+    """One group's translation action on flat bit sets.
+
+    Coordinate j has stride st_j (the product of the factors after it), so
+    its digit runs in blocks of st_j bits repeating with period n_j*st_j;
+    comb_j has one bit at each multiple of that period.  Adding c to digit j
+    lifts the digits below n_j - c by c*st_j and drops the others by
+    (n_j - c)*st_j: two shifts, for cyclic groups (comb = 1) a rotation.
+    """
+
+    __slots__ = ("order", "_coords", "_ones")
 
     def __init__(self, group: GroupSpec):
         n = group.order
-        if n > DEFAULT_ORDER_LIMIT:
-            raise GroupOrderError(f"group order {n} exceeds limit {DEFAULT_ORDER_LIMIT}")
-        self.group = group
+        check_order(n)
         self.order = n
-        self.mask = (1 << n) - 1
-        self._cyclic = group.is_cyclic
-        if self._cyclic:
-            self._strides = (1,)
-            self._digit_masks = None
-            return
-        fs = group.invariant_factors
-        strides = [1] * len(fs)
-        for j in range(len(fs) - 2, -1, -1):
-            strides[j] = strides[j + 1] * fs[j + 1]
-        self._strides = tuple(strides)
-        # digit_masks[j][d]: all indices whose j-th coordinate equals d
-        masks = []
-        for j, nj in enumerate(fs):
-            st = strides[j]
-            period = nj * st
-            reps = n // period
-            comb = ((1 << (period * reps)) - 1) // ((1 << period) - 1)  # bits at multiples of period
-            block = (1 << st) - 1
-            masks.append(tuple(comb * (block << (d * st)) for d in range(nj)))
-        self._digit_masks = masks
+        coords = []  # (n_j, st_j, comb_j), last coordinate first
+        st = 1
+        for nj in reversed(group.invariant_factors):
+            coords.append((nj, st, tile(1, nj * st, n // (nj * st))))
+            st *= nj
+        self._coords = tuple(coords)
+        self._ones = sum(st for _, st, _ in coords)  # flat index of (1, ..., 1)
 
     def translate(self, bits: int, idx: int) -> int:
         """Image of the set under x -> x + g where g has flat index idx."""
         if idx == 0 or bits == 0:
             return bits
-        if self._cyclic:
-            n = self.order
-            return ((bits << idx) | (bits >> (n - idx))) & self.mask
-        g = index_element(self.group, idx)
-        for j, c in enumerate(g):
-            if c == 0:
-                continue
-            nj = self.group.invariant_factors[j]
-            st = self._strides[j]
-            dm = self._digit_masks[j]
-            acc = 0
-            for d in range(nj):
-                part = bits & dm[d]
-                if not part:
-                    continue
-                delta = (((d + c) % nj) - d) * st
-                acc |= (part << delta) if delta >= 0 else (part >> -delta)
-            bits = acc
+        for nj, st, comb in self._coords:
+            idx, c = divmod(idx, nj)
+            if c:
+                t = (nj - c) * st
+                lo = bits & ((comb << t) - comb)
+                bits = lo << c * st | (bits ^ lo) >> t
         return bits
 
     def negate(self, bits: int) -> int:
-        """Image of the set under x -> -x."""
+        """Image of the set under x -> -x.
+
+        Reversing the bit string sends each digit x_j to n_j - 1 - x_j;
+        adding (1, ..., 1) then gives -x_j.
+        """
         if bits == 0:
             return 0
-        if self._cyclic:
-            n = self.order
-            rev = int(format(bits, f"0{n}b")[::-1], 2)  # index i -> n-1-i
-            return ((rev << 1) | (rev >> (n - 1))) & self.mask
-        for j, nj in enumerate(self.group.invariant_factors):
-            st = self._strides[j]
-            dm = self._digit_masks[j]
-            acc = bits & dm[0]
-            for d in range(1, nj):
-                part = bits & dm[d]
-                if not part:
-                    continue
-                acc |= part << ((nj - 2 * d) * st) if nj >= 2 * d else part >> ((2 * d - nj) * st)
-            bits = acc
-        return bits
+        rev = int(format(bits, f"0{self.order}b")[::-1], 2)
+        return self.translate(rev, self._ones)
 
 
 @lru_cache(maxsize=None)
@@ -237,11 +223,6 @@ def _same_group(a: ResidueSet, b: ResidueSet) -> None:
         raise ValueError(f"group mismatch: {a.group} vs {b.group}")
 
 
-def _weight_indices(group: GroupSpec, weights: WeightSet, entry: Element) -> list[int]:
-    """Distinct flat indices of a*entry over a in the weight set."""
-    return sorted({element_index(group, scalar_mul(group, a, entry)) for a in weights.residues})
-
-
 def _check_weights(group: GroupSpec, weights: WeightSet) -> None:
     if weights.exponent != group.exponent:
         raise ValueError(
@@ -249,44 +230,35 @@ def _check_weights(group: GroupSpec, weights: WeightSet) -> None:
         )
 
 
-def reachable_sums(group: GroupSpec, weights: WeightSet, seq: GSequence) -> ResidueSet:
-    """All values of sum a_i x_i over nonempty subsequences and weights a_i."""
+def _prefix_sums(group: GroupSpec, weights: WeightSet, seq: GSequence) -> Iterator[int]:
+    """R_1, R_2, ...: the reachable sums of each prefix of seq, as bits."""
     _check_weights(group, weights)
     if seq.group != group:
         raise ValueError("sequence group mismatch")
     lay = _layout(group)
     bits = 0
     for entry in seq.entries:
-        w = 0
-        for i in _weight_indices(group, weights, entry):
-            w |= 1 << i
+        w = 0  # A*x_i
+        for a in weights.residues:
+            w |= 1 << element_index(group, scalar_mul(group, a, entry))
         nxt = bits | w
         for i in iter_bits(w):
             nxt |= lay.translate(bits, i)
         bits = nxt
+        yield bits
+
+
+def reachable_sums(group: GroupSpec, weights: WeightSet, seq: GSequence) -> ResidueSet:
+    """All values of sum a_i x_i over nonempty subsequences and weights a_i."""
+    bits = 0
+    for bits in _prefix_sums(group, weights, seq):
+        pass
     return ResidueSet(group, bits)
 
 
 def has_weighted_zero_sum(group: GroupSpec, weights: WeightSet, seq: GSequence) -> bool:
     """True when some nonempty subsequence admits a weighted zero-sum."""
-    _check_weights(group, weights)
-    if seq.group != group:
-        raise ValueError("sequence group mismatch")
-    lay = _layout(group)
-    bits = 0
-    for entry in seq.entries:
-        w = 0
-        for i in _weight_indices(group, weights, entry):
-            w |= 1 << i
-        if w & 1:
-            return True
-        nxt = bits | w
-        for i in iter_bits(w):
-            nxt |= lay.translate(bits, i)
-        if nxt & 1:
-            return True
-        bits = nxt
-    return False
+    return any(bits & 1 for bits in _prefix_sums(group, weights, seq))
 
 
 def sumset(s: ResidueSet, t: ResidueSet) -> ResidueSet:

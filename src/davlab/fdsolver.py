@@ -19,7 +19,7 @@ from math import gcd, inf, isqrt
 from typing import Callable, Iterable, Optional
 
 from .engine import WeightSet, dilation_orbit_reps
-from .groups import GroupSpec, cyclic, normalize_group
+from .groups import GroupSpec, check_order, cyclic, normalize_group
 from .numtheory import integer_nthroot, isprime, primitive_root
 from .solver import Budget, _Pool, check_dav_at_most, default_threads
 
@@ -263,6 +263,7 @@ def fd(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    check_order(group.order)
     exp = group.exponent
     if k == 2 and group.is_cyclic and isprime(exp):
         return fd_fast_k2(exp, budget)
@@ -277,13 +278,9 @@ def fd(
         return _smallest(exp, range(_start_size(group, k), exp), find, meter)
 
 
-def ratio_covers(p: int, residues: Iterable[int]) -> bool:
-    """Whether A/A = Z_p*, the exact criterion for D_A(Z_p) <= 2.
-
-    The length-2 sequences (1, u) exhaust all hard cases: a zero-sum
-    a + u*b = 0 exists iff -u (hence u, as u -> -u is a bijection) lies in
-    A/A, and length-1 sequences only vanish on the zero element.
-    """
+def ratio_missing(p: int, residues: Iterable[int]) -> int:
+    """How many units of Z_p the quotients a/b of A miss (0 as soon as
+    they cover Z_p*)."""
     rs = list(residues)
     units = p - 1
     seen: set[int] = set()
@@ -293,8 +290,18 @@ def ratio_covers(p: int, residues: Iterable[int]) -> bool:
         for a in rs:
             add(a * inv % p)
         if len(seen) == units:
-            return True
-    return False
+            return 0
+    return units - len(seen)
+
+
+def ratio_covers(p: int, residues: Iterable[int]) -> bool:
+    """Whether A/A = Z_p*, the exact criterion for D_A(Z_p) <= 2.
+
+    The length-2 sequences (1, u) exhaust all hard cases: a zero-sum
+    a + u*b = 0 exists iff -u (hence u, as u -> -u is a bijection) lies in
+    A/A, and length-1 sequences only vanish on the zero element.
+    """
+    return ratio_missing(p, residues) == 0
 
 
 def fd_fast_k2(p: int, budget: Optional[Budget] = None) -> FdResult:
@@ -304,6 +311,7 @@ def fd_fast_k2(p: int, budget: Optional[Budget] = None) -> FdResult:
     fd(cyclic(p), 2) with the bounded check; nodes count search extensions
     and candidates full-size sets.
     """
+    check_order(p)
     if not isprime(p):
         raise ValueError(f"modulus {p} must be prime")
     find = partial(_first_ratio_cover, p, _discrete_logs(p))

@@ -26,6 +26,12 @@ class GroupOrderError(ValueError):
     """Requested group exceeds the configured order limit."""
 
 
+def check_order(n: int, order_limit: int = DEFAULT_ORDER_LIMIT) -> None:
+    """Refuse order n past the limit, before anything is built over it."""
+    if n > order_limit:
+        raise GroupOrderError(f"group order {n} exceeds limit {order_limit}")
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """Invariant-factor chain (n_1, ..., n_s) with n_1 | n_2 | ... | n_s."""
@@ -91,9 +97,7 @@ def normalize_group(orders: Sequence[int], order_limit: int = DEFAULT_ORDER_LIMI
             raise ValueError(f"cyclic order {n!r} is not a positive integer")
     # the group order is the product of the cyclic orders: refuse before
     # factoring, which costs up to sqrt(n) trial divisions
-    total = prod(orders)
-    if total > order_limit:
-        raise GroupOrderError(f"group order {total} exceeds limit {order_limit}")
+    check_order(prod(orders), order_limit)
     by_prime: dict[int, list[int]] = {}
     for n in orders:
         if n == 1:

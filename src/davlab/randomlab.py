@@ -18,7 +18,7 @@ from typing import Optional
 
 from .engine import GSequence, WeightSet, has_weighted_zero_sum
 from .fdsolver import ratio_covers
-from .groups import DEFAULT_ORDER_LIMIT, GroupOrderError, GroupSpec, cyclic
+from .groups import GroupSpec, check_order, cyclic
 from .numtheory import isprime
 from .solver import Budget, _Pool, check_dav_at_most, davenport, default_threads
 
@@ -40,8 +40,7 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         # sampling alone walks all p - 1 residues per trial: refuse first
-        if self.p > DEFAULT_ORDER_LIMIT:
-            raise GroupOrderError(f"group order {self.p} exceeds limit {DEFAULT_ORDER_LIMIT}")
+        check_order(self.p)
         if not isprime(self.p):
             raise ValueError(f"p = {self.p} must be prime")
         if self.k < 2:

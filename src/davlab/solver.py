@@ -44,11 +44,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .engine import GSequence, WeightSet, dilation_orbit_reps, iter_bits
+from .engine import GSequence, WeightSet, dilation_orbit_reps, iter_bits, tile
 from .groups import (
     GroupOrderError,
     GroupSpec,
     canonical_roots,
+    check_order,
     cyclic,
     element_index,
     index_element,
@@ -107,17 +108,10 @@ class _Padding:
             )
         self.spread = tuple(nj * pj for nj, pj in zip(fs[::-1], strides[::-1]))
         self.shift = sum(self.spread)
-        # coordinate j ranges over [0, n_j): n_j copies of the mask below it,
-        # built by doubling the copies made so far (bits of n_j from the top)
+        # coordinate j ranges over [0, n_j): n_j copies of the mask below it
         mask = 1
         for nj, pj in zip(fs[::-1], strides[::-1]):
-            block, mask, copies = mask, 0, 0
-            for bit in bin(nj)[2:]:
-                mask |= mask << copies * pj
-                copies *= 2
-                if bit == "1":
-                    mask = mask << pj | block
-                    copies += 1
+            mask = tile(mask, pj, nj)
         self.mask = mask
         self.index: Optional[tuple[int, ...]] = None
         if not group.is_cyclic:
@@ -477,6 +471,7 @@ def max_davenport_over_size(p: int, k: int, threads: Optional[int] = None) -> Ma
     Only dilation-orbit representatives are searched; D_A is constant on
     orbits.  The maximum always lands on ceil(p/k), attained by {1, ..., k}.
     """
+    check_order(p)
     if not isprime(p):
         raise ValueError(f"modulus {p} must be prime")
     if not 1 <= k <= p - 1:

@@ -21,7 +21,7 @@ from .constructions import (
     singer_weight_set,
 )
 from .engine import WeightSet
-from .fdsolver import fd, fd_relation_checks
+from .fdsolver import fd, fd_lower_bound, fd_relation_checks
 from .groups import cyclic, normalize_group, units
 from .numtheory import factorint, floor_log, primerange
 from .randomlab import pair_lemma_check
@@ -129,10 +129,8 @@ def singer_suite(qs: tuple[int, ...] = (2, 3, 5, 17)) -> SuiteReport:
             checks.append(Check(f"difference census q={q}", str(exc), "exact", False))
             continue
         rep = singer_weight_set(p)
-        r = isqrt(p - 1)
-        sqrt_bound = r if r * r == p - 1 else r + 1
         checks.append(
-            Check(f"size q={q}", rep.size, q + 1, rep.size == q + 1 == sqrt_bound)
+            Check(f"size q={q}", rep.size, q + 1, rep.size == q + 1 == fd_lower_bound(p, 2))
         )
         missing = rep.metrics["ratio_missing"]
         checks.append(

@@ -101,15 +101,50 @@ def test_weights_zero_rejected(capsys):
             "sweep", "--p", "1000000000000000000000007", "--k", "2",
             "--theta", "0.3:0.6:2", "--trials", "1",
         ),
+        ("construct", "interval", "--p", "1000003"),
+        ("construct", "interval", "--p", "1000000000000000000000007"),
+        ("construct", "complement", "--p", "1000000000000000000000007", "--r", "1"),
+        ("construct", "quartic", "--p", "1000000000000000000000007"),
+        ("davenport-max", "--p", "1000000000000000000000007", "--k", "2"),
+        ("verify", "relations", "--p", "1000000000000000000000007"),
     ],
 )
 def test_huge_order_refused_fast(capsys, argv):
-    # refused before any factoring or sampling over the group's p - 1 residues
+    # refused before any factoring, sampling, weight-set building or orbit
+    # enumeration over the group's p - 1 residues
     start = time.perf_counter()
     code, _, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 64
     assert "exceeds limit" in err
+
+
+@pytest.mark.parametrize(
+    "argv, needs",
+    [
+        (("construct", "complement", "--p", "101"), "--r"),
+        (("construct", "symmetric", "--r", "2"), "--n"),
+        (("construct", "singer"), "--q"),
+        (("construct", "quartic", "--auto"), "--p"),
+    ],
+)
+def test_construct_missing_option_usage_error(capsys, argv, needs):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 64
+    assert needs in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("construct", "interval", "--p", "101"), ("verify", "singer", "--q", "2")],
+)
+def test_threads_flag_only_where_used(capsys, argv):
+    # construct and verify take their worker count from DAVLAB_THREADS alone;
+    # a --threads flag there would be silently ignored, so it is refused
+    assert run_cli(capsys, *argv)[0] == 0
+    code, _, err = run_cli(capsys, *argv, "--threads", "2")
+    assert code == 64
+    assert "--threads" in err
 
 
 def test_unknown_flag_usage_error(capsys):

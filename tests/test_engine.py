@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,7 @@ from davlab.engine import (
 from davlab.groups import GroupSpec, cyclic, normalize_group
 from davlab.numtheory import primerange
 
-from conftest import brute_reachable
+from conftest import brute_reachable, tuple_add, tuple_scale
 
 
 def test_weightset_normalization():
@@ -124,6 +126,49 @@ def test_sumset_dilate_negate():
     g2 = GroupSpec((2, 4))
     c = ResidueSet.of(g2, [(1, 3)])
     assert sorted(negate(c).elements()) == [(1, 1)]
+
+
+SHAPES = [(2,), (7,), (12,), (2, 2), (2, 6), (3, 9), (4, 4), (2, 2, 2), (2, 4, 8), (3, 3, 3),
+          (2, 2, 2, 2), (2, 2, 4, 4), (2, 2, 2, 6)]
+
+
+@pytest.mark.parametrize("factors", SHAPES)
+def test_set_operations_match_tuple_arithmetic(factors):
+    # every translate, and negate, sumset and difference_set of random sets,
+    # against coordinate tuples added and negated one by one
+    g = GroupSpec(factors)
+    elements = list(itertools.product(*[range(n) for n in factors]))
+    rng = random.Random(str(factors))
+    sets = [set(rng.sample(elements, rng.randint(1, len(elements)))) for _ in range(4)]
+    sets.append({tuple(n - 1 for n in factors)})
+    for xs in sets:
+        s = ResidueSet.of(g, xs)
+        for y in elements:
+            got = set(sumset(s, ResidueSet.of(g, [y])).elements())
+            assert got == {tuple_add(factors, x, y) for x in xs}, (factors, y)
+        neg = {tuple_scale(factors, -1, x) for x in xs}
+        assert set(negate(s).elements()) == neg
+        for ys in sets[:3]:
+            t = ResidueSet.of(g, ys)
+            plus = {tuple_add(factors, x, y) for x in xs for y in ys}
+            minus = {tuple_add(factors, x, tuple_scale(factors, -1, y)) for x in xs for y in ys}
+            assert set(sumset(s, t).elements()) == plus
+            assert set(difference_set(s, t).elements()) == minus
+
+
+@pytest.mark.parametrize("factors", [(2, 500000), (100, 10000)])
+def test_wide_groups_stay_cheap(factors):
+    # one two-piece shift per coordinate, no mask per digit value: a group
+    # at the order limit costs milliseconds and no |G|-bit table per digit
+    g = GroupSpec(factors)
+    start = time.perf_counter()
+    x = (1, 3)
+    assert negate(ResidueSet.of(g, [x])).elements() == [(factors[0] - 1, factors[1] - 3)]
+    seq = GSequence.of(g, [x, (0, 5), (1, factors[1] - 1)])
+    sums = reachable_sums(g, WeightSet.of(g.exponent, [1, 2]), seq)
+    want = brute_reachable(factors, (1, 2), seq.entries)
+    assert set(sums.elements()) == want
+    assert time.perf_counter() - start < 1.0
 
 
 def test_difference_and_quotient():
