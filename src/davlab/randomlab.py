@@ -20,7 +20,7 @@ from .engine import GSequence, WeightSet, has_weighted_zero_sum
 from .fdsolver import ratio_covers
 from .groups import GroupSpec, check_order, cyclic
 from .numtheory import isprime
-from .solver import Budget, _Pool, check_dav_at_most, davenport, default_threads
+from .solver import Budget, _BoundedChecks, _Pool, check_dav_at_most, davenport, default_threads
 
 
 class Classification(str, Enum):
@@ -105,22 +105,16 @@ def sample_theta_random(n: int, theta: float, rng: random.Random) -> Optional[We
     return WeightSet(n, residues)
 
 
-def _dav_at_most(group: GroupSpec, ws: WeightSet, j: int) -> bool:
-    """D_A(Z_p) <= j: by the ratio criterion A/A = Z_p* when j = 2, else by
-    the bounded check."""
-    if j == 2:
-        return ratio_covers(group.order, ws.residues)
-    return check_dav_at_most(group, ws, j).holds
-
-
 def classify_dav(p: int, weights, k: int) -> Classification:
     """Where D_A(Z_p) sits relative to k: LT, EQ, or GT.
 
     Two tests decide it, D_A <= k - 1 and D_A <= k.  A test of D_A <= 2 is
     the exact criterion A/A = Z_p* (fdsolver.ratio_covers), which costs
-    O(|A|^2) instead of a move-table build; larger bounds go through the
-    bounded check.  The k-1 test is skipped when the all-ones sequence of
-    length k-1 is already zero-sum-free, which rules LT out without a search.
+    O(|A|^2) instead of a bounded check; larger bounds go through the
+    bounded check, and for k >= 4, where both tests are bounded checks, the
+    two share one set of tables.  The k-1 test is skipped when the all-ones
+    sequence of length k-1 is already zero-sum-free, which rules LT out
+    without a search.
     """
     if not isprime(p):
         raise ValueError(f"p = {p} must be prime")
@@ -130,11 +124,23 @@ def classify_dav(p: int, weights, k: int) -> Classification:
     if ws.exponent != p:
         raise ValueError(f"weight exponent {ws.exponent} does not match p = {p}")
     group = cyclic(p)
+    if k < 4:
+        return _classify(group, ws, k, lambda j: check_dav_at_most(group, ws, j).holds)
+    with _BoundedChecks(group, ws) as checks:
+        return _classify(group, ws, k, checks.holds)
+
+
+def _classify(group: GroupSpec, ws: WeightSet, k: int, bounded) -> Classification:
+    """classify_dav's two tests, bounded(j) deciding D_A <= j for j != 2."""
+
+    def at_most(j: int) -> bool:
+        return ratio_covers(group.order, ws.residues) if j == 2 else bounded(j)
+
     if k >= 2:
         ones = GSequence.of(group, [(1,)] * (k - 1))
-        if has_weighted_zero_sum(group, ws, ones) and _dav_at_most(group, ws, k - 1):
+        if has_weighted_zero_sum(group, ws, ones) and at_most(k - 1):
             return Classification.LT
-    if _dav_at_most(group, ws, k):
+    if at_most(k):
         return Classification.EQ
     return Classification.GT
 

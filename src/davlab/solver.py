@@ -5,7 +5,7 @@ exist, and if so which is the lexicographically least?  It walks
 nondecreasing multisets of nonzero group elements carrying the bit-vector
 set R of weighted sums realizable from the prefix.  Appending x kills the
 prefix exactly when some weight multiple of x lands in -R or at 0, which is
-one AND of R against the precomputed mask A*(-x).  A fail memo per (last
+one AND of R against the mask A*(-x).  A fail memo per (last
 element, R) records the fewest remaining elements already shown impossible.
 
 Reachable sets use a padded layout in which translating by any element is
@@ -19,15 +19,18 @@ bits of G: of the two copies in coordinate j exactly one lands in
 [0, n_j), and a borrow from a negative coordinate lands in its padding.
 
 check_dav_at_most(G, A, k) is one kernel call per root, and D_A(G) is the
-first k at which it holds, so davenport() scans k = 1, 2, ... over tables
-built once.  A k < D usually finds its multiset with little or no
+first k at which it holds, so davenport() scans k = 1, 2, ... over one set
+of tables; certify_dav_value and classify_dav run their two bounded checks
+over one set too.  A k < D usually finds its multiset with little or no
 backtracking (k - 1 nodes when none), so nearly all of a scan is the one
-refutation at k = D.  The tables hold the masks A*c and A*(-c) for every c;
-the move list of c (the shifts S - m for m in A*c) is built the first time
-the kernel extends a prefix by c, since a search that prunes early never
-extends by most c.  With threads > 1 each public call opens one process
-pool and keeps it for all of its batches, and each worker keeps the tables
-of the last (group, weights) it searched.
+refutation at k = D.  No mask or move list is built before a search can
+read it (see _WeightTables): the first root's own reachable set A*r already
+kills every c with a*c in -(A*r) | {0}, which a congruence solve finds
+without building their masks, and the move list of c (the shifts S - m for
+m in A*c) waits until the kernel extends a prefix by c.  With threads > 1
+each public call opens one process pool and keeps it for all of its
+batches, and each worker keeps the tables of the last (group, weights) it
+searched.
 
 Roots are restricted to unit-orbit minima.  Rescaling a zero-sum-free
 multiset by a unit preserves zero-sum-freeness, and the lexicographically
@@ -42,19 +45,18 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
+from operator import add
 from typing import Iterable, Optional
 
-from .engine import GSequence, WeightSet, dilation_orbit_reps, iter_bits, tile
+from .engine import GSequence, WeightSet, dilation_orbit_reps, tile
 from .groups import (
     GroupOrderError,
     GroupSpec,
     canonical_roots,
     check_order,
     cyclic,
-    element_index,
     index_element,
-    neg,
-    scalar_mul,
 )
 from .numtheory import isprime
 
@@ -86,13 +88,14 @@ def _memo_limit(width: int) -> int:
 class _Padding:
     """One group's padded layout of reachable sets (see the module docstring).
 
-    index maps a flat index to its padded bit (None for cyclic groups, where
-    the two agree); mask holds the padded bits of G's elements; spread lists
-    the tiling shifts n_j*P_j for j = r..1; shift is S = sum n_j*P_j; width is
-    the bits a reachable set can take, 2^(r-1)*|G|.
+    coords lists (n_j, st_j, P_j) for each coordinate, last first, with st_j
+    the flat stride and P_j the padded one, so divmod by n_j in that order
+    reads the digits of a flat index; mask holds the padded bits of G's
+    elements; spread lists the tiling shifts n_j*P_j for j = r..1; shift is
+    S = sum n_j*P_j; width is the bits a reachable set can take, 2^(r-1)*|G|.
     """
 
-    __slots__ = ("index", "mask", "spread", "shift", "width")
+    __slots__ = ("coords", "mask", "spread", "shift", "width", "memo_limit")
 
     def __init__(self, group: GroupSpec):
         n = group.order
@@ -106,19 +109,26 @@ class _Padding:
                 f"{group}: move tables over {self.width}-bit reachable sets would take"
                 f" about {n * self.width >> 24} MiB, over the {_TABLE_BYTES >> 20} MiB limit"
             )
-        self.spread = tuple(nj * pj for nj, pj in zip(fs[::-1], strides[::-1]))
+        coords = []
+        st = 1
+        for nj, pj in zip(fs[::-1], strides[::-1]):
+            coords.append((nj, st, pj))
+            st *= nj
+        self.coords = tuple(coords)
+        self.spread = tuple(nj * pj for nj, _, pj in coords)
         self.shift = sum(self.spread)
         # coordinate j ranges over [0, n_j): n_j copies of the mask below it
         mask = 1
-        for nj, pj in zip(fs[::-1], strides[::-1]):
+        for nj, _, pj in coords:
             mask = tile(mask, pj, nj)
         self.mask = mask
-        self.index: Optional[tuple[int, ...]] = None
-        if not group.is_cyclic:
-            index = [0]
-            for nj, pj in zip(fs, strides):
-                index = [i + x * pj for i in index for x in range(nj)]
-            self.index = tuple(index)
+        self.memo_limit = _memo_limit(self.width)
+
+    def scaled(self, bs: tuple[int, ...]) -> tuple:
+        """Per coordinate, last first, (n_j, n_j*P_j, b*P_j for b in bs): the
+        padded bit of the digit b*x mod n_j is b*P_j*x mod n_j*P_j."""
+        return tuple([(nj, nj * pj, bs if pj == 1 else tuple([b * pj for b in bs]))
+                      for nj, _, pj in self.coords])
 
 
 _padding = lru_cache(maxsize=None)(_Padding)
@@ -173,18 +183,38 @@ def default_threads() -> int:
 
 
 class _WeightTables:
-    """Per-(group, weights) move masks for the multiset search.
+    """Per-(group, weights) masks and move lists for the multiset search,
+    each built the first time a search can read it.
 
     Indexed by the flat index c of an element, holding sets in the padded
-    layout of `padding`.  wbits[c] is the set A*c; negw[c] = wbits[-c] is
-    the mask that kills c against a reachable set R (A*c meets -R exactly
-    when A*(-c) meets R), widened to every bit when some a*c = 0.  moves[c],
-    the shifts S - m for the padded bits m of A*c, starts as None and is
-    filled by the kernel the first time it extends a prefix by c: most
-    elements are only ever tested against negw.
+    layout of `padding`.  A candidate c dies against a reachable set R when
+    A*c meets -R or holds 0, which negw[c] = A*(-c) tests with one AND (-1
+    when A*c holds 0).  negw lists hold 0 where no mask is built yet:
+
+    - At the last level of a search (one element still to place) the kernel
+      builds a 0 entry's mask when it first tests it (mask()), so a search
+      that finds its culprit there builds only the masks it tested.
+    - Every search starts at the first root r = 1.  For a search below its
+      root level (k >= 3) killed() finds the candidates that R = A*r already
+      kills, the c with a*c in -(A*r) | {0} for some a in A, by solving
+      a*x = t (mod n_j) coordinate by coordinate.  The root's own list marks
+      them with one bit of A*r, which meets every reachable set of the
+      root's search since R only grows; their masks are never built.  Its
+      other entries, the survivors, need no mask at the root level, where R
+      = A*r cannot kill them; for k >= 4 fill() builds them all before the
+      search goes deeper.
+    - A later root is searched only after the first one failed, by a
+      refutation that reads nearly every mask anyway, so later roots share
+      the list `masks`, filled from their root on.
+
+    moves[c], the shifts S - m for the padded bits m of A*c, is built the
+    first time the kernel extends a prefix by c.
     """
 
-    __slots__ = ("group", "order", "padding", "wbits", "negw", "moves", "roots")
+    __slots__ = (
+        "group", "order", "padding", "weights", "negated", "plus", "minus", "masks", "moves",
+        "roots", "starts", "_first", "_deep", "_filled",
+    )
 
     def __init__(self, group: GroupSpec, weights: WeightSet):
         if weights.exponent != group.exponent:
@@ -193,31 +223,149 @@ class _WeightTables:
             )
         self.group = group
         self.order = n = group.order
-        self.padding = _padding(group)
-        wbits = [0] * n
-        res = weights.residues
-        if group.is_cyclic:
-            for i in range(1, n):
-                w = 0
-                for a in res:
-                    w |= 1 << (a * i % n)
-                wbits[i] = w
-            negw = wbits[:1] + wbits[:0:-1]  # -c has index n - c
-        else:
-            pad = self.padding.index
-            neg_index = [0] * n
-            for i in range(1, n):
-                g = index_element(group, i)
-                neg_index[i] = element_index(group, neg(group, g))
-                w = 0
-                for a in res:
-                    w |= 1 << pad[element_index(group, scalar_mul(group, a, g))]
-                wbits[i] = w
-            negw = [wbits[j] for j in neg_index]
-        self.negw = [-1 if w & 1 else w for w in negw]
-        self.wbits = wbits
+        self.padding = pad = _padding(group)
+        self.weights = weights
+        e = group.exponent
+        self.negated = tuple([e - a for a in weights.residues])  # (e - a)*x = -a*x
+        self.plus = pad.scaled(weights.residues)
+        self.minus = pad.scaled(self.negated)
+        self.masks = [0] * n
         self.moves: list[Optional[tuple[int, ...]]] = [None] * n
         self.roots = canonical_roots(group)
+        self.starts = [0] * n
+        # the first root's negw list, whether its survivors have masks, and
+        # the least later root from which masks has them
+        self._first: list[int] = []
+        self._deep = False
+        self._filled = n
+
+    @staticmethod
+    def positions(c: int, scaled: tuple) -> list[int]:
+        """Padded bits of b*c for b in A (scaled = plus) or -A (minus), with
+        repeats; c is nonzero."""
+        pos: list[int] = []
+        for nj, period, bs in scaled:
+            c, x = divmod(c, nj)
+            if x:
+                part = [b * x % period for b in bs]
+                pos = list(map(add, pos, part)) if pos else part
+        return pos
+
+    @staticmethod
+    def bits(c: int, scaled: tuple) -> int:
+        """positions(c, scaled) as a set."""
+        w = 0
+        nj, period, bs = scaled[0]
+        if c < nj:  # c lies in the last factor: one product per weight
+            for b in bs:
+                w |= 1 << (b * c % period)
+        else:
+            for m in _WeightTables.positions(c, scaled):
+                w |= 1 << m
+        return w
+
+    def start(self, root: int) -> int:
+        """starts[root] = A*root as a padded set, which holds bit 0 when root
+        is dead."""
+        w = self.starts[root] = self.bits(root, self.plus)
+        return w
+
+    def shifts(self, c: int) -> tuple[int, ...]:
+        """The move list of c: S - m for the padded bits m of A*c, largest
+        first."""
+        shift = self.padding.shift
+        nj, period, bs = self.plus[0]
+        if c < nj:  # as in bits()
+            return tuple(sorted({shift - b * c % period for b in bs}, reverse=True))
+        return tuple(sorted({shift - m for m in self.positions(c, self.plus)}, reverse=True))
+
+    def killed(self, root: int) -> set[int]:
+        """Flat indices c with a*c in -(A*root) | {0} for some weight a.
+
+        a*x = t (mod n_j) is solvable iff g = gcd(a, n_j) divides t, by
+        x = (t/g)*inv (mod n_j/g) plus any multiple of n_j/g.  Each
+        coordinate solves a for every target t in one pass, -n marking no
+        solution (the other digits add up to less than n); the multiples
+        over all coordinates, a's offsets, add to flat indices without carry.
+        """
+        n = self.order
+        coords = self.padding.coords
+        cols = []  # the digits of the targets 0 and -(b*root), per coordinate
+        for nj, _, _ in coords:
+            root, x = divmod(root, nj)
+            cols.append([0] + [b * x % nj for b in self.negated])
+        dead: set[int] = set()
+        for a in self.weights.residues:
+            sums: list[int] = []
+            offsets = [0]
+            for (nj, st, _), col in zip(coords, cols):
+                g = gcd(a, nj)
+                if g == 1:
+                    inv = pow(a, -1, nj)
+                    part = [t * inv % nj * st for t in col]
+                else:
+                    m = nj // g
+                    inv = pow(a // g, -1, m)
+                    part = [t // g * inv % m * st if t % g == 0 else -n for t in col]
+                    offsets = [o + q * m * st for o in offsets for q in range(g)]
+                sums = list(map(add, sums, part)) if sums else part
+            if len(offsets) == 1:
+                dead.update(sums)
+            else:
+                dead.update([x + q for x in sums if x >= 0 for q in offsets])
+        return dead
+
+    def mask(self, negw: list[int], c: int) -> int:
+        """negw[c] = masks[c] = A*(-c), or -1 when A*c holds 0."""
+        w = self.masks[c]
+        if not w:
+            w = self.bits(c, self.minus)
+            if w & 1:
+                w = -1
+            self.masks[c] = w
+        negw[c] = w
+        return w
+
+    def fill(self, negw: list[int], root: int) -> None:
+        """mask() for every zero of negw from root on, inlined: this loop
+        is most of the cost of a table."""
+        masks, minus = self.masks, self.minus
+        nj, period, bs = minus[0]
+        c = root
+        try:
+            while True:
+                c = negw.index(0, c)
+                w = masks[c]
+                if not w:
+                    if c < nj:  # as in bits()
+                        for b in bs:
+                            w |= 1 << (b * c % period)
+                    else:
+                        w = self.bits(c, minus)
+                    if w & 1:
+                        w = -1
+                    masks[c] = w
+                negw[c] = w
+        except ValueError:
+            pass
+
+    def root_masks(self, root: int, low: int, k: int) -> list[int]:
+        """The negw list of root for a size-k search, k >= 3; low is one bit
+        of A*root (a one-bit AND costs less than one with -1)."""
+        if root == self.roots[0]:
+            negw = self._first
+            if not negw:
+                negw = self._first = self.masks[:]
+                for c in self.killed(root):
+                    negw[c] = low
+            if k > 3 and not self._deep:
+                self.fill(negw, root)
+                self._deep = True
+            return negw
+        if root < self._filled:
+            self.fill(self.masks, root)
+            self._filled = root
+        return self.masks
 
 
 def _indices_to_sequence(group: GroupSpec, indices: Iterable[int]) -> GSequence:
@@ -272,7 +420,7 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     which the fail memo records.  Extending R by c is
     R | ((OR over s in moves[c] of T >> s) & mask) with T the tiled R | {0}.
     """
-    w = tables.wbits[root]
+    w = tables.starts[root] or tables.start(root)
     if w & 1:
         return None, 0
     if k == 1:
@@ -281,12 +429,12 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     # the reachable set must grow per element yet stay zero-free
     if k - 1 > order - 1 - w.bit_count():
         return None, 0
-    wbits = tables.wbits
-    negw = tables.negw
+    # at k = 2 the root level is the last level, which builds what it tests
+    negw = tables.masks if k == 2 else tables.root_masks(root, w & -w, k)
     moves = tables.moves
     pad = tables.padding
     mask, spread, shift = pad.mask, pad.spread, pad.shift
-    memo_limit = _memo_limit(pad.width)
+    memo_limit = pad.memo_limit
     fail_at: dict[tuple[int, int], int] = {}
     nodes = 1
     chosen = [root]
@@ -301,6 +449,8 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
             if negw[c] & bits:
                 continue
             if remaining == 1:
+                if not negw[c] and tables.mask(negw, c) & bits:
+                    continue
                 chosen.append(c)
                 return chosen, nodes
             if tiled is None:
@@ -310,7 +460,7 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
                 state[3] = tiled
             mv = moves[c]
             if mv is None:
-                mv = moves[c] = tuple(shift - m for m in iter_bits(wbits[c]))
+                mv = moves[c] = tables.shifts(c)
             nb = 0
             for s in mv:
                 nb |= tiled >> s
@@ -344,9 +494,7 @@ def _check_root_worker(args) -> tuple[Optional[list[int]], int]:
     return _find_zsf(_worker_tables(factors, residues), root, k)
 
 
-def _first_zsf(
-    tables: _WeightTables, weights: WeightSet, k: int, pool: _Pool
-) -> tuple[Optional[list[int]], int]:
+def _first_zsf(tables: _WeightTables, k: int, pool: _Pool) -> tuple[Optional[list[int]], int]:
     """Lex-least zero-sum-free multiset of size k over all roots, plus nodes.
 
     Roots are scanned in ascending order and the scan stops at the first root
@@ -354,8 +502,8 @@ def _first_zsf(
     """
     if pool.threads > 1 and len(tables.roots) > 1:
         factors = tables.group.invariant_factors
-        arglist = [(factors, weights.residues, r, k) for r in tables.roots]
-        gen = pool.map(_check_root_worker, arglist)
+        residues = tables.weights.residues
+        gen = pool.map(_check_root_worker, [(factors, residues, r, k) for r in tables.roots])
     else:
         gen = (_find_zsf(tables, r, k) for r in tables.roots)
     nodes = 0
@@ -364,6 +512,32 @@ def _first_zsf(
         if found is not None:
             return found, nodes
     return None, nodes
+
+
+class _BoundedChecks:
+    """Bounded checks of one (G, A) over one set of tables and one pool.
+
+    A context manager for the length of one public call; first(k) is the
+    lex-least zero-sum-free multiset of size k (None when D_A(G) <= k) plus
+    the nodes searched.
+    """
+
+    def __init__(self, group: GroupSpec, weights: WeightSet, threads: Optional[int] = None):
+        self.tables = _WeightTables(group, weights)
+        self.pool = _Pool(default_threads() if threads is None else max(1, threads))
+
+    def __enter__(self) -> "_BoundedChecks":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.pool.close()
+
+    def first(self, k: int) -> tuple[Optional[list[int]], int]:
+        return _first_zsf(self.tables, k, self.pool)
+
+    def holds(self, k: int) -> bool:
+        """D_A(G) <= k."""
+        return self.first(k)[0] is None
 
 
 def davenport(
@@ -385,15 +559,13 @@ def davenport(
         cap = group.order
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    threads = default_threads() if threads is None else max(1, threads)
     start = time.perf_counter()
-    tables = _WeightTables(group, weights)
     witness: list[int] = []
     nodes = 0
     k = 1
-    with _Pool(threads) as pool:
+    with _BoundedChecks(group, weights, threads) as checks:
         while True:
-            found, n_nodes = _first_zsf(tables, weights, k, pool)
+            found, n_nodes = checks.first(k)
             nodes += n_nodes
             if found is None:
                 break
@@ -418,9 +590,8 @@ def check_dav_at_most(
     """Decide D_A(G) <= k; on failure returns the lex-least length-k culprit."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    threads = default_threads() if threads is None else max(1, threads)
-    with _Pool(threads) as pool:
-        found, nodes = _first_zsf(_WeightTables(group, weights), weights, k, pool)
+    with _BoundedChecks(group, weights, threads) as checks:
+        found, nodes = checks.first(k)
     if found is None:
         return BoundedCheckResult(holds=True, counterexample=None, nodes=nodes)
     return BoundedCheckResult(
@@ -439,15 +610,13 @@ def certify_dav_value(
     Much cheaper than a full davenport() run when the value is predicted:
     one bounded refutation (no zero-sum-free multiset of size `value`) plus
     one bounded witness search (some zero-sum-free multiset of size
-    `value` - 1), both heavily pruned by the reachable-set growth bound.
+    `value` - 1), both heavily pruned by the reachable-set growth bound and
+    both over one set of tables.
     """
     if value < 1:
         return False
-    if not check_dav_at_most(group, weights, value, threads).holds:
-        return False
-    if value == 1:
-        return True
-    return not check_dav_at_most(group, weights, value - 1, threads).holds
+    with _BoundedChecks(group, weights, threads) as checks:
+        return checks.holds(value) and (value == 1 or not checks.holds(value - 1))
 
 
 def _max_dav_worker(args) -> tuple[int, tuple[int, ...]]:

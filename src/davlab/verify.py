@@ -22,8 +22,8 @@ from .constructions import (
 )
 from .engine import WeightSet
 from .fdsolver import fd, fd_lower_bound, fd_relation_checks
-from .groups import cyclic, normalize_group, units
-from .numtheory import factorint, floor_log, primerange
+from .groups import check_order, cyclic, normalize_group, units
+from .numtheory import factorint, floor_log, isprime, primerange
 from .randomlab import pair_lemma_check
 from .solver import certify_dav_value, max_davenport_over_size
 
@@ -146,6 +146,13 @@ def singer_suite(qs: tuple[int, ...] = (2, 3, 5, 17)) -> SuiteReport:
 
 def intervals_suite(limit: int = 2000) -> SuiteReport:
     """Interval weight sets at every odd prime below the limit."""
+    # the largest prime the suite would build over must pass the order check
+    # before the sieve below the limit is built
+    top = limit - 1
+    while top >= 3 and not isprime(top):
+        top -= 1
+    if top >= 3:
+        check_order(top)
     start = time.perf_counter()
     checks: list[Check] = []
     over_tight_bound = []

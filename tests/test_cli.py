@@ -107,6 +107,7 @@ def test_weights_zero_rejected(capsys):
         ("construct", "quartic", "--p", "1000000000000000000000007"),
         ("davenport-max", "--p", "1000000000000000000000007", "--k", "2"),
         ("verify", "relations", "--p", "1000000000000000000000007"),
+        ("verify", "intervals", "--limit", "1000000000000"),
     ],
 )
 def test_huge_order_refused_fast(capsys, argv):

@@ -1,13 +1,14 @@
+import itertools
 import random
 import sys
-from math import ceil
+from math import ceil, gcd
 
 import pytest
 
 from davlab import solver
 from davlab.engine import GSequence, WeightSet, has_weighted_zero_sum
 from davlab.groups import GroupOrderError, GroupSpec, cyclic, normalize_group
-from davlab.randomlab import SweepConfig, threshold_sweep
+from davlab.randomlab import Classification, SweepConfig, classify_dav, threshold_sweep
 from davlab.solver import (
     CapExceededError,
     certify_dav_value,
@@ -16,7 +17,7 @@ from davlab.solver import (
     max_davenport_over_size,
 )
 
-from conftest import brute_davenport
+from conftest import brute_davenport, tuple_scale
 
 
 def test_pair_weights_log_formula():
@@ -160,6 +161,71 @@ def test_one_process_pool_per_call(monkeypatch):
     cfg = SweepConfig(p=31, k=2, theta_grid=(0.2, 0.4, 0.6), trials=4, seed=0)
     assert len(threshold_sweep(cfg, threads=2).rows) == 3
     assert built == [2]
+
+
+def test_one_table_per_certify_and_classify(monkeypatch):
+    built = []
+
+    class CountingTables(solver._WeightTables):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(solver, "_WeightTables", CountingTables)
+    # both bounded checks (value and value - 1) run over one set of tables
+    assert certify_dav_value(cyclic(23), WeightSet(23, (1, 2, 3)), 8)
+    assert len(built) == 1
+    built.clear()
+    assert not certify_dav_value(cyclic(23), WeightSet(23, (1, 2, 3)), 9)
+    assert len(built) == 1
+    built.clear()
+    # k = 4: the tests D_A <= 3 and D_A <= 4 are both bounded checks
+    assert classify_dav(11, WeightSet(11, (1, 2, 3)), 4) is Classification.EQ
+    assert len(built) == 1
+
+
+def _killed_by_root(factors, weights, root):
+    """Flat indices c with A*c meeting -(A*root) | {0}, by tuple arithmetic."""
+    elements = list(itertools.product(*(range(n) for n in factors)))
+    zero = elements[0]
+    r = elements[root]
+    targets = {zero}
+    for a in weights:
+        targets.add(tuple((-x) % n for x, n in zip(tuple_scale(factors, a, r), factors)))
+    return {
+        i
+        for i, x in enumerate(elements)
+        if any(tuple_scale(factors, a, x) in targets for a in weights)
+    }
+
+
+def test_root_survivors_match_tuple_arithmetic():
+    # killed(root) solves a*x = t coordinate by coordinate; every root of
+    # every case must keep exactly the elements whose multiples miss
+    # -(A*root) | {0}, non-unit weights included
+    rng = random.Random(41)
+    cases = []
+    for n in range(2, 61):
+        for _ in range(3):
+            ws = set(rng.sample(range(1, n), rng.randint(1, min(5, n - 1))))
+            non_units = [a for a in range(2, n) if gcd(a, n) > 1]
+            if non_units:
+                ws.add(rng.choice(non_units))
+            cases.append(((n,), tuple(sorted(ws))))
+    for fs in ((2, 2), (2, 2, 2), (2, 2, 2, 2), (3, 3, 3), (2, 12), (4, 8), (6, 6)):
+        e = fs[-1]
+        for _ in range(4):
+            ws = rng.sample(range(1, e), rng.randint(1, min(3, e - 1)))
+            cases.append((fs, tuple(sorted(ws))))
+    checked = 0
+    for fs, ws in cases:
+        g = GroupSpec(fs)
+        tables = solver._WeightTables(g, WeightSet(g.exponent, ws))
+        for root in range(1, g.order):
+            want = _killed_by_root(fs, ws, root)
+            assert tables.killed(root) == want, (fs, ws, root)
+            checked += 1
+    assert checked >= 4000
 
 
 def test_check_dav_at_most():
