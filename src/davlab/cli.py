@@ -47,6 +47,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def parse_weights(text: str, exponent: int) -> WeightSet:
     """Comma-separated residues and ranges; negatives count down from the
     exponent; zero (after reduction) is rejected."""
@@ -366,7 +377,9 @@ def build_parser() -> _Parser:
 
     def common(p, threads=True):
         if threads:
-            p.add_argument("--threads", type=int, default=None, help="worker processes (env DAVLAB_THREADS)")
+            p.add_argument(
+                "--threads", type=_positive_int, default=None, help="worker processes (env DAVLAB_THREADS)"
+            )
         p.add_argument("--pretty", action="store_true", help="human table instead of JSON")
         p.add_argument("--log", help="append a JSON-lines result record to this file")
 

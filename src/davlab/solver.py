@@ -23,11 +23,12 @@ first k at which it holds, so davenport() scans k = 1, 2, ... over one set
 of tables; certify_dav_value and classify_dav run their two bounded checks
 over one set too.  A k < D usually finds its multiset with little or no
 backtracking (k - 1 nodes when none), so nearly all of a scan is the one
-refutation at k = D.  No mask or move list is built before a search can
-read it (see _WeightTables): the first root's own reachable set A*r already
-kills every c with a*c in -(A*r) | {0}, which a congruence solve finds
-without building their masks, and the move list of c (the shifts S - m for
-m in A*c) waits until the kernel extends a prefix by c.  With threads > 1
+refutation at k = D.  Masks and move lists follow one rule (see
+_WeightTables): each is built the first time the kernel reads it, the mask
+of c when it first tests c and the move list of c (the shifts S - m for m
+in A*c) when it first extends a prefix by c.  The first root's own
+reachable set A*r already kills every c with a*c in -(A*r) | {0}, which a
+congruence solve marks so that their masks are never built.  With threads > 1
 each public call opens one process pool and keeps it for all of its
 batches, and each worker keeps the tables of the last (group, weights) it
 searched.
@@ -49,7 +50,7 @@ from math import gcd
 from operator import add
 from typing import Iterable, Optional
 
-from .engine import GSequence, WeightSet, dilation_orbit_reps, tile
+from .engine import GSequence, WeightSet, _check_weights, dilation_orbit_reps, tile
 from .groups import (
     GroupOrderError,
     GroupSpec,
@@ -189,23 +190,19 @@ class _WeightTables:
     Indexed by the flat index c of an element, holding sets in the padded
     layout of `padding`.  A candidate c dies against a reachable set R when
     A*c meets -R or holds 0, which negw[c] = A*(-c) tests with one AND (-1
-    when A*c holds 0).  negw lists hold 0 where no mask is built yet:
+    when A*c holds 0).  negw lists hold 0 where no mask is built yet, and
+    the kernel builds a 0 entry's mask through mask() the first time it
+    tests it, at every level, for every k and every root; a search builds
+    only the masks it tested.
 
-    - At the last level of a search (one element still to place) the kernel
-      builds a 0 entry's mask when it first tests it (mask()), so a search
-      that finds its culprit there builds only the masks it tested.
-    - Every search starts at the first root r = 1.  For a search below its
-      root level (k >= 3) killed() finds the candidates that R = A*r already
-      kills, the c with a*c in -(A*r) | {0} for some a in A, by solving
-      a*x = t (mod n_j) coordinate by coordinate.  The root's own list marks
-      them with one bit of A*r, which meets every reachable set of the
-      root's search since R only grows; their masks are never built.  Its
-      other entries, the survivors, need no mask at the root level, where R
-      = A*r cannot kill them; for k >= 4 fill() builds them all before the
-      search goes deeper.
-    - A later root is searched only after the first one failed, by a
-      refutation that reads nearly every mask anyway, so later roots share
-      the list `masks`, filled from their root on.
+    Every search starts at the first root r = 1, whose own list `_first` is
+    a copy of `masks` made once: killed() finds the candidates that R = A*r
+    already kills, the c with a*c in -(A*r) | {0} for some a in A, by
+    solving a*x = t (mod n_j) coordinate by coordinate, and `_first` marks
+    them with one bit of A*r.  That bit meets every reachable set of the
+    root's search since R only grows, so their masks are never built.  A
+    later root is searched only after the first one failed and shares the
+    list `masks`.
 
     moves[c], the shifts S - m for the padded bits m of A*c, is built the
     first time the kernel extends a prefix by c.
@@ -213,14 +210,11 @@ class _WeightTables:
 
     __slots__ = (
         "group", "order", "padding", "weights", "negated", "plus", "minus", "masks", "moves",
-        "roots", "starts", "_first", "_deep", "_filled",
+        "roots", "starts", "_first",
     )
 
     def __init__(self, group: GroupSpec, weights: WeightSet):
-        if weights.exponent != group.exponent:
-            raise ValueError(
-                f"weight exponent {weights.exponent} does not match exp({group}) = {group.exponent}"
-            )
+        _check_weights(group, weights)
         self.group = group
         self.order = n = group.order
         self.padding = pad = _padding(group)
@@ -233,11 +227,7 @@ class _WeightTables:
         self.moves: list[Optional[tuple[int, ...]]] = [None] * n
         self.roots = canonical_roots(group)
         self.starts = [0] * n
-        # the first root's negw list, whether its survivors have masks, and
-        # the least later root from which masks has them
-        self._first: list[int] = []
-        self._deep = False
-        self._filled = n
+        self._first: list[int] = []  # the first root's negw list
 
     @staticmethod
     def positions(c: int, scaled: tuple) -> list[int]:
@@ -255,13 +245,8 @@ class _WeightTables:
     def bits(c: int, scaled: tuple) -> int:
         """positions(c, scaled) as a set."""
         w = 0
-        nj, period, bs = scaled[0]
-        if c < nj:  # c lies in the last factor: one product per weight
-            for b in bs:
-                w |= 1 << (b * c % period)
-        else:
-            for m in _WeightTables.positions(c, scaled):
-                w |= 1 << m
+        for m in _WeightTables.positions(c, scaled):
+            w |= 1 << m
         return w
 
     def start(self, root: int) -> int:
@@ -275,7 +260,7 @@ class _WeightTables:
         first."""
         shift = self.padding.shift
         nj, period, bs = self.plus[0]
-        if c < nj:  # as in bits()
+        if c < nj:  # as in mask()
             return tuple(sorted({shift - b * c % period for b in bs}, reverse=True))
         return tuple(sorted({shift - m for m in self.positions(c, self.plus)}, reverse=True))
 
@@ -319,53 +304,29 @@ class _WeightTables:
         """negw[c] = masks[c] = A*(-c), or -1 when A*c holds 0."""
         w = self.masks[c]
         if not w:
-            w = self.bits(c, self.minus)
+            nj, period, bs = self.minus[0]
+            if c < nj:  # c lies in the last factor: one product per weight
+                for b in bs:
+                    w |= 1 << (b * c % period)
+            else:
+                w = self.bits(c, self.minus)
             if w & 1:
                 w = -1
             self.masks[c] = w
         negw[c] = w
         return w
 
-    def fill(self, negw: list[int], root: int) -> None:
-        """mask() for every zero of negw from root on, inlined: this loop
-        is most of the cost of a table."""
-        masks, minus = self.masks, self.minus
-        nj, period, bs = minus[0]
-        c = root
-        try:
-            while True:
-                c = negw.index(0, c)
-                w = masks[c]
-                if not w:
-                    if c < nj:  # as in bits()
-                        for b in bs:
-                            w |= 1 << (b * c % period)
-                    else:
-                        w = self.bits(c, minus)
-                    if w & 1:
-                        w = -1
-                    masks[c] = w
-                negw[c] = w
-        except ValueError:
-            pass
-
-    def root_masks(self, root: int, low: int, k: int) -> list[int]:
-        """The negw list of root for a size-k search, k >= 3; low is one bit
-        of A*root (a one-bit AND costs less than one with -1)."""
-        if root == self.roots[0]:
-            negw = self._first
-            if not negw:
-                negw = self._first = self.masks[:]
-                for c in self.killed(root):
-                    negw[c] = low
-            if k > 3 and not self._deep:
-                self.fill(negw, root)
-                self._deep = True
-            return negw
-        if root < self._filled:
-            self.fill(self.masks, root)
-            self._filled = root
-        return self.masks
+    def root_masks(self, root: int, low: int) -> list[int]:
+        """The negw list of root; low is one bit of A*root (a one-bit AND
+        costs less than one with -1)."""
+        if root != self.roots[0]:
+            return self.masks
+        negw = self._first
+        if not negw:
+            negw = self._first = self.masks[:]
+            for c in self.killed(root):
+                negw[c] = low
+        return negw
 
 
 def _indices_to_sequence(group: GroupSpec, indices: Iterable[int]) -> GSequence:
@@ -429,8 +390,7 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     # the reachable set must grow per element yet stay zero-free
     if k - 1 > order - 1 - w.bit_count():
         return None, 0
-    # at k = 2 the root level is the last level, which builds what it tests
-    negw = tables.masks if k == 2 else tables.root_masks(root, w & -w, k)
+    negw = tables.root_masks(root, w & -w)
     moves = tables.moves
     pad = tables.padding
     mask, spread, shift = pad.mask, pad.spread, pad.shift
@@ -448,9 +408,9 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
         for c in range(state[2], order):
             if negw[c] & bits:
                 continue
+            if not negw[c] and tables.mask(negw, c) & bits:
+                continue
             if remaining == 1:
-                if not negw[c] and tables.mask(negw, c) & bits:
-                    continue
                 chosen.append(c)
                 return chosen, nodes
             if tiled is None:

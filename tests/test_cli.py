@@ -148,6 +148,25 @@ def test_threads_flag_only_where_used(capsys, argv):
     assert "--threads" in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-2", "two"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("davenport", "--group", "8", "--weights", "1,7"),
+        ("davenport-max", "--p", "7", "--k", "2"),
+        ("fd", "--group", "7", "--k", "2"),
+        ("sweep", "--p", "11", "--k", "2", "--theta", "0.3:0.6:2", "--trials", "1"),
+    ],
+)
+def test_threads_must_be_positive(capsys, tmp_path, argv, threads):
+    # refused before anything runs, so no record logs a worker count that never ran
+    log_path = tmp_path / "runs.jsonl"
+    code, out, err = run_cli(capsys, *argv, "--threads", threads, "--log", str(log_path))
+    assert code == 64
+    assert "--threads" in err and "positive" in err
+    assert out == "" and not log_path.exists()
+
+
 def test_unknown_flag_usage_error(capsys):
     code, _, err = run_cli(capsys, "davenport", "--group", "6", "--weights", "1", "--bogus")
     assert code == 64

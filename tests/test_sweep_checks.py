@@ -78,3 +78,13 @@ def test_refutation_builds_fewer_masks_than_elements():
     assert solver._find_zsf(tables, 1, 3) == (None, 115)
     built = sum(1 for w in tables.masks if w)
     assert 0 < built < P - 1
+
+
+def test_deep_search_builds_only_the_masks_it_tests():
+    # a k = 4 search that finds its culprit after two extensions tests few
+    # candidates past the first root's kills, and builds a mask for each of
+    # those alone instead of for every survivor
+    tables = solver._WeightTables(cyclic(P), _draw(0))
+    assert solver._find_zsf(tables, 1, 4) == ([1, 1, 1, 2], 3)
+    built = sum(1 for w in tables.masks if w)
+    assert 0 < built <= 3
