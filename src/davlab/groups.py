@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .numtheory import factorint
 
@@ -194,21 +194,60 @@ def units(n: int) -> list[int]:
     return [u for u in range(1, n) if gcd(u, n) == 1]
 
 
-@lru_cache(maxsize=None)
-def _orbit_min_table(group: GroupSpec) -> tuple[int, ...]:
-    """For each flat index, the least index in its unit-scaling orbit."""
-    n = group.order
-    if group.is_cyclic:
-        # scaling orbits in Z_n are the sets {x : gcd(x, n) = d}; min is d
-        m = group.invariant_factors[0]
-        return tuple(gcd(i, m) if i else 0 for i in range(m))
-    table = list(range(n))
-    us = units(group.exponent)
-    for i in range(1, n):
-        g = index_element(group, i)
-        best = min(element_index(group, scalar_mul(group, u, g)) for u in us)
-        table[i] = best
-    return tuple(table)
+def unit_span(span: set[int], u: int, e: int) -> set[int]:
+    """The group of units mod e generated by the group `span` and the unit u."""
+    out = set(span)
+    x = u
+    while x not in span:
+        out.update([h * x % e for h in span])
+        x = x * u % e
+    return out
+
+
+def unit_generators(us: Iterable[int], e: int) -> list[int]:
+    """A few units generating the same group mod e as `us`: in the order of
+    `us`, each one outside the group the earlier ones generate."""
+    gens: list[int] = []
+    span = {1}
+    for u in us:
+        if u not in span:
+            gens.append(u)
+            span = unit_span(span, u, e)
+    return gens
+
+
+def _scaled_indices(group: GroupSpec, s: int) -> list[int]:
+    """The flat index of s*x for each flat index x."""
+    img = [0]
+    st = group.order
+    for nj in group.invariant_factors:
+        st //= nj
+        col = [s * d % nj * st for d in range(nj)]
+        img = [b + t for b in img for t in col]
+    return img
+
+
+def orbit_minima(group: GroupSpec, gens: Sequence[int]) -> list[int]:
+    """For each flat index, the least flat index in its orbit under the units
+    gens of Z_e (the group they generate).
+
+    Walks each orbit once, applying every generator to every element:
+    O(|G| * len(gens)).  Elements are visited in ascending order, so the
+    first element of an unvisited orbit is its minimum.
+    """
+    images = [_scaled_indices(group, s) for s in gens]
+    mins = [-1] * group.order
+    for i, m in enumerate(mins):
+        if m < 0:
+            mins[i] = i
+            orbit = [i]
+            for x in orbit:  # grows while it is walked
+                for img in images:
+                    y = img[x]
+                    if mins[y] < 0:
+                        mins[y] = i
+                        orbit.append(y)
+    return mins
 
 
 @lru_cache(maxsize=None)
@@ -217,7 +256,12 @@ def canonical_roots(group: GroupSpec) -> tuple[int, ...]:
 
     Every maximal zero-sum-free multiset is unit-equivalent to one starting at
     such a root, so the solver only ever branches on these first elements.
-    For cyclic Z_n these are exactly the divisors d of n with d < n.
+    For cyclic Z_n these are exactly the divisors d of n with d < n: the
+    orbit of x is {y : gcd(y, n) = gcd(x, n)}.
     """
-    table = _orbit_min_table(group)
-    return tuple(i for i in range(1, group.order) if table[i] == i)
+    n = group.order
+    if group.is_cyclic:
+        return tuple(d for d in range(1, n) if n % d == 0)
+    e = group.exponent
+    mins = orbit_minima(group, unit_generators(units(e), e))
+    return tuple(i for i in range(1, n) if mins[i] == i)

@@ -36,7 +36,13 @@ searched.
 Roots are restricted to unit-orbit minima.  Rescaling a zero-sum-free
 multiset by a unit preserves zero-sum-freeness, and the lexicographically
 least multiset of any orbit starts with an orbit-minimal element, so the
-restriction loses neither existence nor the lex-least witness.
+restriction loses neither existence nor the lex-least witness.  Every later
+element is restricted to orbit minima under the units s != 1 with s*A = A
+(A's stabilizer; -1 for A = -A): since A*(s*x) = A*x, swapping an element x
+of a zero-sum-free multiset for a lower s*x keeps it zero-sum-free and makes
+it lex-smaller, so the lex-least multiset holds no such x.  The fail memo
+stays sound, as the restricted subtree under a state still depends only on
+(last element, R, elements still to place).
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from operator import add
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .engine import GSequence, WeightSet, _check_weights, dilation_orbit_reps, tile
 from .groups import (
@@ -58,6 +64,9 @@ from .groups import (
     check_order,
     cyclic,
     index_element,
+    orbit_minima,
+    unit_generators,
+    unit_span,
 )
 from .numtheory import isprime
 
@@ -183,6 +192,38 @@ def default_threads() -> int:
         return 1
 
 
+def _stabilizer(weights: WeightSet) -> tuple[int, ...]:
+    """The units s != 1 mod e with s*A = A, ascending.
+
+    For such s, A*(s*x) = (s*A)*x = A*x, so x and s*x kill and extend every
+    prefix alike.  Each s maps a weight a0 into A, so it solves s*a0 = a
+    (mod e) for some weight a with gcd(a, e) = gcd(a0, e) = g: s is
+    (a/g)*(a0/g)^-1 mod e/g plus a multiple of e/g.  a0 is a weight with the
+    least g, a unit where A has one, which leaves one candidate per weight.
+    A candidate in the group the accepted ones generate needs no test.
+    """
+    e = weights.exponent
+    rs = weights.residues
+    members = set(rs)
+    g, a0 = min([(gcd(a, e), a) for a in rs])
+    m = e // g
+    inv = pow(a0 // g, -1, m)
+    span = {1}
+    for a in rs:
+        if a % g:
+            continue
+        for s in range(a // g * inv % m, e, m):
+            if s in span or gcd(s, e) != 1:
+                continue
+            for b in rs:
+                if s * b % e not in members:
+                    break
+            else:
+                span = unit_span(span, s, e)
+    span.discard(1)
+    return tuple(sorted(span))
+
+
 class _WeightTables:
     """Per-(group, weights) masks and move lists for the multiset search,
     each built the first time a search can read it.
@@ -205,12 +246,18 @@ class _WeightTables:
     list `masks`.
 
     moves[c], the shifts S - m for the padded bits m of A*c, is built the
-    first time the kernel extends a prefix by c.
+    first time the kernel would extend a prefix by c.  It is empty when a
+    unit s fixing A (s*A = A, see _stabilizer) maps c to a lower flat index,
+    and the kernel never extends a prefix by such c.  `minima`, the flat
+    index of each element's least image under those units, is built with
+    the first move list of an element other than 1, so searches that never
+    extend a prefix (k <= 2, or every candidate killed) never compute the
+    stabilizer.
     """
 
     __slots__ = (
         "group", "order", "padding", "weights", "negated", "plus", "minus", "masks", "moves",
-        "roots", "starts", "_first",
+        "roots", "starts", "minima", "_first",
     )
 
     def __init__(self, group: GroupSpec, weights: WeightSet):
@@ -227,6 +274,7 @@ class _WeightTables:
         self.moves: list[Optional[tuple[int, ...]]] = [None] * n
         self.roots = canonical_roots(group)
         self.starts = [0] * n
+        self.minima: Optional[Sequence[int]] = None
         self._first: list[int] = []  # the first root's negw list
 
     @staticmethod
@@ -257,7 +305,21 @@ class _WeightTables:
 
     def shifts(self, c: int) -> tuple[int, ...]:
         """The move list of c: S - m for the padded bits m of A*c, largest
-        first."""
+        first; empty when a unit fixing A maps c lower.
+
+        No unit maps c = 1, the least nonzero element, lower, so a search
+        that extends prefixes only by 1 never computes the stabilizer.
+        """
+        if c > 1:
+            minima = self.minima
+            if minima is None:
+                stab = _stabilizer(self.weights)
+                e = self.group.exponent
+                minima = self.minima = (
+                    orbit_minima(self.group, unit_generators(stab, e)) if stab else range(self.order)
+                )
+            if minima[c] != c:
+                return ()
         shift = self.padding.shift
         nj, period, bs = self.plus[0]
         if c < nj:  # as in mask()
@@ -413,14 +475,16 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
             if remaining == 1:
                 chosen.append(c)
                 return chosen, nodes
+            mv = moves[c]
+            if mv is None:
+                mv = moves[c] = tables.shifts(c)
+            if not mv:  # a unit fixing A maps c lower
+                continue
             if tiled is None:
                 tiled = bits | 1
                 for s in spread:
                     tiled |= tiled << s
                 state[3] = tiled
-            mv = moves[c]
-            if mv is None:
-                mv = moves[c] = tables.shifts(c)
             nb = 0
             for s in mv:
                 nb |= tiled >> s

@@ -55,20 +55,33 @@ def brute_davenport(factors, weights):
     return best + 1
 
 
-def brute_has_zsf_of_length(factors, weights, length):
-    """Depth-limited search for one zero-sum-free multiset of a given size."""
+def brute_lex_least_zsf(factors, weights, length):
+    """The lexicographically least zero-sum-free multiset of a given size, or
+    None when there is none.
+
+    A depth-first walk over nondecreasing multisets in flat-index order (the
+    order itertools.product lists the elements in); the first multiset it
+    completes is the least.  Returned as a tuple of elements, ascending.
+    """
     elements = [e for e in itertools.product(*[range(n) for n in factors]) if any(e)]
 
     def rec(start, chosen, remaining):
         if remaining == 0:
-            return True
+            return tuple(chosen)
         for i in range(start, len(elements)):
             cand = chosen + [elements[i]]
-            if brute_is_zsf(factors, weights, cand) and rec(i, cand, remaining - 1):
-                return True
-        return False
+            if brute_is_zsf(factors, weights, cand):
+                found = rec(i, cand, remaining - 1)
+                if found is not None:
+                    return found
+        return None
 
     return rec(0, [], length)
+
+
+def brute_has_zsf_of_length(factors, weights, length):
+    """Depth-limited search for one zero-sum-free multiset of a given size."""
+    return brute_lex_least_zsf(factors, weights, length) is not None
 
 
 def brute_fd(n, k, max_size=None):

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from collections import Counter
 from math import gcd, lcm
@@ -19,8 +20,10 @@ from davlab.groups import (
     index_element,
     neg,
     normalize_group,
+    orbit_minima,
     parse_group,
     scalar_mul,
+    unit_generators,
     units,
 )
 
@@ -151,3 +154,57 @@ def test_canonical_roots():
     }
     g22 = GroupSpec((2, 2))
     assert element_index(g22, (0, 1)) in canonical_roots(g22)
+
+
+def _orbit_minima_by_definition(g, us):
+    """Least flat index of s*x over every unit s in us, by tuple arithmetic."""
+    return [
+        min(element_index(g, scalar_mul(g, s, x)) for s in us) for x in g.elements()
+    ]
+
+
+def _unit_group(gens, e):
+    """Every product of the units gens mod e."""
+    group = {1}
+    while True:
+        bigger = group | {h * s % e for h in group for s in gens}
+        if bigger == group:
+            return group
+        group = bigger
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [(12,), (16,), (30,), (2, 4), (3, 9), (4, 8), (6, 6), (2, 2, 6), (3, 3, 9), (2, 2, 2, 4), (2, 2, 4, 4)],
+)
+def test_orbit_minima_match_unit_orbits(factors):
+    g = GroupSpec(factors)
+    e = g.exponent
+    us = units(e)
+    gens = unit_generators(us, e)
+    assert _unit_group(gens, e) == set(us)
+    assert orbit_minima(g, gens) == _orbit_minima_by_definition(g, us)
+    want = tuple(i for i, m in enumerate(_orbit_minima_by_definition(g, us)) if 0 < i == m)
+    assert canonical_roots(g) == want
+    # subgroups: the stabilizers of weight sets, e.g. {1, -1}
+    rng = random.Random(sum(factors))
+    for _ in range(4):
+        picked = rng.sample(us, min(2, len(us)))
+        sub = sorted(_unit_group(picked, e))
+        sub_gens = unit_generators(sub, e)
+        assert _unit_group(sub_gens, e) == set(sub)
+        assert orbit_minima(g, sub_gens) == _orbit_minima_by_definition(g, sub)
+    assert orbit_minima(g, [e - 1]) == _orbit_minima_by_definition(g, [1, e - 1])
+
+
+def test_canonical_roots_walk_orbits_under_generators():
+    # one pass over the group per generator of the 2048 units, not per unit
+    g = GroupSpec((2, 4096))
+    start = time.perf_counter()
+    roots = canonical_roots(g)
+    assert time.perf_counter() - start < 1.0
+    # orbits of (a, b): (0, 2^j) and (1, 0), (1, 2^j) for 2^j < 4096
+    powers = [1 << j for j in range(12)]
+    want = sorted([element_index(g, (0, b)) for b in powers]
+                  + [element_index(g, (1, b)) for b in [0] + powers])
+    assert roots == tuple(want)

@@ -7,7 +7,7 @@ import pytest
 
 from davlab import solver
 from davlab.engine import GSequence, WeightSet, has_weighted_zero_sum
-from davlab.groups import GroupOrderError, GroupSpec, cyclic, normalize_group
+from davlab.groups import GroupOrderError, GroupSpec, cyclic, normalize_group, units
 from davlab.randomlab import Classification, SweepConfig, classify_dav, threshold_sweep
 from davlab.solver import (
     CapExceededError,
@@ -17,7 +17,8 @@ from davlab.solver import (
     max_davenport_over_size,
 )
 
-from conftest import brute_davenport, tuple_scale
+from conftest import brute_davenport, brute_lex_least_zsf, tuple_scale
+from test_sweep_checks import P as SWEEP_P, _draw as sweep_draw
 
 
 def test_pair_weights_log_formula():
@@ -96,16 +97,101 @@ def test_davenport_matches_brute_force_products():
         ((3, 9), (1,), 11, 21_323, ((0, 1),) * 8 + ((1, 0),) * 2),
         ((3, 3, 3), (1,), 7, 24_432, ((0, 0, 1),) * 2 + ((0, 1, 0),) * 2 + ((1, 0, 0),) * 2),
         ((5, 5), (1,), 9, 19_668, ((0, 1),) * 4 + ((1, 0),) * 4),
-        ((150,), (1, 2, 148, 149), 5, 39_583, ((1,), (3,), (9,), (27,))),
-        ((48,), (1, 47), 6, 11_398, ((1,), (2,), (4,), (8,), (16,))),
+        ((150,), (1, 2, 148, 149), 5, 12_284, ((1,), (3,), (9,), (27,))),
+        ((48,), (1, 47), 6, 2_689, ((1,), (2,), (4,), (8,), (16,))),
         ((2, 2, 2, 2), (1,), 5, 336, ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))),
     ],
 )
 def test_node_counts_and_witnesses_pinned(factors, weights, value, nodes, witness):
-    # a faster kernel must visit the same nodes in the same order
+    # values and witnesses are the first kernel's; nodes are pinned too, so a
+    # faster kernel must visit the same nodes in the same order.  The two
+    # rows whose weights a unit s != 1 fixes (s = -1) count the nodes of the
+    # kernel that never extends a prefix by an element s maps lower.
     g = GroupSpec(factors)
     r = davenport(g, WeightSet(g.exponent, weights), threads=1)
     assert (r.value, r.nodes_explored, r.witness.entries) == (value, nodes, witness)
+
+
+def _lex_least_cases():
+    """(factors, weights, exhaustive): weight sets some unit s != 1 fixes.
+    exhaustive marks groups small enough for the oracle's refutation at D."""
+    cases = []
+    for n in (5, 8, 9, 12):
+        cases.append(((n,), (1, n - 1), True))  # A = -A
+    cases.append(((13,), (1, 2, 11, 12), True))
+    cases.append(((2, 6), (1, 5), True))
+    cases.append(((3, 3), (1, 2), True))
+    for n in (8, 9, 10, 12, 15):
+        cases.append(((n,), tuple(units(n)), n <= 10))  # A = units(n)
+    for p in (7, 11, 13):
+        cases.append(((p,), tuple(sorted({x * x % p for x in range(1, p)})), True))  # squares
+    cases.append(((4, 4), (2,), True))
+    cases.append(((2, 2, 2, 4), (1, 3), False))
+    return cases
+
+
+@pytest.mark.parametrize("factors, weights, exhaustive", _lex_least_cases())
+def test_witness_and_culprits_are_lex_least(factors, weights, exhaustive):
+    # elements some unit fixing A maps lower are never appended; the lex-least
+    # zero-sum-free multiset holds none, so witness and culprits stay the least
+    g = GroupSpec(factors)
+    w = WeightSet(g.exponent, weights)
+    assert solver._stabilizer(w)
+    r = davenport(g, w, threads=1)
+    assert r.witness.entries == brute_lex_least_zsf(factors, weights, r.value - 1)
+    for k in range(1, r.value + exhaustive):
+        want = brute_lex_least_zsf(factors, weights, k)
+        got = check_dav_at_most(g, w, k, threads=1)
+        assert got.holds == (want is None), k
+        assert (got.counterexample and got.counterexample.entries) == want, k
+
+
+def _stabilizer_by_definition(e, residues):
+    return tuple(
+        s for s in units(e) if s != 1 and sorted(s * a % e for a in residues) == list(residues)
+    )
+
+
+def test_stabilizer():
+    for n in (3, 4, 7, 12, 150):
+        assert solver._stabilizer(WeightSet(n, (1, n - 1))) == (n - 1,)
+    for n in (5, 12, 36, 48):
+        assert solver._stabilizer(WeightSet(n, tuple(units(n)))) == tuple(units(n))[1:]
+    # no weight is a unit: candidates solve s*2 = 2 (mod 4)
+    assert solver._stabilizer(WeightSet(4, (2,))) == (3,)
+    assert solver._stabilizer(WeightSet(150, (1, 2, 148, 149))) == (149,)
+    # the sweep's random weight sets have none
+    for i in range(30):
+        assert solver._stabilizer(sweep_draw(i)) == ()
+    rng = random.Random(53)
+    for _ in range(400):
+        e = rng.randint(2, 60)
+        ws = set(rng.sample(range(1, e), rng.randint(1, min(6, e - 1))))
+        if rng.random() < 0.5:
+            ws |= {e - a for a in ws}
+        w = WeightSet.of(e, ws)
+        assert solver._stabilizer(w) == _stabilizer_by_definition(e, w.residues), w
+
+
+def test_checks_that_never_extend_never_compute_the_stabilizer(monkeypatch):
+    # k = 2 checks (fd's general path, the sweep) place their last element at
+    # the root's level, so they must not pay for the stabilizer
+    calls = []
+
+    def counting(weights):
+        calls.append(weights)
+        return stabilizer(weights)
+
+    stabilizer = solver._stabilizer
+    monkeypatch.setattr(solver, "_stabilizer", counting)
+    weight_sets = [WeightSet(SWEEP_P, (1, SWEEP_P - 1)), WeightSet(SWEEP_P, tuple(units(SWEEP_P)))]
+    weight_sets += [sweep_draw(i) for i in range(30)]
+    for w in weight_sets:
+        check_dav_at_most(cyclic(SWEEP_P), w, 2, threads=1)
+    assert calls == []
+    # a k = 3 check that extends the root computes it once per table
+    assert not check_dav_at_most(cyclic(SWEEP_P), weight_sets[0], 3, threads=1).holds
+    assert calls == [weight_sets[0]]
 
 
 def test_cap_aborts_early():
