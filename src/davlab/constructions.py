@@ -172,11 +172,12 @@ class PerfectDifferenceSet:
 def singer_difference_set(q: int) -> PerfectDifferenceSet:
     """Perfect difference set of size q+1 in Z_{q^2+q+1} from the line at
     zero third coordinate of PG(2, q), indexed by powers of a generator."""
+    n = q * q + q + 1
+    check_order(n)
     if not isprime(q):
         raise ValueError(f"q = {q} must be prime")
     fld = GFCubicField(q)
     gamma = fld.generator()
-    n = q * q + q + 1
     x = fld.one
     picked = []
     for i in range(n):
@@ -283,6 +284,7 @@ def interval_weight_set(p: int) -> ConstructionReport:
 
 def symmetric_range_weight_set(n: int, r: int) -> ConstructionReport:
     """A = {±1, ..., ±r} in Z_n; solver confirms D_A = floor(log_{r+1} n) + 1."""
+    check_order(n)
     if not 1 <= r < (n - 1) / 2:
         raise ValueError(f"need 1 <= r < (n-1)/2, got r={r}, n={n}")
     weights = tuple(range(1, r + 1)) + tuple(range(n - r, n))

@@ -9,6 +9,10 @@ element, whatever the group's shape, which keeps the reachable-sum recurrence
 
 and the set operations cheap up to the order limit.  (The search kernel in
 solver keeps its own padded layout of reachable sets.)
+
+Weight sets are enumerated one per unit-dilation orbit by
+dilation_orbit_reps, a generator with one canonicity rule for every modulus,
+so a caller that stops at its first hit lists no further representatives.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .groups import (
     element_index,
     index_element,
     scalar_mul,
-    units,
+    units_mapping,
 )
 from .numtheory import isprime
 
@@ -43,6 +47,9 @@ class WeightSet:
         if self.exponent < 2:
             raise ValueError("exponent must be >= 2")
         rs = self.residues
+        if not isinstance(rs, tuple):
+            object.__setattr__(self, "residues", tuple(rs))
+            rs = self.residues
         if not rs:
             raise ValueError("weight set must be nonempty")
         for r in rs:
@@ -341,28 +348,30 @@ def dilation_orbit_reps(n: int, size: int) -> Iterator[tuple[int, ...]]:
     """Lexicographically ordered orbit representatives of size-k weight sets.
 
     Two weight sets related by a unit dilation share every zero-sum statistic,
-    so searches only visit the lex-least member of each orbit.  When n is
-    prime the representative always contains 1 and canonicity is checked by
-    comparing against the |S| dilations a^{-1} S with a in S.
+    so searches only visit the lex-least member of each orbit.  The least
+    element of x's unit orbit is gcd(x, n), so that member starts at
+    g = min gcd(x, n) over the set and every later element has gcd >= g.
+    Only a unit taking some x of gcd g to g can give a lower dilate; these
+    units are solved once per g (for prime n, g = 1 and they are the x^-1).
     """
     if size < 1 or size > n - 1:
         return
-    if isprime(n):
-        for rest in combinations(range(2, n), size - 1):
-            s = (1,) + rest
-            if _canonical_prime(n, s):
+    for g in range(1, n):
+        if n % g:
+            continue
+        rest = [x for x in range(g + 1, n) if gcd(x, n) >= g]
+        lowering: list[list[int]] = [[]] * n  # units u != 1 with u*x = g
+        for x in [g, *rest]:
+            lowering[x] = [u for u in units_mapping(x, g, n) if u != 1]
+        for tail in combinations(rest, size - 1):
+            s = (g, *tail)
+            if _least_dilate(n, s, lowering):
                 yield s
-        return
-    us = units(n)
-    for s in combinations(range(1, n), size):
-        if all(s <= tuple(sorted(u * x % n for x in s)) for u in us):
-            yield s
 
 
-def _canonical_prime(p: int, s: tuple[int, ...]) -> bool:
-    # the lex-least dilate of S containing 1 arises as a^{-1} S for some a in S
-    for a in s:
-        inv = pow(a, -1, p)
-        if tuple(sorted(inv * x % p for x in s)) < s:
-            return False
+def _least_dilate(n: int, s: tuple[int, ...], lowering: list[list[int]]) -> bool:
+    for x in s:
+        for u in lowering[x]:
+            if tuple(sorted(u * y % n for y in s)) < s:
+                return False
     return True

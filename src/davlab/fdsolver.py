@@ -15,12 +15,19 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from math import gcd, inf, isqrt
+from math import inf, isqrt
 from typing import Callable, Iterable, Optional
 
 from .engine import WeightSet, dilation_orbit_reps
-from .groups import GroupSpec, check_order, cyclic, normalize_group
-from .numtheory import integer_nthroot, isprime, primitive_root
+from .groups import (
+    DEFAULT_ORDER_LIMIT,
+    GroupOrderError,
+    GroupSpec,
+    check_order,
+    cyclic,
+    normalize_group,
+)
+from .numtheory import floor_log, integer_nthroot, isprime, primitive_root
 from .solver import Budget, _Pool, check_dav_at_most, default_threads
 
 # The prime k = 2 search tests its budget once per this many nodes.
@@ -148,11 +155,11 @@ def _smallest(
     return meter.result(FdStatus.INFINITE, exp - 1)
 
 
-def _fd_candidate_worker(args) -> tuple[bool, int]:
+def _fd_candidate_worker(args) -> tuple[tuple[int, ...], bool, int]:
     factors, residues, k = args
     group = GroupSpec(factors)
     res = check_dav_at_most(group, WeightSet(group.exponent, residues), k, threads=1)
-    return res.holds, res.nodes
+    return residues, res.holds, res.nodes
 
 
 def _first_holding(
@@ -160,11 +167,12 @@ def _first_holding(
 ) -> Optional[tuple[int, ...]]:
     """First dilation-orbit representative of this size with D_A(G) <= k.
 
-    The budget is tested before each candidate; nodes are bounded-check nodes.
+    Serially the enumerator is read only up to that representative.  The
+    budget is tested before each candidate; nodes are bounded-check nodes.
     """
-    reps = list(dilation_orbit_reps(group.exponent, size))
-    arglist = [(group.invariant_factors, rep, k) for rep in reps]
-    for rep, (holds, n_nodes) in zip(reps, pool.map(_fd_candidate_worker, arglist)):
+    reps = dilation_orbit_reps(group.exponent, size)
+    args = ((group.invariant_factors, rep, k) for rep in reps)
+    for rep, holds, n_nodes in pool.map(_fd_candidate_worker, args):
         meter.check()
         meter.nodes += n_nodes
         meter.candidates += 1
@@ -361,6 +369,9 @@ def fd_relation_checks(
         raise ValueError("m must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if m > floor_log(p, DEFAULT_ORDER_LIMIT):
+        # p^m itself would take longer to compute than to refuse
+        raise GroupOrderError(f"group order {p}^{m} exceeds limit {DEFAULT_ORDER_LIMIT}")
     checks = []
     base = fd(cyclic(p), k, budget=budget, threads=threads)
     power = fd(cyclic(p**m), k, budget=budget, threads=threads)

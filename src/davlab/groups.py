@@ -194,6 +194,20 @@ def units(n: int) -> list[int]:
     return [u for u in range(1, n) if gcd(u, n) == 1]
 
 
+def units_mapping(x: int, y: int, e: int) -> list[int]:
+    """The units u mod e with u*x = y (mod e), ascending.
+
+    A unit keeps g = gcd(x, e), so there are none unless gcd(y, e) = g; then
+    u = (y/g)*(x/g)^-1 mod e/g, lifted to every unit among its e/g-shifts.
+    """
+    g = gcd(x, e)
+    if gcd(y, e) != g:
+        return []
+    m = e // g
+    base = y // g * pow(x // g, -1, m) % m
+    return [u for u in range(base, e, m) if gcd(u, e) == 1]
+
+
 def unit_span(span: set[int], u: int, e: int) -> set[int]:
     """The group of units mod e generated by the group `span` and the unit u."""
     out = set(span)

@@ -67,6 +67,7 @@ from .groups import (
     orbit_minima,
     unit_generators,
     unit_span,
+    units_mapping,
 )
 from .numtheory import isprime
 
@@ -196,24 +197,19 @@ def _stabilizer(weights: WeightSet) -> tuple[int, ...]:
     """The units s != 1 mod e with s*A = A, ascending.
 
     For such s, A*(s*x) = (s*A)*x = A*x, so x and s*x kill and extend every
-    prefix alike.  Each s maps a weight a0 into A, so it solves s*a0 = a
-    (mod e) for some weight a with gcd(a, e) = gcd(a0, e) = g: s is
-    (a/g)*(a0/g)^-1 mod e/g plus a multiple of e/g.  a0 is a weight with the
-    least g, a unit where A has one, which leaves one candidate per weight.
+    prefix alike.  Each s maps a weight a0 into A, so it is among the units
+    solving s*a0 = a for some weight a.  a0 is a weight with the least
+    gcd(a0, e), a unit where A has one, which leaves one candidate per weight.
     A candidate in the group the accepted ones generate needs no test.
     """
     e = weights.exponent
     rs = weights.residues
     members = set(rs)
-    g, a0 = min([(gcd(a, e), a) for a in rs])
-    m = e // g
-    inv = pow(a0 // g, -1, m)
+    a0 = min(rs, key=lambda a: gcd(a, e))
     span = {1}
     for a in rs:
-        if a % g:
-            continue
-        for s in range(a // g * inv % m, e, m):
-            if s in span or gcd(s, e) != 1:
+        for s in units_mapping(a0, a, e):
+            if s in span:
                 continue
             for b in rs:
                 if s * b % e not in members:
@@ -420,19 +416,24 @@ class _Pool:
             self._executor = None
             self._workers = 0
 
-    def map(self, worker, arglist):
-        """Yield worker results in submission order."""
-        if self.threads <= 1 or len(arglist) <= 1:
-            for a in arglist:
-                yield worker(a)
+    def map(self, worker, args):
+        """Yield worker results in submission order.
+
+        The serial path reads args lazily, one job per result drawn; the
+        parallel path lists them first, as executor.map does.
+        """
+        if self.threads > 1:
+            args = list(args)
+        if self.threads <= 1 or len(args) <= 1:
+            yield from map(worker, args)
             return
-        workers = min(self.threads, len(arglist))
+        workers = min(self.threads, len(args))
         if workers > self._workers:
             self.close()
             self._executor = ProcessPoolExecutor(max_workers=workers)
             self._workers = workers
-        chunksize = max(1, len(arglist) // (4 * self.threads))
-        yield from self._executor.map(worker, arglist, chunksize=chunksize)
+        chunksize = max(1, len(args) // (4 * self.threads))
+        yield from self._executor.map(worker, args, chunksize=chunksize)
 
 
 def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[int]], int]:

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import itertools
 
-import pytest
-
 
 def tuple_add(factors, x, y):
     return tuple((a + b) % n for a, b, n in zip(x, y, factors))
@@ -94,14 +92,3 @@ def brute_fd(n, k, max_size=None):
             if not brute_has_zsf_of_length((n,), residues, k):
                 return size
     return None
-
-
-@pytest.fixture
-def oracles():
-    return {
-        "reachable": brute_reachable,
-        "is_zsf": brute_is_zsf,
-        "davenport": brute_davenport,
-        "has_zsf": brute_has_zsf_of_length,
-        "fd": brute_fd,
-    }

@@ -108,11 +108,14 @@ def test_weights_zero_rejected(capsys):
         ("davenport-max", "--p", "1000000000000000000000007", "--k", "2"),
         ("verify", "relations", "--p", "1000000000000000000000007"),
         ("verify", "intervals", "--limit", "1000000000000"),
+        ("construct", "singer", "--q", "3001"),
+        ("construct", "symmetric", "--n", "100000000000", "--r", "10000000"),
+        ("verify", "relations", "--p", "3", "--m", "10000000"),
     ],
 )
 def test_huge_order_refused_fast(capsys, argv):
-    # refused before any factoring, sampling, weight-set building or orbit
-    # enumeration over the group's p - 1 residues
+    # refused before any factoring, sampling, field arithmetic, weight-set
+    # building, power p^m or orbit enumeration over the group's residues
     start = time.perf_counter()
     code, _, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1.0

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -35,6 +36,12 @@ def test_weightset_normalization():
     with pytest.raises(ValueError):
         WeightSet.of(9, [])
     assert 11 in WeightSet.of(12, [-1]) and len(WeightSet.of(12, [-1])) == 1
+
+
+def test_weightset_stores_tuple():
+    ws = WeightSet(12, [1, 5, 7, 11])
+    assert ws.residues == (1, 5, 7, 11)
+    assert hash(ws) == hash(WeightSet(12, (1, 5, 7, 11)))
 
 
 def test_weightset_dilated():
@@ -230,16 +237,22 @@ def test_dilation_orbit_reps_prime():
     assert covered == set(itertools.combinations(range(1, 7), 3))
 
 
-def test_dilation_orbit_reps_general_modulus():
-    reps = dilation_orbit_reps(8, 2)
-    import itertools
+def brute_orbit_reps(n, size):
+    """The least member of every unit-dilation orbit of size-subsets of
+    [1, n-1], in lex order: walking the subsets in lex order, each one not
+    yet met as a dilate of an earlier one is the least of its orbit."""
+    us = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    seen = set()
+    reps = []
+    for s in itertools.combinations(range(1, n), size):
+        if s not in seen:
+            reps.append(s)
+            seen.update(tuple(sorted(u * x % n for x in s)) for u in us)
+    return reps
 
-    covered = set()
-    for r in reps:
-        for u in (1, 3, 5, 7):
-            covered.add(tuple(sorted(u * x % 8 for x in r)))
-    assert covered == set(itertools.combinations(range(1, 8), 2))
-    # canonical choice is the orbit minimum
-    for r in reps:
-        for u in (1, 3, 5, 7):
-            assert tuple(sorted(u * x % 8 for x in r)) >= r
+
+def test_dilation_orbit_reps_general_modulus():
+    for n in range(2, 41):
+        for size in range(1, 5):
+            assert list(dilation_orbit_reps(n, size)) == brute_orbit_reps(n, size), (n, size)
+    assert list(dilation_orbit_reps(5, 0)) == list(dilation_orbit_reps(5, 5)) == []

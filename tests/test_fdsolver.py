@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from davlab import fdsolver
 from davlab.engine import WeightSet, dilation_orbit_reps
 from davlab.fdsolver import (
     FdStatus,
@@ -169,6 +170,39 @@ def test_fd_relation_checks_hold():
 
 
 def test_fd_thread_invariance():
-    a = fd(cyclic(13), 2, threads=1)
-    b = fd(cyclic(13), 2, threads=3)
-    assert (a.status, a.value, a.witness_set) == (b.status, b.value, b.witness_set)
+    # (Z_13, 2) is the ratio-cover search; the rest read the orbit enumerator
+    # through the process pool
+    cases = [
+        (cyclic(13), 2, 3),
+        (cyclic(31), 3, 2),
+        (cyclic(25), 3, 2),
+        (normalize_group([3, 3]), 3, 2),
+    ]
+    for group, k, threads in cases:
+        a = fd(group, k, threads=1)
+        b = fd(group, k, threads=threads)
+        assert (a.status, a.value, a.witness_set, a.sizes_excluded) == (
+            b.status,
+            b.value,
+            b.witness_set,
+            b.sizes_excluded,
+        ), (group, k)
+        assert a.search_stats.candidates == b.search_stats.candidates
+        assert a.search_stats.nodes == b.search_stats.nodes
+    assert fd(cyclic(25), 3).witness_set.residues == (5, 10)
+
+
+def test_fd_reads_orbit_reps_only_as_far_as_needed(monkeypatch):
+    # serially, each size's enumeration stops at its first holding candidate
+    drawn = 0
+
+    def counted(n, size):
+        nonlocal drawn
+        for rep in dilation_orbit_reps(n, size):
+            drawn += 1
+            yield rep
+
+    monkeypatch.setattr(fdsolver, "dilation_orbit_reps", counted)
+    res = fd(cyclic(31), 3, threads=1)
+    assert res.value == 4
+    assert drawn == res.search_stats.candidates == 162

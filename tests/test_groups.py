@@ -25,6 +25,7 @@ from davlab.groups import (
     scalar_mul,
     unit_generators,
     units,
+    units_mapping,
 )
 
 
@@ -208,3 +209,12 @@ def test_canonical_roots_walk_orbits_under_generators():
     want = sorted([element_index(g, (0, b)) for b in powers]
                   + [element_index(g, (1, b)) for b in [0] + powers])
     assert roots == tuple(want)
+
+
+def test_units_mapping_solves_by_definition():
+    for e in range(2, 41):
+        us = units(e)
+        for x in range(e):
+            for y in range(e):
+                want = [u for u in us if u * x % e == y]
+                assert units_mapping(x, y, e) == want, (x, y, e)

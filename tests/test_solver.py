@@ -377,6 +377,11 @@ def test_certify_dav_value_agrees_with_solver():
         assert not certify_dav_value(cyclic(n), ws, value - 1)
 
 
+def test_certify_threaded_with_listed_weights():
+    # worker tables are cached by the weights, which must be hashable
+    assert certify_dav_value(cyclic(12), WeightSet(12, units(12)), 4, threads=2)
+
+
 def test_max_davenport_over_size():
     res = max_davenport_over_size(7, 2)
     assert res.value == 4 == ceil(7 / 2)
