@@ -189,7 +189,8 @@ def _cmd_fd(args) -> int:
         "witness": list(res.witness_set.residues) if res.witness_set else None,
         "sizes_excluded": res.sizes_excluded,
         "nodes": res.search_stats.nodes,
-       "candidates": res.search_stats.candidates,
+        "candidates": res.search_stats.candidates,
+        "checks": res.search_stats.checks,
         "elapsed_ms": round(ms, 3),
     }
     normalized = {"group": str(group), "k": args.k}

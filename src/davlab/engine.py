@@ -8,7 +8,11 @@ element, whatever the group's shape, which keeps the reachable-sum recurrence
     R_i = R_{i-1}  union  A*x_i  union  (R_{i-1} + A*x_i)
 
 and the set operations cheap up to the order limit.  (The search kernel in
-solver keeps its own padded layout of reachable sets.)
+solver keeps its own padded layout of reachable sets.)  The multiples A*x
+come from flat indices by arithmetic on digits (images), and one walk,
+_Walk, builds R step by step and, when asked whether a multiset is
+zero-sum-free, rejects it at the first x_i with a*x_i = 0 or a*x_i in
+-R_{i-1} before translating anything by it.
 
 Weight sets are enumerated one per unit-dilation orbit by
 dilation_orbit_reps, a generator with one canonicity rule for every modulus,
@@ -21,7 +25,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
-from typing import Iterable, Iterator
+from operator import add
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .groups import (
     Element,
@@ -118,6 +123,27 @@ def tile(block: int, period: int, copies: int) -> int:
     return acc
 
 
+def scaled_weights(strides: Iterable[tuple[int, int]], bs: tuple[int, ...]) -> tuple:
+    """Per coordinate (n_j, s_j) of strides, last first, the triple
+    (n_j, n_j*s_j, b*s_j for b in bs): at stride s_j the digit b*x_j mod n_j
+    sits at b*s_j*x_j mod n_j*s_j."""
+    return tuple([(nj, nj * sj, bs if sj == 1 else tuple([b * sj for b in bs]))
+                  for nj, sj in strides])
+
+
+def images(i: int, scaled: tuple) -> list[int]:
+    """Positions of b*x for the weights b that `scaled` (see scaled_weights)
+    was built from, x the element of flat index i; with repeats, and [0] for
+    x = 0."""
+    pos: list[int] = []
+    for nj, period, bs in scaled:
+        i, d = divmod(i, nj)
+        if d:
+            part = [b * d % period for b in bs]
+            pos = list(map(add, pos, part)) if pos else part
+    return pos or [0]
+
+
 class _Layout:
     """One group's translation action on flat bit sets.
 
@@ -128,7 +154,7 @@ class _Layout:
     (n_j - c)*st_j: two shifts, for cyclic groups (comb = 1) a rotation.
     """
 
-    __slots__ = ("order", "_coords", "_ones")
+    __slots__ = ("order", "_coords", "_ones", "_strides")
 
     def __init__(self, group: GroupSpec):
         n = group.order
@@ -141,6 +167,11 @@ class _Layout:
             st *= nj
         self._coords = tuple(coords)
         self._ones = sum(st for _, st, _ in coords)  # flat index of (1, ..., 1)
+        self._strides = tuple([(nj, st) for nj, st, _ in coords])
+
+    def scaled(self, bs: tuple[int, ...]) -> tuple:
+        """The weights bs scaled for images() into flat indices."""
+        return scaled_weights(self._strides, bs)
 
     def translate(self, bits: int, idx: int) -> int:
         """Image of the set under x -> x + g where g has flat index idx."""
@@ -237,35 +268,104 @@ def _check_weights(group: GroupSpec, weights: WeightSet) -> None:
         )
 
 
-def _prefix_sums(group: GroupSpec, weights: WeightSet, seq: GSequence) -> Iterator[int]:
-    """R_1, R_2, ...: the reachable sums of each prefix of seq, as bits."""
+class _Walk:
+    """Prefix-sums walks of multisets of flat indices over one group and one
+    weight set A.
+
+    A step from the sums R of a prefix by an element x gives
+    R | A*x | (R + A*x), with A*x = images(x, plus).  Before the step, x
+    closes a weighted zero-sum when a*x = 0 or a*x lies in -R: one AND of
+    R | {0} against the bits of (-A)*x.  zero_free memoizes both, the bits
+    of (-A)*x per x and the step per (R, x), so multisets that share a
+    prefix (as the culprits of one fd call mostly do) share its steps.
+    """
+
+    __slots__ = ("translate", "plus", "minus", "negs", "steps")
+
+    def __init__(self, group: GroupSpec, residues: tuple[int, ...]):
+        lay = _layout(group)
+        e = group.exponent
+        self.translate = lay.translate
+        self.plus = lay.scaled(residues)
+        self.minus = lay.scaled(tuple([e - a for a in residues]))  # (e - a)*x = -a*x
+        self.negs: dict[int, int] = {}
+        self.steps: dict[tuple[int, int], int] = {}
+
+    def step(self, bits: int, i: int) -> int:
+        """The sums after adding the element of flat index i to a prefix
+        with sums `bits`."""
+        nxt = bits
+        if bits:
+            translate = self.translate
+            for m in images(i, self.plus):
+                nxt |= 1 << m | translate(bits, m)
+        else:
+            for m in images(i, self.plus):
+                nxt |= 1 << m
+        return nxt
+
+    def sums(self, indices: Iterable[int]) -> int:
+        """All weighted sums of nonempty sub-multisets, as bits."""
+        bits = 0
+        for i in indices:
+            bits = self.step(bits, i)
+        return bits
+
+    def zero_free(self, indices: Sequence[int]) -> bool:
+        """Whether no nonempty sub-multiset has a weighted zero-sum.
+
+        Stops at the first element that closes one, and takes no step by
+        the last element, whose sums nothing reads.
+        """
+        negs, steps = self.negs, self.steps
+        bits = 0
+        last = len(indices) - 1
+        for j, i in enumerate(indices):
+            neg = negs.get(i)
+            if neg is None:
+                neg = 0
+                for m in images(i, self.minus):
+                    neg |= 1 << m
+                negs[i] = neg
+            if neg & (bits | 1):
+                return False
+            if j < last:
+                key = (bits, i)
+                nxt = steps.get(key)
+                if nxt is None:
+                    nxt = steps[key] = self.step(bits, i)
+                bits = nxt
+        return True
+
+
+def first_zero_free(
+    group: GroupSpec, residues: tuple[int, ...], multisets: Iterable[Sequence[int]]
+) -> Optional[int]:
+    """Position of the first multiset of flat indices that is zero-sum-free
+    under the weights `residues` of G, or None."""
+    walk = _Walk(group, residues)
+    for j, ms in enumerate(multisets):
+        if walk.zero_free(ms):
+            return j
+    return None
+
+
+def _seq_indices(group: GroupSpec, weights: WeightSet, seq: GSequence) -> list[int]:
     _check_weights(group, weights)
     if seq.group != group:
         raise ValueError("sequence group mismatch")
-    lay = _layout(group)
-    bits = 0
-    for entry in seq.entries:
-        w = 0  # A*x_i
-        for a in weights.residues:
-            w |= 1 << element_index(group, scalar_mul(group, a, entry))
-        nxt = bits | w
-        for i in iter_bits(w):
-            nxt |= lay.translate(bits, i)
-        bits = nxt
-        yield bits
+    return [element_index(group, x) for x in seq.entries]
 
 
 def reachable_sums(group: GroupSpec, weights: WeightSet, seq: GSequence) -> ResidueSet:
     """All values of sum a_i x_i over nonempty subsequences and weights a_i."""
-    bits = 0
-    for bits in _prefix_sums(group, weights, seq):
-        pass
-    return ResidueSet(group, bits)
+    indices = _seq_indices(group, weights, seq)
+    return ResidueSet(group, _Walk(group, weights.residues).sums(indices))
 
 
 def has_weighted_zero_sum(group: GroupSpec, weights: WeightSet, seq: GSequence) -> bool:
     """True when some nonempty subsequence admits a weighted zero-sum."""
-    return any(bits & 1 for bits in _prefix_sums(group, weights, seq))
+    return not _Walk(group, weights.residues).zero_free(_seq_indices(group, weights, seq))
 
 
 def sumset(s: ResidueSet, t: ResidueSet) -> ResidueSet:

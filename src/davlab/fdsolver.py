@@ -1,10 +1,16 @@
 """Minimum weight-set size achieving D_A(G) <= k, with infinity detection.
 
-The search runs size by size.  For a prime modulus and k = 2 it looks for
-the lex-least A containing 1 with A/A = Z_p* by a pruned depth-first search
-(_first_ratio_cover); everywhere else it visits one representative per
-dilation orbit (D_{lambda A} = D_A for units lambda) and accepts the first
-passing the bounded Davenport check.  Infinity is only ever declared after
+The search runs size by size, serially.  For a prime modulus and k = 2 it
+looks for the lex-least A containing 1 with A/A = Z_p* by a pruned
+depth-first search (_first_ratio_cover).  Everywhere else it visits one
+representative per dilation orbit (D_{lambda A} = D_A for units lambda) in
+lex order and accepts the first passing the bounded Davenport check, with
+the checks guided by counterexamples: a failed check returns a culprit, a
+zero-sum-free multiset of length k, and a later candidate under which some
+earlier culprit is still zero-sum-free fails as well (D_A(G) > k), which
+one prefix-sums walk per culprit shows without a bounded check.  The rule
+only skips candidates that fail, so value, witness and sizes_excluded are
+those of checking every candidate.  Infinity is only ever declared after
 exhausting every size up to exp(G) - 1; running out of budget yields
 UNKNOWN plus the largest size fully ruled out.
 """
@@ -18,17 +24,18 @@ from functools import partial
 from math import inf, isqrt
 from typing import Callable, Iterable, Optional
 
-from .engine import WeightSet, dilation_orbit_reps
+from .engine import WeightSet, dilation_orbit_reps, first_zero_free
 from .groups import (
     DEFAULT_ORDER_LIMIT,
     GroupOrderError,
     GroupSpec,
     check_order,
     cyclic,
+    element_index,
     normalize_group,
 )
 from .numtheory import floor_log, integer_nthroot, isprime, primitive_root
-from .solver import Budget, _Pool, check_dav_at_most, default_threads
+from .solver import Budget, check_dav_at_most
 
 # The prime k = 2 search tests its budget once per this many nodes.
 _CHECK_EVERY = 4096
@@ -42,9 +49,19 @@ class FdStatus(str, Enum):
 
 @dataclass(frozen=True)
 class FdSearchStats:
+    """How an fd call got its answer.
+
+    candidates counts the weight sets tried.  On the orbit path, checks
+    counts the bounded checks run and nodes their search nodes, so
+    candidates - checks sets were refuted by a cached culprit; the prime
+    k = 2 cover search runs no bounded check (checks = 0) and counts its
+    extensions as nodes.
+    """
+
     nodes: int
     candidates: int
     elapsed: float
+    checks: int
 
 
 @dataclass(frozen=True)
@@ -103,12 +120,13 @@ class _OutOfBudget(Exception):
 class _Meter:
     """Counters and budget of one fd call; builds its FdResult."""
 
-    __slots__ = ("start", "nodes", "candidates", "max_nodes", "deadline")
+    __slots__ = ("start", "nodes", "candidates", "checks", "max_nodes", "deadline")
 
     def __init__(self, budget: Optional[Budget]):
         self.start = time.perf_counter()
         self.nodes = 0
         self.candidates = 0
+        self.checks = 0
         self.max_nodes = budget.max_nodes if budget else None
         seconds = budget.max_seconds if budget else None
         self.deadline = None if seconds is None else self.start + seconds
@@ -132,7 +150,9 @@ class _Meter:
         value: Optional[int] = None,
         witness_set: Optional[WeightSet] = None,
     ) -> FdResult:
-        stats = FdSearchStats(self.nodes, self.candidates, time.perf_counter() - self.start)
+        stats = FdSearchStats(
+            self.nodes, self.candidates, time.perf_counter() - self.start, self.checks
+        )
         return FdResult(status, value, witness_set, sizes_excluded, stats)
 
 
@@ -155,29 +175,38 @@ def _smallest(
     return meter.result(FdStatus.INFINITE, exp - 1)
 
 
-def _fd_candidate_worker(args) -> tuple[tuple[int, ...], bool, int]:
-    factors, residues, k = args
-    group = GroupSpec(factors)
-    res = check_dav_at_most(group, WeightSet(group.exponent, residues), k, threads=1)
-    return residues, res.holds, res.nodes
-
-
 def _first_holding(
-    group: GroupSpec, k: int, pool: _Pool, size: int, meter: _Meter
+    group: GroupSpec, k: int, culprits: list[tuple[int, ...]], size: int, meter: _Meter
 ) -> Optional[tuple[int, ...]]:
     """First dilation-orbit representative of this size with D_A(G) <= k.
 
-    Serially the enumerator is read only up to that representative.  The
-    budget is tested before each candidate; nodes are bounded-check nodes.
+    culprits holds the counterexamples of this fd call's failed bounded
+    checks as flat indices, kept across sizes: a culprit is a length-k
+    multiset, so it does not depend on |A|.  A representative under which
+    one of them is still zero-sum-free fails without a bounded check; the
+    others get check_dav_at_most, and each failure adds its culprit.  New
+    culprits go in front, and so does a culprit that just refuted a
+    representative, since lex-consecutive representatives share most
+    elements and the last culprit to refute usually refutes the next.  The
+    enumerator is read only up to the first representative that holds.  The
+    budget is tested before each candidate; nodes are those of the bounded
+    checks run.
     """
-    reps = dilation_orbit_reps(group.exponent, size)
-    args = ((group.invariant_factors, rep, k) for rep in reps)
-    for rep, holds, n_nodes in pool.map(_fd_candidate_worker, args):
+    exp = group.exponent
+    for rep in dilation_orbit_reps(exp, size):
         meter.check()
-        meter.nodes += n_nodes
         meter.candidates += 1
-        if holds:
+        j = first_zero_free(group, rep, culprits)
+        if j is not None:
+            if j:
+                culprits.insert(0, culprits.pop(j))
+            continue
+        res = check_dav_at_most(group, WeightSet(exp, rep), k, threads=1)
+        meter.checks += 1
+        meter.nodes += res.nodes
+        if res.holds:
             return rep
+        culprits.insert(0, tuple([element_index(group, x) for x in res.counterexample.entries]))
     return None
 
 
@@ -265,9 +294,12 @@ def fd(
 ) -> FdResult:
     """Exact f^(D)_G(k) = min{|A| : D_A(G) <= k}, or INFINITE / UNKNOWN.
 
-    Prime-order cyclic groups at k = 2 take the serial ratio-cover search of
-    fd_fast_k2; every other case checks orbit representatives, in a process
-    pool when threads > 1.
+    Prime-order cyclic groups at k = 2 take the ratio-cover search of
+    fd_fast_k2; every other case checks orbit representatives, refuting most
+    of them by cached culprits (see _first_holding).  Both searches are
+    serial: the order of the refutations matters, and the first holding
+    representative ends a size.  threads is accepted for a uniform API and
+    does not change the search.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -280,10 +312,8 @@ def fd(
         # a generator of a maximal-order cyclic factor never vanishes under
         # any single weight, so no A at all can force zero-sums at length 1
         return meter.result(FdStatus.INFINITE, exp - 1)
-    threads = default_threads() if threads is None else max(1, threads)
-    with _Pool(threads) as pool:
-        find = partial(_first_holding, group, k, pool)
-        return _smallest(exp, range(_start_size(group, k), exp), find, meter)
+    find = partial(_first_holding, group, k, [])
+    return _smallest(exp, range(_start_size(group, k), exp), find, meter)
 
 
 def ratio_missing(p: int, residues: Iterable[int]) -> int:

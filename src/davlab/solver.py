@@ -56,7 +56,15 @@ from math import gcd
 from operator import add
 from typing import Iterable, Optional, Sequence
 
-from .engine import GSequence, WeightSet, _check_weights, dilation_orbit_reps, tile
+from .engine import (
+    GSequence,
+    WeightSet,
+    _check_weights,
+    dilation_orbit_reps,
+    images,
+    scaled_weights,
+    tile,
+)
 from .groups import (
     GroupOrderError,
     GroupSpec,
@@ -101,12 +109,13 @@ class _Padding:
 
     coords lists (n_j, st_j, P_j) for each coordinate, last first, with st_j
     the flat stride and P_j the padded one, so divmod by n_j in that order
-    reads the digits of a flat index; mask holds the padded bits of G's
+    reads the digits of a flat index, and strides the pairs (n_j, P_j) that
+    scaled() passes to scaled_weights; mask holds the padded bits of G's
     elements; spread lists the tiling shifts n_j*P_j for j = r..1; shift is
     S = sum n_j*P_j; width is the bits a reachable set can take, 2^(r-1)*|G|.
     """
 
-    __slots__ = ("coords", "mask", "spread", "shift", "width", "memo_limit")
+    __slots__ = ("coords", "strides", "mask", "spread", "shift", "width", "memo_limit")
 
     def __init__(self, group: GroupSpec):
         n = group.order
@@ -126,6 +135,7 @@ class _Padding:
             coords.append((nj, st, pj))
             st *= nj
         self.coords = tuple(coords)
+        self.strides = tuple([(nj, pj) for nj, _, pj in coords])
         self.spread = tuple(nj * pj for nj, _, pj in coords)
         self.shift = sum(self.spread)
         # coordinate j ranges over [0, n_j): n_j copies of the mask below it
@@ -136,10 +146,8 @@ class _Padding:
         self.memo_limit = _memo_limit(self.width)
 
     def scaled(self, bs: tuple[int, ...]) -> tuple:
-        """Per coordinate, last first, (n_j, n_j*P_j, b*P_j for b in bs): the
-        padded bit of the digit b*x mod n_j is b*P_j*x mod n_j*P_j."""
-        return tuple([(nj, nj * pj, bs if pj == 1 else tuple([b * pj for b in bs]))
-                      for nj, _, pj in self.coords])
+        """The weights bs scaled for images() into padded bits."""
+        return scaled_weights(self.strides, bs)
 
 
 _padding = lru_cache(maxsize=None)(_Padding)
@@ -162,9 +170,10 @@ class BudgetExceededError(RuntimeError):
 class Budget:
     """Limits tested at deterministic checkpoints.
 
-    fd tests both before each candidate weight set on the bounded-check path
-    and every few thousand nodes inside the prime k = 2 cover search; sweeps
-    and constructions test max_seconds between rows or rounds.
+    fd tests both before each candidate weight set of its orbit search and
+    every few thousand nodes inside the prime k = 2 cover search; sweeps and
+    constructions test max_seconds between rows or rounds.  A bounded check
+    that is already running is not stopped.
     """
 
     max_nodes: Optional[int] = None
@@ -274,22 +283,10 @@ class _WeightTables:
         self._first: list[int] = []  # the first root's negw list
 
     @staticmethod
-    def positions(c: int, scaled: tuple) -> list[int]:
-        """Padded bits of b*c for b in A (scaled = plus) or -A (minus), with
-        repeats; c is nonzero."""
-        pos: list[int] = []
-        for nj, period, bs in scaled:
-            c, x = divmod(c, nj)
-            if x:
-                part = [b * x % period for b in bs]
-                pos = list(map(add, pos, part)) if pos else part
-        return pos
-
-    @staticmethod
     def bits(c: int, scaled: tuple) -> int:
-        """positions(c, scaled) as a set."""
+        """The padded bits of b*c for b in A (scaled = plus) or -A (minus)."""
         w = 0
-        for m in _WeightTables.positions(c, scaled):
+        for m in images(c, scaled):
             w |= 1 << m
         return w
 
@@ -320,7 +317,7 @@ class _WeightTables:
         nj, period, bs = self.plus[0]
         if c < nj:  # as in mask()
             return tuple(sorted({shift - b * c % period for b in bs}, reverse=True))
-        return tuple(sorted({shift - m for m in self.positions(c, self.plus)}, reverse=True))
+        return tuple(sorted({shift - m for m in images(c, self.plus)}, reverse=True))
 
     def killed(self, root: int) -> set[int]:
         """Flat indices c with a*c in -(A*root) | {0} for some weight a.

@@ -72,6 +72,19 @@ def test_fd_budget_exit(capsys):
     assert payload["value"] is None
 
 
+def test_fd_reports_bounded_checks(capsys, tmp_path):
+    log_path = tmp_path / "fd.jsonl"
+    code, out, _ = run_cli(capsys, "fd", "--group", "31", "--k", "3", "--log", str(log_path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == 4 and payload["candidates"] == 162
+    # the other candidates were refuted by the culprits of failed checks
+    assert 0 < payload["checks"] < payload["candidates"]
+    assert payload["nodes"] > 0
+    record = json.loads(log_path.read_text())
+    assert record["result"]["checks"] == payload["checks"]
+
+
 def test_davenport_cap_exceeded_is_budget_exit(capsys, tmp_path):
     log_path = tmp_path / "records.jsonl"
     argv = ["davenport", "--group", "64", "--weights", "1", "--cap", "10", "--log", str(log_path)]

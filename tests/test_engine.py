@@ -14,16 +14,18 @@ from davlab.engine import (
     difference_set,
     dilate,
     dilation_orbit_reps,
+    first_zero_free,
     has_weighted_zero_sum,
     negate,
     quotient_set,
     reachable_sums,
     sumset,
 )
-from davlab.groups import GroupSpec, cyclic, normalize_group
+from davlab.engine import _Walk
+from davlab.groups import GroupSpec, cyclic, element_index, normalize_group
 from davlab.numtheory import primerange
 
-from conftest import brute_reachable, tuple_add, tuple_scale
+from conftest import brute_is_zsf, brute_reachable, tuple_add, tuple_scale
 
 
 def test_weightset_normalization():
@@ -106,6 +108,32 @@ def test_has_weighted_zero_sum_consistency():
         zero = (0,) * g.rank
         want = zero in brute_reachable(g.invariant_factors, weights.residues, entries)
         assert has_weighted_zero_sum(g, weights, seq) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_walk_matches_brute_force(data):
+    # one walk over several multisets, as fd's culprit scan uses it: the
+    # memoized steps of one multiset must not leak into the next
+    orders = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+    g = normalize_group(orders)
+    factors, n = g.invariant_factors, g.exponent
+    weights = tuple(sorted(data.draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=4))))
+    element = st.tuples(*[st.integers(0, f - 1) for f in factors])
+    multisets = data.draw(
+        st.lists(st.lists(element, min_size=1, max_size=4), min_size=1, max_size=5)
+    )
+    flat = [[element_index(g, x) for x in ms] for ms in multisets]
+    zsf = [brute_is_zsf(factors, weights, ms) for ms in multisets]
+    walk = _Walk(g, weights)
+    for idx, ms, want in zip(flat, multisets, zsf):
+        assert walk.zero_free(idx) is want, (g, weights, ms)
+        got = set(ResidueSet(g, walk.sums(idx)).elements())
+        assert got == brute_reachable(factors, weights, ms), (g, weights, ms)
+        seq = GSequence.of(g, ms)
+        assert has_weighted_zero_sum(g, WeightSet(n, weights), seq) is not want
+    first = zsf.index(True) if True in zsf else None
+    assert first_zero_free(g, weights, flat) == first
 
 
 @settings(max_examples=60)

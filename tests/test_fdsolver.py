@@ -1,9 +1,10 @@
 import math
 import time
+from concurrent import futures
 
 import pytest
 
-from davlab import fdsolver
+from davlab import fdsolver, solver
 from davlab.engine import WeightSet, dilation_orbit_reps
 from davlab.fdsolver import (
     FdStatus,
@@ -13,8 +14,8 @@ from davlab.fdsolver import (
     fd_relation_checks,
     ratio_covers,
 )
-from davlab.groups import cyclic, normalize_group
-from davlab.numtheory import primerange
+from davlab.groups import GroupSpec, cyclic, normalize_group
+from davlab.numtheory import isprime, primerange
 from davlab.solver import Budget, check_dav_at_most
 
 from conftest import brute_fd
@@ -206,3 +207,62 @@ def test_fd_reads_orbit_reps_only_as_far_as_needed(monkeypatch):
     res = fd(cyclic(31), 3, threads=1)
     assert res.value == 4
     assert drawn == res.search_stats.candidates == 162
+
+
+def test_fd_never_starts_a_process_pool(monkeypatch):
+    # the orbit search is serial at any thread count: it stops at the first
+    # holding representative, and culprits refute in the order they are found
+    def refuse(*args, **kwargs):
+        raise AssertionError("fd started a process pool")
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", refuse)
+    for n, value in ((31, 4), (25, 2)):
+        res = fd(cyclic(n), 3, threads=2)
+        assert (res.status, res.value) == (FdStatus.FINITE, value), n
+
+
+def _fd_by_checking_every_rep(group, k):
+    """fd's orbit path with a bounded check on every representative:
+    (status, value, witness, sizes_excluded, candidates)."""
+    exp = group.exponent
+    candidates = 0
+    for size in range(fdsolver._start_size(group, k), exp):
+        for rep in dilation_orbit_reps(exp, size):
+            candidates += 1
+            if check_dav_at_most(group, WeightSet(exp, rep), k, threads=1).holds:
+                return FdStatus.FINITE, size, rep, size - 1, candidates
+    return FdStatus.INFINITE, None, None, exp - 1, candidates
+
+
+# the non-cyclic groups of the benchmark's inverse battery
+_NONCYCLIC = (
+    (2, 2), (2, 4), (3, 3), (2, 6), (2, 2, 2), (4, 4), (2, 8), (3, 6), (2, 2, 4),
+    (5, 5), (2, 10), (3, 9), (2, 2, 2, 2), (6, 6), (3, 3, 3),
+)
+
+
+def test_culprit_refutation_agrees_with_checking_every_rep():
+    groups = [cyclic(n) for n in range(2, 33)] + [GroupSpec(fs) for fs in _NONCYCLIC]
+    for group in groups:
+        for k in (2, 3, 4):
+            if k == 2 and group.is_cyclic and isprime(group.order):
+                continue  # the ratio-cover search (test_fd_fast_k2_equals_general)
+            res = fd(group, k, threads=1)
+            witness = res.witness_set.residues if res.witness_set else None
+            got = (res.status, res.value, witness, res.sizes_excluded, res.search_stats.candidates)
+            assert got == _fd_by_checking_every_rep(group, k), (group, k)
+            # the first candidate has no culprit to meet, so gets a bounded check
+            checks, candidates = res.search_stats.checks, res.search_stats.candidates
+            assert min(candidates, 1) <= checks <= candidates, (group, k)
+
+
+def test_fd_z53_k3():
+    # computed by checking every representative too (11,405 bounded-check
+    # nodes); the culprits leave 45 bounded checks of 5,686 candidates
+    res = fd(cyclic(53), 3)
+    assert (res.status, res.value) == (FdStatus.FINITE, 5)
+    assert res.witness_set.residues == (1, 2, 3, 4, 52)
+    assert res.sizes_excluded == 4
+    assert res.search_stats.candidates == 5686
+    assert res.search_stats.checks < 100
