@@ -116,7 +116,7 @@ def _cmd_davenport(args) -> int:
     normalized = {"group": str(group), "weights": list(weights.residues), "cap": args.cap}
     t0 = time.perf_counter()
     try:
-        res = davenport(group, weights, cap=args.cap, threads=args.threads)
+        res = davenport(group, weights, cap=args.cap)
     except CapExceededError as exc:
         ms = (time.perf_counter() - t0) * 1000
         result = {
@@ -181,7 +181,7 @@ def _cmd_fd(args) -> int:
     if args.max_nodes is not None or args.max_seconds is not None:
         budget = Budget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     t0 = time.perf_counter()
-    res = fd(group, args.k, budget=budget, threads=args.threads)
+    res = fd(group, args.k, budget=budget)
     ms = (time.perf_counter() - t0) * 1000
     result = {
         "status": res.status.value,
@@ -376,7 +376,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"davlab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, threads=True):
+    def common(p, threads=False):
         if threads:
             p.add_argument(
                 "--threads", type=_positive_int, default=None, help="worker processes (env DAVLAB_THREADS)"
@@ -396,7 +396,7 @@ def build_parser() -> _Parser:
     p_max = sub.add_parser("davenport-max", help="max D_A over weight sets of one size")
     p_max.add_argument("--p", type=int, required=True)
     p_max.add_argument("--k", type=int, required=True, help="weight set size")
-    common(p_max)
+    common(p_max, threads=True)
     p_max.set_defaults(func=_cmd_davenport_max)
 
     p_fd = sub.add_parser("fd", help="minimum weight-set size achieving D_A <= k")
@@ -422,7 +422,7 @@ def build_parser() -> _Parser:
     p_con.add_argument("--seed", type=int, default=0)
     p_con.add_argument("--n-dilates", type=int, default=None)
     p_con.add_argument("--auto", action="store_true", help="try the default (c0, seed) schedule")
-    common(p_con, threads=False)
+    common(p_con)
     p_con.set_defaults(func=_cmd_construct)
 
     p_sw = sub.add_parser("sweep", help="Monte Carlo density sweep")
@@ -434,7 +434,7 @@ def build_parser() -> _Parser:
     p_sw.add_argument("--omega", type=float, default=10.0)
     p_sw.add_argument("--out", help="write CSV here")
     p_sw.add_argument("--max-seconds", type=float, default=None)
-    common(p_sw)
+    common(p_sw, threads=True)
     p_sw.set_defaults(func=_cmd_sweep)
 
     p_ver = sub.add_parser("verify", help="bundled verification suites")
@@ -445,7 +445,7 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--p", type=int, default=None)
     p_ver.add_argument("--m", type=int, default=None)
     p_ver.add_argument("--k", type=int, default=None)
-    common(p_ver, threads=False)
+    common(p_ver)
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 

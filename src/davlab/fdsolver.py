@@ -201,7 +201,7 @@ def _first_holding(
             if j:
                 culprits.insert(0, culprits.pop(j))
             continue
-        res = check_dav_at_most(group, WeightSet(exp, rep), k, threads=1)
+        res = check_dav_at_most(group, WeightSet(exp, rep), k)
         meter.checks += 1
         meter.nodes += res.nodes
         if res.holds:
@@ -385,7 +385,6 @@ def fd_relation_checks(
     m: int,
     k: int,
     budget: Optional[Budget] = None,
-    threads: Optional[int] = None,
 ) -> FdRelationReport:
     """Exact checks of the structural fd relations reachable from (p, m, k).
 
@@ -403,8 +402,8 @@ def fd_relation_checks(
         # p^m itself would take longer to compute than to refuse
         raise GroupOrderError(f"group order {p}^{m} exceeds limit {DEFAULT_ORDER_LIMIT}")
     checks = []
-    base = fd(cyclic(p), k, budget=budget, threads=threads)
-    power = fd(cyclic(p**m), k, budget=budget, threads=threads)
+    base = fd(cyclic(p), k, budget=budget)
+    power = fd(cyclic(p**m), k, budget=budget)
     checks.append(
         RelationCheck(
             name="prime-power-collapse",
@@ -420,8 +419,8 @@ def fd_relation_checks(
         )
     )
     if m >= 2 and m != p and isprime(m):
-        other = fd(cyclic(m), k, budget=budget, threads=threads)
-        product = fd(normalize_group([p, m]), k, budget=budget, threads=threads)
+        other = fd(cyclic(m), k, budget=budget)
+        product = fd(normalize_group([p, m]), k, budget=budget)
         lhs = product.as_comparable()
         rhs = min(base.as_comparable(), other.as_comparable())
         checks.append(
@@ -439,7 +438,7 @@ def fd_relation_checks(
     tower = []
     for i in range(1, m + 1):
         g = GroupSpec((p,) * i)
-        tower.append(fd(g, k, budget=budget, threads=threads))
+        tower.append(fd(g, k, budget=budget))
     vals = [t.as_comparable() for t in tower]
     checks.append(
         RelationCheck(

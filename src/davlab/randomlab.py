@@ -20,7 +20,8 @@ from .engine import GSequence, WeightSet, has_weighted_zero_sum
 from .fdsolver import ratio_covers
 from .groups import GroupSpec, check_order, cyclic
 from .numtheory import isprime
-from .solver import Budget, _BoundedChecks, _Pool, check_dav_at_most, davenport, default_threads
+from . import solver
+from .solver import Budget, _Pool, check_dav_at_most, davenport, default_threads
 
 
 class Classification(str, Enum):
@@ -126,8 +127,7 @@ def classify_dav(p: int, weights, k: int) -> Classification:
     group = cyclic(p)
     if k < 4:
         return _classify(group, ws, k, lambda j: check_dav_at_most(group, ws, j).holds)
-    with _BoundedChecks(group, ws) as checks:
-        return _classify(group, ws, k, checks.holds)
+    return _classify(group, ws, k, solver._WeightTables(group, ws).holds)
 
 
 def _classify(group: GroupSpec, ws: WeightSet, k: int, bounded) -> Classification:
@@ -194,7 +194,7 @@ def threshold_sweep(
                 (config.p, config.k, config.seed, ti, tr, theta)
                 for tr in range(config.trials)
             ]
-            outcomes = list(pool.map(_sweep_trial_worker, jobs))
+            outcomes = pool.map(_sweep_trial_worker, jobs)
             n_le = sum(1 for _, code in outcomes if code in (0, 1))
             n_eq = sum(1 for _, code in outcomes if code == 1)
             n_empty = sum(1 for _, code in outcomes if code == -1)

@@ -28,10 +28,11 @@ _WeightTables): each is built the first time the kernel reads it, the mask
 of c when it first tests c and the move list of c (the shifts S - m for m
 in A*c) when it first extends a prefix by c.  The first root's own
 reachable set A*r already kills every c with a*c in -(A*r) | {0}, which a
-congruence solve marks so that their masks are never built.  With threads > 1
-each public call opens one process pool and keeps it for all of its
-batches, and each worker keeps the tables of the last (group, weights) it
-searched.
+congruence solve marks so that their masks are never built.  The search is
+serial at any thread count, since its roots are scanned in order and the
+first that extends ends a k; process pools run only independent whole
+answers, the representatives of max_davenport_over_size and the trials of
+a sweep.
 
 Roots are restricted to unit-orbit minima.  Rescaling a zero-sum-free
 multiset by a unit preserves zero-sum-freeness, and the lexicographically
@@ -383,6 +384,26 @@ class _WeightTables:
                 negw[c] = low
         return negw
 
+    def first(self, k: int) -> tuple[Optional[list[int]], int]:
+        """Lex-least zero-sum-free multiset of size k over all roots (None
+        when D_A(G) <= k), plus nodes.
+
+        Roots are scanned in ascending order and the scan stops at the first
+        root with a size-k extension, so nodes count up to and including
+        that root.
+        """
+        nodes = 0
+        for root in self.roots:
+            found, n_nodes = _find_zsf(self, root, k)
+            nodes += n_nodes
+            if found is not None:
+                return found, nodes
+        return None, nodes
+
+    def holds(self, k: int) -> bool:
+        """D_A(G) <= k."""
+        return self.first(k)[0] is None
+
 
 def _indices_to_sequence(group: GroupSpec, indices: Iterable[int]) -> GSequence:
     return GSequence(group, tuple(index_element(group, i) for i in sorted(indices)))
@@ -393,44 +414,30 @@ class _Pool:
 
     Runs serially when threads <= 1 or a batch holds at most one job.  The
     executor starts on the first parallel batch with min(threads, batch)
-    workers and is replaced only when a later batch can use more of them.
+    workers and serves the rest of the call, whose batches all have that
+    size: one per sweep row, or davenport-max's single batch.
     """
 
     def __init__(self, threads: int):
         self.threads = threads
         self._executor: Optional[ProcessPoolExecutor] = None
-        self._workers = 0
 
     def __enter__(self) -> "_Pool":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
-            self._workers = 0
 
-    def map(self, worker, args):
-        """Yield worker results in submission order.
-
-        The serial path reads args lazily, one job per result drawn; the
-        parallel path lists them first, as executor.map does.
-        """
-        if self.threads > 1:
-            args = list(args)
+    def map(self, worker, args: list) -> list:
+        """The worker's results over args, in order."""
         if self.threads <= 1 or len(args) <= 1:
-            yield from map(worker, args)
-            return
-        workers = min(self.threads, len(args))
-        if workers > self._workers:
-            self.close()
-            self._executor = ProcessPoolExecutor(max_workers=workers)
-            self._workers = workers
+            return [worker(a) for a in args]
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=min(self.threads, len(args)))
         chunksize = max(1, len(args) // (4 * self.threads))
-        yield from self._executor.map(worker, args, chunksize=chunksize)
+        return list(self._executor.map(worker, args, chunksize=chunksize))
 
 
 def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[int]], int]:
@@ -504,64 +511,6 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     return None, nodes
 
 
-@lru_cache(maxsize=1)
-def _worker_tables(factors: tuple[int, ...], residues: tuple[int, ...]) -> _WeightTables:
-    """Tables in a worker process, kept across the roots and k of one call."""
-    group = GroupSpec(factors)
-    return _WeightTables(group, WeightSet(group.exponent, residues))
-
-
-def _check_root_worker(args) -> tuple[Optional[list[int]], int]:
-    factors, residues, root, k = args
-    return _find_zsf(_worker_tables(factors, residues), root, k)
-
-
-def _first_zsf(tables: _WeightTables, k: int, pool: _Pool) -> tuple[Optional[list[int]], int]:
-    """Lex-least zero-sum-free multiset of size k over all roots, plus nodes.
-
-    Roots are scanned in ascending order and the scan stops at the first root
-    with a size-k extension, so nodes count up to and including that root.
-    """
-    if pool.threads > 1 and len(tables.roots) > 1:
-        factors = tables.group.invariant_factors
-        residues = tables.weights.residues
-        gen = pool.map(_check_root_worker, [(factors, residues, r, k) for r in tables.roots])
-    else:
-        gen = (_find_zsf(tables, r, k) for r in tables.roots)
-    nodes = 0
-    for found, n_nodes in gen:
-        nodes += n_nodes
-        if found is not None:
-            return found, nodes
-    return None, nodes
-
-
-class _BoundedChecks:
-    """Bounded checks of one (G, A) over one set of tables and one pool.
-
-    A context manager for the length of one public call; first(k) is the
-    lex-least zero-sum-free multiset of size k (None when D_A(G) <= k) plus
-    the nodes searched.
-    """
-
-    def __init__(self, group: GroupSpec, weights: WeightSet, threads: Optional[int] = None):
-        self.tables = _WeightTables(group, weights)
-        self.pool = _Pool(default_threads() if threads is None else max(1, threads))
-
-    def __enter__(self) -> "_BoundedChecks":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.pool.close()
-
-    def first(self, k: int) -> tuple[Optional[list[int]], int]:
-        return _first_zsf(self.tables, k, self.pool)
-
-    def holds(self, k: int) -> bool:
-        """D_A(G) <= k."""
-        return self.first(k)[0] is None
-
-
 def davenport(
     group: GroupSpec,
     weights: WeightSet,
@@ -575,7 +524,8 @@ def davenport(
     k - 1 is the witness.  nodes_explored sums the bounded-check nodes over
     the scan.  Raises CapExceededError when a zero-sum-free multiset of size
     cap exists, i.e. the value exceeds cap; the default cap |G| can never
-    trigger because prefix sums of any |G|-term sequence repeat.
+    trigger because prefix sums of any |G|-term sequence repeat.  threads
+    is accepted for a uniform API and ignored: the search is serial.
     """
     if cap is None:
         cap = group.order
@@ -585,16 +535,16 @@ def davenport(
     witness: list[int] = []
     nodes = 0
     k = 1
-    with _BoundedChecks(group, weights, threads) as checks:
-        while True:
-            found, n_nodes = checks.first(k)
-            nodes += n_nodes
-            if found is None:
-                break
-            if k >= cap:
-                raise CapExceededError(cap, nodes)
-            witness = found
-            k += 1
+    tables = _WeightTables(group, weights)
+    while True:
+        found, n_nodes = tables.first(k)
+        nodes += n_nodes
+        if found is None:
+            break
+        if k >= cap:
+            raise CapExceededError(cap, nodes)
+        witness = found
+        k += 1
     return DavenportResult(
         value=k,
         witness=_indices_to_sequence(group, witness),
@@ -609,11 +559,13 @@ def check_dav_at_most(
     k: int,
     threads: Optional[int] = None,
 ) -> BoundedCheckResult:
-    """Decide D_A(G) <= k; on failure returns the lex-least length-k culprit."""
+    """Decide D_A(G) <= k; on failure returns the lex-least length-k culprit.
+
+    threads is accepted for a uniform API and ignored: the search is serial.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    with _BoundedChecks(group, weights, threads) as checks:
-        found, nodes = checks.first(k)
+    found, nodes = _WeightTables(group, weights).first(k)
     if found is None:
         return BoundedCheckResult(holds=True, counterexample=None, nodes=nodes)
     return BoundedCheckResult(
@@ -633,18 +585,19 @@ def certify_dav_value(
     one bounded refutation (no zero-sum-free multiset of size `value`) plus
     one bounded witness search (some zero-sum-free multiset of size
     `value` - 1), both heavily pruned by the reachable-set growth bound and
-    both over one set of tables.
+    both over one set of tables.  threads is accepted for a uniform API and
+    ignored: the search is serial.
     """
     if value < 1:
         return False
-    with _BoundedChecks(group, weights, threads) as checks:
-        return checks.holds(value) and (value == 1 or not checks.holds(value - 1))
+    tables = _WeightTables(group, weights)
+    return tables.holds(value) and (value == 1 or not tables.holds(value - 1))
 
 
 def _max_dav_worker(args) -> tuple[int, tuple[int, ...]]:
     p, residues = args
     group = cyclic(p)
-    r = davenport(group, WeightSet(p, residues), threads=1)
+    r = davenport(group, WeightSet(p, residues))
     return r.value, residues
 
 

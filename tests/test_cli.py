@@ -153,11 +153,18 @@ def test_construct_missing_option_usage_error(capsys, argv, needs):
 
 @pytest.mark.parametrize(
     "argv",
-    [("construct", "interval", "--p", "101"), ("verify", "singer", "--q", "2")],
+    [
+        ("construct", "interval", "--p", "101"),
+        ("verify", "singer", "--q", "2"),
+        ("davenport", "--group", "8", "--weights", "1,7"),
+        ("fd", "--group", "7", "--k", "2"),
+    ],
 )
 def test_threads_flag_only_where_used(capsys, argv):
-    # construct and verify take their worker count from DAVLAB_THREADS alone;
-    # a --threads flag there would be silently ignored, so it is refused
+    # only davenport-max and sweep spread independent answers over worker
+    # processes (verify's dual maximum reads DAVLAB_THREADS); every search is
+    # serial, so a --threads flag elsewhere would be silently ignored and is
+    # refused
     assert run_cli(capsys, *argv)[0] == 0
     code, _, err = run_cli(capsys, *argv, "--threads", "2")
     assert code == 64
@@ -168,9 +175,7 @@ def test_threads_flag_only_where_used(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("davenport", "--group", "8", "--weights", "1,7"),
         ("davenport-max", "--p", "7", "--k", "2"),
-        ("fd", "--group", "7", "--k", "2"),
         ("sweep", "--p", "11", "--k", "2", "--theta", "0.3:0.6:2", "--trials", "1"),
     ],
 )

@@ -14,9 +14,10 @@ from davlab.fdsolver import (
     fd_relation_checks,
     ratio_covers,
 )
-from davlab.groups import GroupSpec, cyclic, normalize_group
+from davlab.groups import GroupSpec, cyclic, normalize_group, units
 from davlab.numtheory import isprime, primerange
-from davlab.solver import Budget, check_dav_at_most
+from davlab.randomlab import Classification, classify_dav
+from davlab.solver import Budget, certify_dav_value, check_dav_at_most, davenport
 
 from conftest import brute_fd
 
@@ -171,8 +172,8 @@ def test_fd_relation_checks_hold():
 
 
 def test_fd_thread_invariance():
-    # (Z_13, 2) is the ratio-cover search; the rest read the orbit enumerator
-    # through the process pool
+    # (Z_13, 2) is the ratio-cover search, the rest the orbit search; both are
+    # serial at any thread count, so threads changes no result and no count
     cases = [
         (cyclic(13), 2, 3),
         (cyclic(31), 3, 2),
@@ -210,16 +211,30 @@ def test_fd_reads_orbit_reps_only_as_far_as_needed(monkeypatch):
 
 
 def test_fd_never_starts_a_process_pool(monkeypatch):
-    # the orbit search is serial at any thread count: it stops at the first
-    # holding representative, and culprits refute in the order they are found
+    # bounded search is serial at any thread count: fd's orbit search stops at
+    # the first holding representative, culprits refute in the order they are
+    # found, and the kernel's root scan stops at the first root that extends
     def refuse(*args, **kwargs):
-        raise AssertionError("fd started a process pool")
+        raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(futures, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(solver, "ProcessPoolExecutor", refuse)
+    monkeypatch.setenv("DAVLAB_THREADS", "2")
     for n, value in ((31, 4), (25, 2)):
         res = fd(cyclic(n), 3, threads=2)
         assert (res.status, res.value) == (FdStatus.FINITE, value), n
+    # groups with several roots
+    for group, ws, value in (
+        (normalize_group([2, 12]), WeightSet(12, (1, 5)), 6),
+        (cyclic(12), WeightSet(12, units(12)), 4),
+    ):
+        assert davenport(group, ws, threads=2).value == value
+        assert davenport(group, ws).value == value
+        assert check_dav_at_most(group, ws, value, threads=2).holds
+        assert not check_dav_at_most(group, ws, value - 1).holds
+        assert certify_dav_value(group, ws, value, threads=2)
+        assert not certify_dav_value(group, ws, value + 1)
+    assert classify_dav(11, WeightSet(11, (1, 2, 3)), 4) is Classification.EQ
 
 
 def _fd_by_checking_every_rep(group, k):
