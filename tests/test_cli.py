@@ -177,6 +177,10 @@ def test_threads_flag_only_where_used(capsys, argv):
     [
         ("davenport-max", "--p", "7", "--k", "2"),
         ("sweep", "--p", "11", "--k", "2", "--theta", "0.3:0.6:2", "--trials", "1"),
+        # the human-table and time-budgeted paths refuse the flag just the same
+        ("davenport-max", "--p", "7", "--k", "2", "--pretty"),
+        ("sweep", "--p", "11", "--k", "2", "--theta", "0.3:0.6:2", "--trials", "1")
+        + ("--max-seconds", "5", "--pretty"),
     ],
 )
 def test_threads_must_be_positive(capsys, tmp_path, argv, threads):
