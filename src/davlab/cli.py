@@ -30,7 +30,7 @@ from .engine import WeightSet
 from .fdsolver import FdStatus, fd
 from .groups import parse_group
 from .randomlab import SweepConfig, threshold_sweep
-from .solver import Budget, CapExceededError, davenport, default_threads, max_davenport_over_size
+from .solver import Budget, CapExceededError, davenport, max_davenport_over_size
 from .verify import SUITES
 
 EXIT_OK = 0
@@ -101,13 +101,18 @@ def _log_record(args, command: str, normalized: dict, result: dict, elapsed_ms: 
         "result": result,
         "provenance": {
             "seed": getattr(args, "seed", None),
-            "threads": getattr(args, "threads", None) or default_threads(),
+            "threads": getattr(args, "threads", 1),
             "version": __version__,
         },
         "elapsed_ms": round(elapsed_ms, 3),
     }
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record) + "\n")
+
+
+def _budget(args) -> Budget:
+    """The Budget of --max-nodes (fd only) and --max-seconds; unset limits are None."""
+    return Budget(max_nodes=getattr(args, "max_nodes", None), max_seconds=args.max_seconds)
 
 
 def _cmd_davenport(args) -> int:
@@ -177,11 +182,8 @@ def _cmd_davenport_max(args) -> int:
 
 def _cmd_fd(args) -> int:
     group = parse_group(args.group)
-    budget = None
-    if args.max_nodes is not None or args.max_seconds is not None:
-        budget = Budget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     t0 = time.perf_counter()
-    res = fd(group, args.k, budget=budget)
+    res = fd(group, args.k, budget=_budget(args))
     ms = (time.perf_counter() - t0) * 1000
     result = {
         "status": res.status.value,
@@ -285,9 +287,8 @@ def _cmd_sweep(args) -> int:
     config = SweepConfig(
         p=args.p, k=args.k, theta_grid=grid, trials=args.trials, seed=args.seed, omega=args.omega
     )
-    budget = Budget(max_nodes=None, max_seconds=args.max_seconds) if args.max_seconds else None
     t0 = time.perf_counter()
-    res = threshold_sweep(config, threads=args.threads, budget=budget)
+    res = threshold_sweep(config, threads=args.threads, budget=_budget(args))
     ms = (time.perf_counter() - t0) * 1000
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -379,7 +380,7 @@ def build_parser() -> _Parser:
     def common(p, threads=False):
         if threads:
             p.add_argument(
-                "--threads", type=_positive_int, default=None, help="worker processes (env DAVLAB_THREADS)"
+                "--threads", type=_positive_int, default=1, help="worker processes (default 1)"
             )
         p.add_argument("--pretty", action="store_true", help="human table instead of JSON")
         p.add_argument("--log", help="append a JSON-lines result record to this file")

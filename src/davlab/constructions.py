@@ -10,7 +10,6 @@ rechecked on the constructed objects.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from math import ceil, isqrt
 from typing import Optional
@@ -19,7 +18,7 @@ from .engine import WeightSet
 from .fdsolver import fd_lower_bound, ratio_missing
 from .groups import check_order, cyclic
 from .numtheory import factorint, floor_log, isprime, primitive_root
-from .solver import Budget, check_dav_at_most, davenport
+from .solver import Budget, BudgetExceededError, Meter, check_dav_at_most, davenport
 
 
 class ConstructionError(RuntimeError):
@@ -376,7 +375,9 @@ def quartic_weight_set(
     until S intersect x_1 S intersect ... is empty; the weight set is
     [-L, L]_* joined with the intervals dilated by each x_i^{-1}.  The final
     bound is never assumed: for p up to the exhaustive limit the solver
-    recertifies D_A <= 4, and the report fails loudly otherwise.
+    recertifies D_A <= 4, and the report fails loudly otherwise.  The
+    budget's Meter is tested before each greedy round; once it trips the
+    ConstructionError carries the residual intersection size.
     """
     check_order(p)
     if not isprime(p) or p < 101:
@@ -385,7 +386,7 @@ def quartic_weight_set(
         raise ValueError("c0 must be positive")
     if s_num < 0 or s_den < 1:
         raise ValueError("slope fraction must be nonnegative with positive denominator")
-    start = time.perf_counter()
+    meter = Meter(budget)
     quarter = p ** 0.25
     L = ceil(c0 * quarter)
     eta = max(1, (L * s_num) // s_den)
@@ -419,13 +420,12 @@ def quartic_weight_set(
     chosen: list[int] = []
     remaining = set(s_set)
     while remaining and len(chosen) < cap_dilates:
-        if budget and budget.max_seconds is not None:
-            if time.perf_counter() - start > budget.max_seconds:
-                raise ConstructionError(
-                    "time budget exhausted before the intersection emptied",
-                    p=p,
-                    residual=len(remaining),
-                )
+        try:
+            meter.check()
+        except BudgetExceededError as exc:
+            raise ConstructionError(
+                f"{exc} before the intersection emptied", p=p, residual=len(remaining)
+            ) from None
         target = min(remaining)  # designated uncovered element
         order = rng.sample(pool, len(pool))
         pick = None

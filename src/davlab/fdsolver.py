@@ -17,7 +17,6 @@ UNKNOWN plus the largest size fully ruled out.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -35,10 +34,7 @@ from .groups import (
     normalize_group,
 )
 from .numtheory import floor_log, integer_nthroot, isprime, primitive_root
-from .solver import Budget, check_dav_at_most
-
-# The prime k = 2 search tests its budget once per this many nodes.
-_CHECK_EVERY = 4096
+from .solver import Budget, BudgetExceededError, Meter, check_dav_at_most
 
 
 class FdStatus(str, Enum):
@@ -113,35 +109,15 @@ def _start_size(group: GroupSpec, k: int) -> int:
     return 1
 
 
-class _OutOfBudget(Exception):
-    """The node or time budget of an fd call ran out."""
+class _Meter(Meter):
+    """The Meter of one fd call plus its counters; builds its FdResult."""
 
-
-class _Meter:
-    """Counters and budget of one fd call; builds its FdResult."""
-
-    __slots__ = ("start", "nodes", "candidates", "checks", "max_nodes", "deadline")
+    __slots__ = ("candidates", "checks")
 
     def __init__(self, budget: Optional[Budget]):
-        self.start = time.perf_counter()
-        self.nodes = 0
+        super().__init__(budget)
         self.candidates = 0
         self.checks = 0
-        self.max_nodes = budget.max_nodes if budget else None
-        seconds = budget.max_seconds if budget else None
-        self.deadline = None if seconds is None else self.start + seconds
-
-    def check(self) -> None:
-        """Raise _OutOfBudget once nodes exceed max_nodes or time is up."""
-        if (self.max_nodes is not None and self.nodes > self.max_nodes) or (
-            self.deadline is not None and time.perf_counter() > self.deadline
-        ):
-            raise _OutOfBudget
-
-    def next_check(self) -> int:
-        """Node count at which a search should call check() again."""
-        at = self.nodes + _CHECK_EVERY
-        return at if self.max_nodes is None else min(at, self.max_nodes + 1)
 
     def result(
         self,
@@ -150,9 +126,7 @@ class _Meter:
         value: Optional[int] = None,
         witness_set: Optional[WeightSet] = None,
     ) -> FdResult:
-        stats = FdSearchStats(
-            self.nodes, self.candidates, time.perf_counter() - self.start, self.checks
-        )
+        stats = FdSearchStats(self.nodes, self.candidates, self.elapsed(), self.checks)
         return FdResult(status, value, witness_set, sizes_excluded, stats)
 
 
@@ -170,7 +144,7 @@ def _smallest(
             if hit is not None:
                 return meter.result(FdStatus.FINITE, size - 1, size, WeightSet(exp, hit))
             excluded = size
-    except _OutOfBudget:
+    except BudgetExceededError:
         return meter.result(FdStatus.UNKNOWN, excluded)
     return meter.result(FdStatus.INFINITE, exp - 1)
 
@@ -290,7 +264,7 @@ def fd(
     group: GroupSpec,
     k: int,
     budget: Optional[Budget] = None,
-    threads: Optional[int] = None,
+    threads: int = 1,
 ) -> FdResult:
     """Exact f^(D)_G(k) = min{|A| : D_A(G) <= k}, or INFINITE / UNKNOWN.
 
@@ -298,8 +272,8 @@ def fd(
     fd_fast_k2; every other case checks orbit representatives, refuting most
     of them by cached culprits (see _first_holding).  Both searches are
     serial: the order of the refutations matters, and the first holding
-    representative ends a size.  threads is accepted for a uniform API and
-    does not change the search.
+    representative ends a size.  threads is accepted and ignored.  A tripped
+    budget (checkpoints in solver.Budget) gives UNKNOWN with sizes_excluded.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -144,10 +144,6 @@ def scalar_mul(group: GroupSpec, c: int, g: Element) -> Element:
     return tuple((c * a) % n for a, n in zip(g, fs))
 
 
-def is_zero(group: GroupSpec, g: Element) -> bool:
-    return all(a == 0 for a in g)
-
-
 def element_order(group: GroupSpec, g: Element) -> int:
     return lcm(*(n // gcd(a, n) for a, n in zip(g, group.invariant_factors)))
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -21,7 +20,7 @@ from .fdsolver import ratio_covers
 from .groups import GroupSpec, check_order, cyclic
 from .numtheory import isprime
 from . import solver
-from .solver import Budget, _Pool, check_dav_at_most, davenport, default_threads
+from .solver import Budget, BudgetExceededError, Meter, _Pool, check_dav_at_most, davenport
 
 
 class Classification(str, Enum):
@@ -171,25 +170,26 @@ def _sweep_trial_worker(args) -> tuple[int, int]:
 
 def threshold_sweep(
     config: SweepConfig,
-    threads: Optional[int] = None,
+    threads: int = 1,
     budget: Optional[Budget] = None,
 ) -> SweepResult:
     """One SweepRow per grid density, in grid order.
 
-    A time budget is checked at row boundaries: exceeding it flags the result
-    partial and drops the unstarted rows, never a half-finished one.
+    Trials run on up to `threads` worker processes, serially at 1.  The
+    budget's Meter is tested before each row: once it trips the result is
+    partial and holds the finished rows, never a half-finished one.
     """
-    threads = default_threads() if threads is None else threads
-    start = time.perf_counter()
+    meter = Meter(budget)
     window = theoretical_window(config.p, config.k, config.omega)
     rows: list[SweepRow] = []
     partial = False
     with _Pool(threads) as pool:
         for ti, theta in enumerate(config.theta_grid):
-            if budget and budget.max_seconds is not None:
-                if time.perf_counter() - start > budget.max_seconds:
-                    partial = True
-                    break
+            try:
+                meter.check()
+            except BudgetExceededError:
+                partial = True
+                break
             jobs = [
                 (config.p, config.k, config.seed, ti, tr, theta)
                 for tr in range(config.trials)
@@ -214,7 +214,7 @@ def threshold_sweep(
         partial=partial,
         window=window,
         window_empty=window[0] >= window[1],
-        elapsed=time.perf_counter() - start,
+        elapsed=meter.elapsed(),
     )
 
 

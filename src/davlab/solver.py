@@ -48,7 +48,6 @@ stays sound, as the restricted subtree under a state still depends only on
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -92,6 +91,8 @@ _MEMO_BYTES = 1 << 27
 # Z_2^r from r = 12, where padding multiplies the flat tables by 2^(r-1).
 # Since width >= |G|, no group past order 2^17 gets through.
 _TABLE_BYTES = 1 << 30
+# A search that counts nodes tests its budget once per this many nodes.
+_CHECK_EVERY = 4096
 
 
 def _memo_limit(width: int) -> int:
@@ -164,21 +165,55 @@ class CapExceededError(RuntimeError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Node or time budget ran out before the search resolved."""
+    """Raised by Meter.check() when a node or time budget has run out."""
 
 
 @dataclass(frozen=True)
 class Budget:
-    """Limits tested at deterministic checkpoints.
+    """Limits that one Meter per call tests at deterministic checkpoints.
 
-    fd tests both before each candidate weight set of its orbit search and
-    every few thousand nodes inside the prime k = 2 cover search; sweeps and
-    constructions test max_seconds between rows or rounds.  A bounded check
-    that is already running is not stopped.
+    It trips once the nodes exceed max_nodes or max_seconds have passed
+    since the call started.  The checkpoints, and what a trip reports:
+    - fd's orbit search: before each candidate; UNKNOWN.
+    - fd's prime k = 2 cover search: every _CHECK_EVERY nodes and at node
+      max_nodes + 1; UNKNOWN.
+    - threshold_sweep: before each row; partial.
+    - quartic_weight_set: before each round; ConstructionError.
+    The sweep and the constructions count no nodes.  Nothing stops a running
+    bounded check, and davenport and the bounded checks take no budget.
     """
 
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
+
+
+class Meter:
+    """One call's start time, node count and budget, tested by check()."""
+
+    __slots__ = ("start", "nodes", "max_nodes", "deadline")
+
+    def __init__(self, budget: Optional[Budget]):
+        self.start = time.perf_counter()
+        self.nodes = 0
+        self.max_nodes = budget.max_nodes if budget else None
+        seconds = budget.max_seconds if budget else None
+        self.deadline = None if seconds is None else self.start + seconds
+
+    def check(self) -> None:
+        """Raise BudgetExceededError once nodes exceed max_nodes or time is up."""
+        if self.max_nodes is not None and self.nodes > self.max_nodes:
+            raise BudgetExceededError(f"node budget {self.max_nodes} exhausted")
+        if self.deadline is not None and time.perf_counter() > self.deadline:
+            raise BudgetExceededError("time budget exhausted")
+
+    def next_check(self) -> int:
+        """Node count at which a search should call check() again."""
+        at = self.nodes + _CHECK_EVERY
+        return at if self.max_nodes is None else min(at, self.max_nodes + 1)
+
+    def elapsed(self) -> float:
+        """Seconds since the call started."""
+        return time.perf_counter() - self.start
 
 
 @dataclass(frozen=True)
@@ -194,13 +229,6 @@ class BoundedCheckResult:
     holds: bool
     counterexample: Optional[GSequence]
     nodes: int = 0
-
-
-def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("DAVLAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _stabilizer(weights: WeightSet) -> tuple[int, ...]:
@@ -515,7 +543,7 @@ def davenport(
     group: GroupSpec,
     weights: WeightSet,
     cap: Optional[int] = None,
-    threads: Optional[int] = None,
+    threads: int = 1,
 ) -> DavenportResult:
     """Exact D_A(G): least k forcing a weighted zero-sum in every length-k sequence.
 
@@ -557,7 +585,7 @@ def check_dav_at_most(
     group: GroupSpec,
     weights: WeightSet,
     k: int,
-    threads: Optional[int] = None,
+    threads: int = 1,
 ) -> BoundedCheckResult:
     """Decide D_A(G) <= k; on failure returns the lex-least length-k culprit.
 
@@ -577,7 +605,7 @@ def certify_dav_value(
     group: GroupSpec,
     weights: WeightSet,
     value: int,
-    threads: Optional[int] = None,
+    threads: int = 1,
 ) -> bool:
     """Exact equality test D_A(G) == value.
 
@@ -609,18 +637,18 @@ class MaxDavenportResult:
     elapsed: float
 
 
-def max_davenport_over_size(p: int, k: int, threads: Optional[int] = None) -> MaxDavenportResult:
+def max_davenport_over_size(p: int, k: int, threads: int = 1) -> MaxDavenportResult:
     """max over |A| = k of D_A(Z_p), with the lex-least maximizing A.
 
-    Only dilation-orbit representatives are searched; D_A is constant on
-    orbits.  The maximum always lands on ceil(p/k), attained by {1, ..., k}.
+    Only dilation-orbit representatives are searched, on up to `threads`
+    worker processes; D_A is constant on orbits.  The maximum always lands
+    on ceil(p/k), attained by {1, ..., k}.
     """
     check_order(p)
     if not isprime(p):
         raise ValueError(f"modulus {p} must be prime")
     if not 1 <= k <= p - 1:
         raise ValueError(f"size {k} not in [1, {p - 1}]")
-    threads = default_threads() if threads is None else max(1, threads)
     start = time.perf_counter()
     reps = list(dilation_orbit_reps(p, k))
     best_val = 0

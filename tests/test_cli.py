@@ -162,7 +162,7 @@ def test_construct_missing_option_usage_error(capsys, argv, needs):
 )
 def test_threads_flag_only_where_used(capsys, argv):
     # only davenport-max and sweep spread independent answers over worker
-    # processes (verify's dual maximum reads DAVLAB_THREADS); every search is
+    # processes (verify's dual maximum runs serially); every search is
     # serial, so a --threads flag elsewhere would be silently ignored and is
     # refused
     assert run_cli(capsys, *argv)[0] == 0
@@ -276,6 +276,18 @@ def test_sweep_csv_and_threads_invariance(capsys, tmp_path):
     assert len(lines) == 4
 
 
+def test_sweep_zero_seconds_budget_is_partial(capsys):
+    # a zero budget is a budget: it trips before the first row
+    code, out, _ = run_cli(
+        capsys, "sweep", "--p", "31", "--k", "2", "--theta", "0.2:0.4:2",
+        "--trials", "10", "--max-seconds", "0",
+    )
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["partial"] is True
+    assert payload["rows"] == []
+
+
 def test_sweep_empty_window_warns(capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--p", "31", "--k", "3", "--theta", "0.5:0.5:1", "--trials", "4"
@@ -284,7 +296,8 @@ def test_sweep_empty_window_warns(capsys):
     assert "window empty" in err
 
 
-def test_log_record_provenance(capsys, tmp_path):
+def test_log_record_provenance(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("DAVLAB_THREADS", "2")
     log_path = tmp_path / "records.jsonl"
     run_cli(capsys, "davenport", "--group", "5", "--weights", "1,4", "--log", str(log_path))
     run_cli(capsys, "fd", "--group", "3", "--k", "2", "--log", str(log_path))
@@ -297,3 +310,5 @@ def test_log_record_provenance(capsys, tmp_path):
     assert set(first["provenance"]) == {"seed", "threads", "version"}
     assert first["provenance"]["threads"] >= 1
     assert first["elapsed_ms"] >= 0
+    # both commands search in one process, whatever the environment says
+    assert [r["provenance"]["threads"] for r in records] == [1, 1]

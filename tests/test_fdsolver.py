@@ -128,6 +128,19 @@ def test_fd_budget_checked_inside_search():
     assert 1000 < res.search_stats.nodes <= 1000 + 31
 
 
+def test_fd_budget_checked_in_orbit_search():
+    # the orbit search tests its budget before each candidate: past a zero
+    # node budget it stops at the second, after one bounded check
+    res = fd(cyclic(31), 3, budget=Budget(max_nodes=0))
+    stats = res.search_stats
+    assert (res.status, res.value, res.sizes_excluded) == (FdStatus.UNKNOWN, None, 2)
+    assert (stats.candidates, stats.checks, stats.nodes) == (1, 1, 2)
+    # an expired clock stops it before the first candidate
+    res = fd(cyclic(31), 3, budget=Budget(max_seconds=-1))
+    assert (res.status, res.sizes_excluded) == (FdStatus.UNKNOWN, 2)
+    assert res.search_stats.candidates == 0
+
+
 def test_fd_comparable():
     assert fd(cyclic(9), 2).as_comparable() == 2
     assert fd(normalize_group([2, 2]), 2).as_comparable() == math.inf
@@ -219,7 +232,6 @@ def test_fd_never_starts_a_process_pool(monkeypatch):
 
     monkeypatch.setattr(futures, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(solver, "ProcessPoolExecutor", refuse)
-    monkeypatch.setenv("DAVLAB_THREADS", "2")
     for n, value in ((31, 4), (25, 2)):
         res = fd(cyclic(n), 3, threads=2)
         assert (res.status, res.value) == (FdStatus.FINITE, value), n

@@ -359,7 +359,7 @@ def test_certify_dav_value_agrees_with_solver():
 
 
 def test_certify_threaded_with_listed_weights():
-    # worker tables are cached by the weights, which must be hashable
+    # threads is accepted and ignored; the answer is the serial one
     assert certify_dav_value(cyclic(12), WeightSet(12, units(12)), 4, threads=2)
 
 
