@@ -187,7 +187,13 @@ def singer_difference_set(q: int) -> PerfectDifferenceSet:
 
 
 def _exponent_cover_missing(p: int, dset) -> int:
-    """Ratios of theta^D are theta^(d1-d2 mod p-1); count exponents missed."""
+    """Ratios of theta^D are theta^(d1-d2 mod p-1); count exponents missed.
+
+    A set of pairwise differences, deliberately not fdsolver.ratio_missing:
+    singer_weight_set checks the two against each other, and that check
+    only means something while they are computed independently (ratio_missing
+    rotates a bitset of discrete logarithms).
+    """
     m = p - 1
     seen = {0}
     for d1 in dset:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from math import inf, isqrt
 from typing import Callable, Iterable, Optional
 
@@ -184,8 +184,14 @@ def _first_holding(
     return None
 
 
+@lru_cache(maxsize=1)
 def _discrete_logs(p: int) -> list[int]:
-    """logs[x] = e with g^e = x mod p for a primitive root g (logs[0] unused)."""
+    """logs[x] = e with g^e = x mod p for a primitive root g (logs[0] unused).
+
+    Cached for the last p only: a sweep asks ratio_missing about one p per
+    trial, and no caller alternates between moduli, while one table near the
+    order limit takes about 40 MB.  Callers must not modify the list.
+    """
     g = primitive_root(p)
     logs = [0] * p
     y = 1
@@ -292,18 +298,32 @@ def fd(
 
 def ratio_missing(p: int, residues: Iterable[int]) -> int:
     """How many units of Z_p the quotients a/b of A miss (0 as soon as
-    they cover Z_p*)."""
-    rs = list(residues)
-    units = p - 1
-    seen: set[int] = set()
-    add = seen.add
-    for b in rs:
-        inv = pow(b, -1, p)
-        for a in rs:
-            add(a * inv % p)
-        if len(seen) == units:
+    they cover Z_p*).
+
+    p must be prime.  Residues are read mod p, and one that is 0 mod p
+    raises ValueError.  In exponent space a/b = g^(log a - log b), so with
+    E = log A the quotients are E - E in Z_{p-1}: the OR over e in E of the
+    rotations of the bitset of E by -e, |E| rotations of a (p-1)-bit set.
+    """
+    logs = _discrete_logs(p)
+    m = p - 1
+    es = []
+    for a in residues:
+        a %= p
+        if not a:
+            raise ValueError(f"residue 0 mod {p} has no quotient")
+        es.append(logs[a])
+    ebits = 0
+    for e in es:
+        ebits |= 1 << e
+    full = (1 << m) - 1
+    twice = ebits | ebits << m  # (twice >> e) & full rotates E by -e
+    cover = 0
+    for e in es:
+        cover |= twice >> e & full
+        if cover == full:
             return 0
-    return units - len(seen)
+    return m - cover.bit_count()
 
 
 def ratio_covers(p: int, residues: Iterable[int]) -> bool:

@@ -28,7 +28,11 @@ _WeightTables): each is built the first time the kernel reads it, the mask
 of c when it first tests c and the move list of c (the shifts S - m for m
 in A*c) when it first extends a prefix by c.  The first root's own
 reachable set A*r already kills every c with a*c in -(A*r) | {0}, which a
-congruence solve marks so that their masks are never built.  The search is
+congruence solve marks so that their masks are never built.  A state with
+one element left only asks whether some candidate is still alive, so under
+the first root it scans the ascending list of the survivors of A*r instead
+of every element; states with more left scan every element, since a
+survivor list per state would cost a copy on every push.  The search is
 serial at any thread count, since its roots are scanned in order and the
 first that extends ends a k; process pools run only independent whole
 answers, the representatives of max_davenport_over_size and the trials of
@@ -49,9 +53,11 @@ stays sound, as the restricted subtree under a state still depends only on
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import filterfalse
 from math import gcd
 from operator import add
 from typing import Iterable, Optional, Sequence
@@ -238,16 +244,21 @@ def _stabilizer(weights: WeightSet) -> tuple[int, ...]:
     prefix alike.  Each s maps a weight a0 into A, so it is among the units
     solving s*a0 = a for some weight a.  a0 is a weight with the least
     gcd(a0, e), a unit where A has one, which leaves one candidate per weight.
-    A candidate in the group the accepted ones generate needs no test.
+    A candidate in the group the accepted ones generate needs no test.  s
+    permutes A, so s*sum(A) = sum(A) (mod e): s = 1 modulo q = e/gcd(sum(A),
+    e), which leaves only s = 1 when the gcd is 1 (nearly every random A).
     """
     e = weights.exponent
     rs = weights.residues
+    q = e // gcd(sum(rs), e)
+    if q == e:
+        return ()
     members = set(rs)
     a0 = min(rs, key=lambda a: gcd(a, e))
     span = {1}
     for a in rs:
         for s in units_mapping(a0, a, e):
-            if s in span:
+            if (s - 1) % q or s in span:
                 continue
             for b in rs:
                 if s * b % e not in members:
@@ -275,9 +286,12 @@ class _WeightTables:
     already kills, the c with a*c in -(A*r) | {0} for some a in A, by
     solving a*x = t (mod n_j) coordinate by coordinate, and `_first` marks
     them with one bit of A*r.  That bit meets every reachable set of the
-    root's search since R only grows, so their masks are never built.  A
-    later root is searched only after the first one failed and shares the
-    list `masks`.
+    root's search since R only grows, so their masks are never built.  The
+    ascending complement of killed(), `_survivors`, is built beside `_first`
+    and is all the last element of a multiset under that root can take, so
+    the kernel's last-element scan walks it instead of every element.  A
+    later root is searched only after the first one failed, shares the list
+    `masks` and scans every element.
 
     moves[c], the shifts S - m for the padded bits m of A*c, is built the
     first time the kernel would extend a prefix by c.  It is empty when a
@@ -291,7 +305,7 @@ class _WeightTables:
 
     __slots__ = (
         "group", "order", "padding", "weights", "negated", "plus", "minus", "masks", "moves",
-        "roots", "starts", "minima", "_first",
+        "roots", "starts", "minima", "_first", "_survivors",
     )
 
     def __init__(self, group: GroupSpec, weights: WeightSet):
@@ -310,6 +324,7 @@ class _WeightTables:
         self.starts = [0] * n
         self.minima: Optional[Sequence[int]] = None
         self._first: list[int] = []  # the first root's negw list
+        self._survivors: list[int] = []  # ascending c that A*(first root) leaves alive
 
     @staticmethod
     def bits(c: int, scaled: tuple) -> int:
@@ -400,17 +415,24 @@ class _WeightTables:
         negw[c] = w
         return w
 
-    def root_masks(self, root: int, low: int) -> list[int]:
-        """The negw list of root; low is one bit of A*root (a one-bit AND
-        costs less than one with -1)."""
+    def root_masks(self, root: int, low: int) -> tuple[list[int], Sequence[int]]:
+        """The negw list of root and the ascending candidates its last
+        element can take; low is one bit of A*root (a one-bit AND costs less
+        than one with -1).
+
+        The candidates are the first root's survivors, the complement of
+        killed(root), and every element for a later root.
+        """
         if root != self.roots[0]:
-            return self.masks
+            return self.masks, range(self.order)
         negw = self._first
         if not negw:
             negw = self._first = self.masks[:]
-            for c in self.killed(root):
+            dead = self.killed(root)
+            for c in dead:
                 negw[c] = low
-        return negw
+            self._survivors = list(filterfalse(dead.__contains__, range(self.order)))
+        return negw, self._survivors
 
     def first(self, k: int) -> tuple[Optional[list[int]], int]:
         """Lex-least zero-sum-free multiset of size k over all roots (None
@@ -485,7 +507,7 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     # the reachable set must grow per element yet stay zero-free
     if k - 1 > order - 1 - w.bit_count():
         return None, 0
-    negw = tables.root_masks(root, w & -w)
+    negw, last = tables.root_masks(root, w & -w)
     moves = tables.moves
     pad = tables.padding
     mask, spread, shift = pad.mask, pad.spread, pad.shift
@@ -500,7 +522,11 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     while stack:
         state = stack[-1]
         bits, remaining, tiled = state[0], state[1], state[3]
-        for c in range(state[2], order):
+        if remaining > 1:
+            scan = range(state[2], order)
+        else:  # one left: only asks whether a candidate is alive (root_masks)
+            scan = last[bisect_left(last, state[2]):]
+        for c in scan:
             if negw[c] & bits:
                 continue
             if not negw[c] and tables.mask(negw, c) & bits:

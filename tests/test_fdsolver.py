@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from concurrent import futures
 
@@ -169,6 +170,32 @@ def test_ratio_covers():
     for p, residues, covers in cases:
         assert ratio_covers(p, residues) is covers, (p, residues)
         assert check_dav_at_most(cyclic(p), WeightSet(p, residues), 2).holds is covers, (p, residues)
+
+
+def _quotients_missed(p, residues):
+    quotients = {a * pow(b, -1, p) % p for a in residues for b in residues}
+    return p - 1 - len(quotients)
+
+
+def test_ratio_missing_matches_quotient_set():
+    for p in (2, 3, 5, 7, 11, 13):
+        for mask in range(1, 1 << (p - 1)):
+            rs = [a for a in range(1, p) if mask >> (a - 1) & 1]
+            assert fdsolver.ratio_missing(p, rs) == _quotients_missed(p, rs), (p, rs)
+    rng = random.Random(97)
+    for p in (97, 499, 997):
+        for size in (1, 2, 5, 9, 17, 30, 45, 80):
+            rs = rng.sample(range(1, p), min(size, p - 1))
+            want = _quotients_missed(p, rs)
+            assert fdsolver.ratio_missing(p, rs) == want, (p, rs)
+            # residues are read mod p, repeats included
+            lifted = [a + p * rng.randint(-3, 3) for a in rs] + rs[:2]
+            assert fdsolver.ratio_missing(p, lifted) == want, (p, rs)
+    assert fdsolver.ratio_missing(2, [1]) == 0
+    assert fdsolver.ratio_missing(2, [3, 5]) == 0
+    for p, rs in ((2, [2]), (7, [1, 2, 0]), (13, [1, 26, 5]), (97, [-97]), (12, [1, 5])):
+        with pytest.raises(ValueError):
+            fdsolver.ratio_missing(p, rs)
 
 
 def test_fd_value_via_ratio_criterion():

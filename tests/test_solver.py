@@ -171,6 +171,24 @@ def test_stabilizer():
             ws |= {e - a for a in ws}
         w = WeightSet.of(e, ws)
         assert solver._stabilizer(w) == _stabilizer_by_definition(e, w.residues), w
+    # s*A = A forces s = 1 modulo e/gcd(sum(A), e): every A for e <= 16, and
+    # random A of any size, some closed under a random unit, for e <= 60
+    for e in range(2, 17):
+        for bits in range(1, 1 << (e - 1)):
+            rs = tuple(a for a in range(1, e) if bits >> (a - 1) & 1)
+            assert solver._stabilizer(WeightSet(e, rs)) == _stabilizer_by_definition(e, rs), rs
+    for _ in range(600):
+        e = rng.randint(17, 60)
+        ws = set(rng.sample(range(1, e), rng.randint(1, e - 1)))
+        if rng.random() < 0.5:
+            u = rng.choice(units(e))
+            for a in list(ws):
+                x = a * u % e
+                while x != a:
+                    ws.add(x)
+                    x = x * u % e
+        w = WeightSet.of(e, ws)
+        assert solver._stabilizer(w) == _stabilizer_by_definition(e, w.residues), w
 
 
 def test_checks_that_never_extend_never_compute_the_stabilizer(monkeypatch):

@@ -80,6 +80,18 @@ def test_refutation_builds_fewer_masks_than_elements():
     assert 0 < built < P - 1
 
 
+def test_refutation_masks_pinned():
+    # the last element's scan walks the first root's survivors, and must
+    # build a mask for each one it tests and for no candidate the root
+    # kills, so the counts equal those of a scan over every element
+    tables = solver._WeightTables(cyclic(P), _draw(13))
+    assert solver._find_zsf(tables, 1, 3) == (None, 115)
+    assert sum(1 for w in tables.masks if w) == 114
+    tables = solver._WeightTables(cyclic(P), _draw(0))
+    assert solver._find_zsf(tables, 1, 4) == ([1, 1, 1, 2], 3)
+    assert sum(1 for w in tables.masks if w) == 2
+
+
 def test_deep_search_builds_only_the_masks_it_tests():
     # a k = 4 search that finds its culprit after two extensions tests few
     # candidates past the first root's kills, and builds a mask for each of
