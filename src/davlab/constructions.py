@@ -192,7 +192,7 @@ def _exponent_cover_missing(p: int, dset) -> int:
     A set of pairwise differences, deliberately not fdsolver.ratio_missing:
     singer_weight_set checks the two against each other, and that check
     only means something while they are computed independently (ratio_missing
-    rotates a bitset of discrete logarithms).
+    rotates a bitset of discrete logarithms for sets this large).
     """
     m = p - 1
     seen = {0}

@@ -301,18 +301,40 @@ def ratio_missing(p: int, residues: Iterable[int]) -> int:
     they cover Z_p*).
 
     p must be prime.  Residues are read mod p, and one that is 0 mod p
-    raises ValueError.  In exponent space a/b = g^(log a - log b), so with
-    E = log A the quotients are E - E in Z_{p-1}: the OR over e in E of the
-    rotations of the bitset of E by -e, |E| rotations of a (p-1)-bit set.
+    raises ValueError.  The |A|^2 quotients are formed directly when that is
+    fewer than p, the size of the log table the other way needs on its first
+    call for a new p (_missing_by_logs); sets that large or larger take the
+    log table.
     """
-    logs = _discrete_logs(p)
-    m = p - 1
-    es = []
+    if not isprime(p):
+        raise ValueError(f"modulus {p} must be prime")
+    rs = set()
     for a in residues:
         a %= p
         if not a:
             raise ValueError(f"residue 0 mod {p} has no quotient")
-        es.append(logs[a])
+        rs.add(a)
+    if len(rs) ** 2 < p:
+        return _missing_by_quotients(p, rs)
+    return _missing_by_logs(p, rs)
+
+
+def _missing_by_quotients(p: int, rs: set[int]) -> int:
+    """ratio_missing for nonzero residues rs, as the set {a * b^-1}."""
+    inverses = [pow(b, -1, p) for b in rs]
+    return p - 1 - len({a * b % p for a in rs for b in inverses})
+
+
+def _missing_by_logs(p: int, rs: set[int]) -> int:
+    """ratio_missing for nonzero residues rs in exponent space.
+
+    a/b = g^(log a - log b), so with E = log A the quotients are E - E in
+    Z_{p-1}: the OR over e in E of the rotations of the bitset of E by -e,
+    |E| rotations of a (p-1)-bit set.
+    """
+    logs = _discrete_logs(p)
+    m = p - 1
+    es = [logs[a] for a in rs]
     ebits = 0
     for e in es:
         ebits |= 1 << e

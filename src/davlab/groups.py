@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement, groupby, product
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .numtheory import factorint
@@ -262,16 +264,50 @@ def orbit_minima(group: GroupSpec, gens: Sequence[int]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def canonical_roots(group: GroupSpec) -> tuple[int, ...]:
-    """Nonzero flat indices minimal in their unit-scaling orbit, ascending.
+    """The least flat index of each Aut(G)-orbit of nonzero elements, ascending.
 
-    Every maximal zero-sum-free multiset is unit-equivalent to one starting at
-    such a root, so the solver only ever branches on these first elements.
-    For cyclic Z_n these are exactly the divisors d of n with d < n: the
-    orbit of x is {y : gcd(y, n) = gcd(x, n)}.
+    An automorphism commutes with integer weights, phi(a*x) = a*phi(x), so it
+    maps zero-sum-free multisets to zero-sum-free ones, and the lex-least one
+    of any size starts at an orbit minimum: the solver branches only on these
+    first elements.  x and y share an orbit iff, for every prime p dividing
+    exp(G), their p-parts (x_j mod p^v_p(n_j) in each coordinate) have the
+    same height sequence h(y), h(p*y), ... up to 0, where h(y) is the least
+    v_p(y_j) over the nonzero coordinates (Kaplansky, Infinite Abelian
+    Groups: the Ulm sequences of a finite p-group).  Padded to length
+    e = v_p(exp(G)) with e, which no height reaches, the sequence of y is
+    the elementwise minimum of those of its coordinates, a coordinate of
+    valuation v in Z_{p^f} giving v, v + 1, ..., f - 1.  It depends on x
+    only through the divisors d_j = gcd(x_j, n_j), and since the flat order
+    is lexicographic the least element with given divisors is
+    (d_j mod n_j)_j.  Permuting equal invariant factors is an automorphism
+    that sorts their coordinates, so only tuples nondecreasing within each
+    run of equal factors are visited: C(tau(n) + b - 1, b) of them for a run
+    of b factors n, never the |G| elements.  For cyclic Z_n the roots are
+    the divisors of n below n.
     """
-    n = group.order
-    if group.is_cyclic:
-        return tuple(d for d in range(1, n) if n % d == 0)
-    e = group.exponent
-    mins = orbit_minima(group, unit_generators(units(e), e))
-    return tuple(i for i in range(1, n) if mins[i] == i)
+    fs = group.invariant_factors
+    tops = factorint(fs[-1])
+    zero = tuple(e for e in tops.values() for _ in range(e))  # the sequences of 0
+    runs = []  # per run of equal factors n: its nondecreasing residue tuples
+    seqs = []  # per coordinate: residue d mod n -> padded height sequences
+    for n, run in groupby(fs):
+        exps = factorint(n)
+        seq = {1: ()}
+        for p, e in tops.items():
+            f = exps.get(p, 0)
+            tails = [tuple(range(v, f)) + (e,) * (e - f + v) for v in range(f + 1)]
+            seq = {d * p**v: s + t for d, s in seq.items() for v, t in enumerate(tails)}
+        seq = {d % n: s for d, s in seq.items()}
+        b = len(list(run))
+        seqs += [seq] * b
+        runs.append(combinations_with_replacement(sorted(seq), b))
+    strides = [prod(fs[j + 1:]) for j in range(len(fs))]
+    least: dict[tuple[int, ...], int] = {}
+    for parts in product(*runs):
+        xs = [x for part in parts for x in part]
+        key = tuple(map(min, zero, *[s[x] for s, x in zip(seqs, xs)]))
+        i = sum(map(mul, xs, strides))
+        if i < least.get(key, i + 1):
+            least[key] = i
+    del least[zero]
+    return tuple(sorted(least.values()))

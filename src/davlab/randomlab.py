@@ -110,7 +110,8 @@ def classify_dav(p: int, weights, k: int) -> Classification:
 
     Two tests decide it, D_A <= k - 1 and D_A <= k.  A test of D_A <= 2 is
     the exact criterion A/A = Z_p* (fdsolver.ratio_covers), which costs
-    |A| rotations of a (p-1)-bit set instead of a bounded check; larger
+    |A| rotations of a (p-1)-bit set, or |A|^2 products when that is fewer
+    than p, instead of a bounded check; larger
     bounds go through the bounded check, and for k >= 4, where both tests
     are bounded checks, the two share one set of tables.  The k-1 test is
     skipped when the all-ones sequence of length k-1 is already

@@ -28,20 +28,25 @@ _WeightTables): each is built the first time the kernel reads it, the mask
 of c when it first tests c and the move list of c (the shifts S - m for m
 in A*c) when it first extends a prefix by c.  The first root's own
 reachable set A*r already kills every c with a*c in -(A*r) | {0}, which a
-congruence solve marks so that their masks are never built.  A state with
-one element left only asks whether some candidate is still alive, so under
-the first root it scans the ascending list of the survivors of A*r instead
-of every element; states with more left scan every element, since a
-survivor list per state would cost a copy on every push.  The search is
-serial at any thread count, since its roots are scanned in order and the
-first that extends ends a k; process pools run only independent whole
-answers, the representatives of max_davenport_over_size and the trials of
-a sweep.
+congruence solve finds, so every state under that root scans the
+ascending list of the survivors of A*r instead of every element, and their
+masks are never built; once the stabilizer below is computed, the list also
+drops the elements it maps lower.  The list is kept per table, since a
+survivor list per state would cost a copy on every push; later roots scan
+every element.  The search is serial at any thread count, since its roots
+are scanned in order and the first that extends ends a k; process pools
+run only independent whole answers, the representatives of
+max_davenport_over_size and the trials of a sweep.
 
-Roots are restricted to unit-orbit minima.  Rescaling a zero-sum-free
-multiset by a unit preserves zero-sum-freeness, and the lexicographically
-least multiset of any orbit starts with an orbit-minimal element, so the
-restriction loses neither existence nor the lex-least witness.  Every later
+Roots are the least elements of the Aut(G)-orbits of nonzero elements
+(groups.canonical_roots).  An automorphism phi commutes with integer
+weights, phi(a*x) = a*phi(x), so it maps zero-sum-free multisets to
+zero-sum-free ones.  If phi(min M) < min M for the lex-least zero-sum-free
+multiset M of some size, sorted(phi(M)) would be a lex-smaller one, so M
+starts at an orbit minimum and the restriction loses neither existence nor
+the lex-least witness.  On cyclic groups the orbits are the unit orbits and
+the roots the divisors of n below n; on Z_p^r every nonzero element is in
+one orbit, so a refutation searches the single root 1.  Every later
 element is restricted to orbit minima under the units s != 1 with s*A = A
 (A's stabilizer; -1 for A = -A): since A*(s*x) = A*x, swapping an element x
 of a zero-sum-free multiset for a lower s*x keeps it zero-sum-free and makes
@@ -275,23 +280,20 @@ class _WeightTables:
 
     Indexed by the flat index c of an element, holding sets in the padded
     layout of `padding`.  A candidate c dies against a reachable set R when
-    A*c meets -R or holds 0, which negw[c] = A*(-c) tests with one AND (-1
-    when A*c holds 0).  negw lists hold 0 where no mask is built yet, and
-    the kernel builds a 0 entry's mask through mask() the first time it
-    tests it, at every level, for every k and every root; a search builds
-    only the masks it tested.
+    A*c meets -R or holds 0, which masks[c] = A*(-c) tests with one AND (-1
+    when A*c holds 0).  masks holds 0 where no mask is built yet, and the
+    kernel builds a 0 entry through mask() the first time it tests it, at
+    every level, for every k and every root; a search builds only the masks
+    it tested.
 
-    Every search starts at the first root r = 1, whose own list `_first` is
-    a copy of `masks` made once: killed() finds the candidates that R = A*r
-    already kills, the c with a*c in -(A*r) | {0} for some a in A, by
-    solving a*x = t (mod n_j) coordinate by coordinate, and `_first` marks
-    them with one bit of A*r.  That bit meets every reachable set of the
-    root's search since R only grows, so their masks are never built.  The
-    ascending complement of killed(), `_survivors`, is built beside `_first`
-    and is all the last element of a multiset under that root can take, so
-    the kernel's last-element scan walks it instead of every element.  A
-    later root is searched only after the first one failed, shares the list
-    `masks` and scans every element.
+    Every search starts at the first root r = 1.  killed() finds the
+    candidates that R = A*r already kills, the c with a*c in -(A*r) | {0}
+    for some a in A, by solving a*x = t (mod n_j) coordinate by coordinate;
+    since R only grows they are dead in every state of the root's search.
+    survive() lists the others ascending as `survivors`, once per table, and
+    every state under that root scans that list, so the kernel never tests a
+    killed candidate there and never builds its mask.  A later root is
+    searched only after the first one failed and scans every element.
 
     moves[c], the shifts S - m for the padded bits m of A*c, is built the
     first time the kernel would extend a prefix by c.  It is empty when a
@@ -300,12 +302,17 @@ class _WeightTables:
     index of each element's least image under those units, is built with
     the first move list of an element other than 1, so searches that never
     extend a prefix (k <= 2, or every candidate killed) never compute the
-    stabilizer.
+    stabilizer.  Building it also drops the elements those units map lower
+    from `survivors`, which the kernel reads afresh at every state.  That
+    changes no answer and no node count: the kernel already never extends a
+    prefix by them, and a search that ended on one would return a multiset
+    other than the lex-least one, which holds none of them (see the module
+    docstring).
     """
 
     __slots__ = (
         "group", "order", "padding", "weights", "negated", "plus", "minus", "masks", "moves",
-        "roots", "starts", "minima", "_first", "_survivors",
+        "roots", "starts", "minima", "survivors",
     )
 
     def __init__(self, group: GroupSpec, weights: WeightSet):
@@ -323,8 +330,7 @@ class _WeightTables:
         self.roots = canonical_roots(group)
         self.starts = [0] * n
         self.minima: Optional[Sequence[int]] = None
-        self._first: list[int] = []  # the first root's negw list
-        self._survivors: list[int] = []  # ascending c that A*(first root) leaves alive
+        self.survivors: Optional[list[int]] = None  # see survive()
 
     @staticmethod
     def bits(c: int, scaled: tuple) -> int:
@@ -351,10 +357,13 @@ class _WeightTables:
             minima = self.minima
             if minima is None:
                 stab = _stabilizer(self.weights)
-                e = self.group.exponent
-                minima = self.minima = (
-                    orbit_minima(self.group, unit_generators(stab, e)) if stab else range(self.order)
-                )
+                if stab:
+                    e = self.group.exponent
+                    minima = self.minima = orbit_minima(self.group, unit_generators(stab, e))
+                    if self.survivors is not None:
+                        self.survivors = [x for x in self.survivors if minima[x] == x]
+                else:
+                    minima = self.minima = range(self.order)
             if minima[c] != c:
                 return ()
         shift = self.padding.shift
@@ -399,40 +408,26 @@ class _WeightTables:
                 dead.update([x + q for x in sums if x >= 0 for q in offsets])
         return dead
 
-    def mask(self, negw: list[int], c: int) -> int:
-        """negw[c] = masks[c] = A*(-c), or -1 when A*c holds 0."""
-        w = self.masks[c]
-        if not w:
-            nj, period, bs = self.minus[0]
-            if c < nj:  # c lies in the last factor: one product per weight
-                for b in bs:
-                    w |= 1 << (b * c % period)
-            else:
-                w = self.bits(c, self.minus)
-            if w & 1:
-                w = -1
-            self.masks[c] = w
-        negw[c] = w
+    def mask(self, c: int) -> int:
+        """Build masks[c] = A*(-c), or -1 when A*c holds 0."""
+        nj, period, bs = self.minus[0]
+        if c < nj:  # c lies in the last factor: one product per weight
+            w = 0
+            for b in bs:
+                w |= 1 << (b * c % period)
+        else:
+            w = self.bits(c, self.minus)
+        if w & 1:
+            w = -1
+        self.masks[c] = w
         return w
 
-    def root_masks(self, root: int, low: int) -> tuple[list[int], Sequence[int]]:
-        """The negw list of root and the ascending candidates its last
-        element can take; low is one bit of A*root (a one-bit AND costs less
-        than one with -1).
-
-        The candidates are the first root's survivors, the complement of
-        killed(root), and every element for a later root.
-        """
-        if root != self.roots[0]:
-            return self.masks, range(self.order)
-        negw = self._first
-        if not negw:
-            negw = self._first = self.masks[:]
-            dead = self.killed(root)
-            for c in dead:
-                negw[c] = low
-            self._survivors = list(filterfalse(dead.__contains__, range(self.order)))
-        return negw, self._survivors
+    def survive(self, root: int) -> None:
+        """survivors = the ascending complement of killed(root), for the
+        first root; shifts() drops from it what a unit fixing A maps lower
+        when it computes the stabilizer."""
+        dead = self.killed(root)
+        self.survivors = list(filterfalse(dead.__contains__, range(self.order)))
 
     def first(self, k: int) -> tuple[Optional[list[int]], int]:
         """Lex-least zero-sum-free multiset of size k over all roots (None
@@ -507,7 +502,10 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     # the reachable set must grow per element yet stay zero-free
     if k - 1 > order - 1 - w.bit_count():
         return None, 0
-    negw, last = tables.root_masks(root, w & -w)
+    first = root == tables.roots[0]  # scans tables.survivors, else every element
+    if first and tables.survivors is None:
+        tables.survive(root)
+    negw = tables.masks  # A*(-c), 0 until built
     moves = tables.moves
     pad = tables.padding
     mask, spread, shift = pad.mask, pad.spread, pad.shift
@@ -522,14 +520,15 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     while stack:
         state = stack[-1]
         bits, remaining, tiled = state[0], state[1], state[3]
-        if remaining > 1:
+        if first:  # read per state: shifts() may narrow the list
+            survivors = tables.survivors
+            scan = survivors[bisect_left(survivors, state[2]):]
+        else:
             scan = range(state[2], order)
-        else:  # one left: only asks whether a candidate is alive (root_masks)
-            scan = last[bisect_left(last, state[2]):]
         for c in scan:
             if negw[c] & bits:
                 continue
-            if not negw[c] and tables.mask(negw, c) & bits:
+            if not negw[c] and tables.mask(c) & bits:
                 continue
             if remaining == 1:
                 chosen.append(c)

@@ -92,3 +92,37 @@ def brute_fd(n, k, max_size=None):
             if not brute_has_zsf_of_length((n,), residues, k):
                 return size
     return None
+
+
+def brute_aut_orbit_minima(factors):
+    """For each flat index, the least flat index of its orbit under Aut(G).
+
+    An automorphism is fixed by the images of the canonical generators e_j,
+    each of order dividing n_j; the images are chosen generator by generator,
+    keeping a choice only while the map on the subgroup generated so far is a
+    bijection.  Elements are flat indices (itertools.product order) added
+    through a |G| x |G| table.
+    """
+    elements = list(itertools.product(*[range(n) for n in factors]))
+    index = {x: i for i, x in enumerate(elements)}
+    plus = [[index[tuple_add(factors, x, y)] for y in elements] for x in elements]
+    mins = list(range(len(elements)))
+
+    def extend(j, images):
+        # images: the image of each element of Z_{n_1} x ... x Z_{n_j}, flat order
+        nonlocal mins
+        if j == len(factors):
+            mins = list(map(min, mins, images))
+            return
+        for g in range(len(elements)):
+            multiples = [0]
+            for _ in range(factors[j]):
+                multiples.append(plus[multiples[-1]][g])
+            if multiples.pop():
+                continue  # n_j * g != 0
+            grown = [plus[y][t] for y in images for t in multiples]
+            if len(set(grown)) == len(grown):
+                extend(j + 1, grown)
+
+    extend(0, [0])
+    return mins

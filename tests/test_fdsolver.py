@@ -198,6 +198,40 @@ def test_ratio_missing_matches_quotient_set():
             fdsolver.ratio_missing(p, rs)
 
 
+def test_ratio_missing_paths_agree():
+    # few residues form their |A|^2 quotients directly, more go through the
+    # log table; both count the same missed units
+    def both(p, rs):
+        got = fdsolver._missing_by_quotients(p, set(rs)), fdsolver._missing_by_logs(p, set(rs))
+        assert got[0] == got[1], (p, rs)
+        return got[0]
+
+    for p in (2, 3, 5, 7, 11, 13):
+        for mask in range(1, 1 << (p - 1)):
+            rs = [a for a in range(1, p) if mask >> (a - 1) & 1]
+            assert both(p, rs) == _quotients_missed(p, rs), (p, rs)
+    rng = random.Random(499)
+    for p in (97, 499, 999983):
+        for size in (1, 2, 3, 9, 22, 23, 40):
+            rs = rng.sample(range(1, p), size)
+            want = both(p, rs)
+            assert want == _quotients_missed(p, rs), (p, rs)
+            assert fdsolver.ratio_missing(p, rs) == want, (p, rs)
+    # the direct path refuses what the log path refuses
+    for p, rs in ((999983, [1, 999983]), (999983, [-999983 * 2]), (12, [1, 5]), (2, [2])):
+        assert len(rs) ** 2 < p
+        with pytest.raises(ValueError):
+            fdsolver.ratio_missing(p, rs)
+
+
+def test_ratio_missing_at_a_large_prime_builds_no_log_table():
+    # |A|^2 < p: a tiny A at p near the order limit needs no p-entry table
+    fdsolver._discrete_logs.cache_clear()
+    assert fdsolver.ratio_missing(999983, [1, 2]) == 999983 - 1 - 3
+    assert fdsolver.ratio_missing(999979, [1, 2, 3]) == 999979 - 1 - 7
+    assert fdsolver._discrete_logs.cache_info().currsize == 0
+
+
 def test_fd_value_via_ratio_criterion():
     # D_A(Z_p) <= 2 iff A/A covers the units; fd witness must satisfy it
     res = fd(cyclic(13), 2)

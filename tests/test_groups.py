@@ -28,6 +28,9 @@ from davlab.groups import (
     units_mapping,
 )
 
+from conftest import brute_aut_orbit_minima
+from test_kernel_agreement import GROUPS_BY_RANK
+
 
 def test_divisibility_chain_enforced():
     with pytest.raises(ValueError):
@@ -174,6 +177,23 @@ def _unit_group(gens, e):
         group = bigger
 
 
+# the least element of each Aut(G)-orbit, checked against
+# conftest.brute_aut_orbit_minima when pinned
+AUT_ROOTS = {
+    (12,): ((1,), (2,), (3,), (4,), (6,)),
+    (16,): ((1,), (2,), (4,), (8,)),
+    (30,): ((1,), (2,), (3,), (5,), (6,), (10,), (15,)),
+    (2, 4): ((0, 1), (0, 2), (1, 0)),
+    (3, 9): ((0, 1), (0, 3), (1, 0)),
+    (4, 8): ((0, 1), (0, 2), (0, 4), (1, 0), (2, 0)),
+    (6, 6): ((0, 1), (0, 2), (0, 3)),
+    (2, 2, 6): ((0, 0, 1), (0, 0, 2), (0, 0, 3)),
+    (3, 3, 9): ((0, 0, 1), (0, 0, 3), (0, 1, 0)),
+    (2, 2, 2, 4): ((0, 0, 0, 1), (0, 0, 0, 2), (0, 0, 1, 0)),
+    (2, 2, 4, 4): ((0, 0, 0, 1), (0, 0, 0, 2), (0, 1, 0, 0)),
+}
+
+
 @pytest.mark.parametrize(
     "factors",
     [(12,), (16,), (30,), (2, 4), (3, 9), (4, 8), (6, 6), (2, 2, 6), (3, 3, 9), (2, 2, 2, 4), (2, 2, 4, 4)],
@@ -185,8 +205,7 @@ def test_orbit_minima_match_unit_orbits(factors):
     gens = unit_generators(us, e)
     assert _unit_group(gens, e) == set(us)
     assert orbit_minima(g, gens) == _orbit_minima_by_definition(g, us)
-    want = tuple(i for i, m in enumerate(_orbit_minima_by_definition(g, us)) if 0 < i == m)
-    assert canonical_roots(g) == want
+    assert canonical_roots(g) == tuple(element_index(g, x) for x in AUT_ROOTS[factors])
     # subgroups: the stabilizers of weight sets, e.g. {1, -1}
     rng = random.Random(sum(factors))
     for _ in range(4):
@@ -199,16 +218,49 @@ def test_orbit_minima_match_unit_orbits(factors):
 
 
 def test_canonical_roots_walk_orbits_under_generators():
-    # one pass over the group per generator of the 2048 units, not per unit
+    # valuation patterns of the coordinates, not the 8192 elements
     g = GroupSpec((2, 4096))
     start = time.perf_counter()
     roots = canonical_roots(g)
     assert time.perf_counter() - start < 1.0
-    # orbits of (a, b): (0, 2^j) and (1, 0), (1, 2^j) for 2^j < 4096
-    powers = [1 << j for j in range(12)]
-    want = sorted([element_index(g, (0, b)) for b in powers]
-                  + [element_index(g, (1, b)) for b in [0] + powers])
+    # orbits of (a, b): (0, 2^j) for 2^j < 4096, (1, 0) (which holds
+    # (1, 2048)), and (1, 2^j) for 2 <= 2^j <= 1024 ((1, 1) lies in the orbit
+    # of (0, 1))
+    want = sorted([element_index(g, (0, 1 << j)) for j in range(12)]
+                  + [element_index(g, (1, b)) for b in [0] + [1 << j for j in range(1, 11)]])
+    assert len(want) == 23
     assert roots == tuple(want)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [fs for rank in GROUPS_BY_RANK for fs in rank]
+    + [(2, 8), (4, 8), (2, 4, 8), (9, 9), (2, 12), (4, 12)],
+)
+def test_canonical_roots_are_automorphism_orbit_minima(factors):
+    g = GroupSpec(factors)
+    mins = brute_aut_orbit_minima(factors)
+    assert canonical_roots(g) == tuple(i for i, m in enumerate(mins) if 0 < i == m)
+
+
+@pytest.mark.parametrize(
+    "factors, orbits",
+    [
+        # Z_8^2 + Z_125^2: heights 0, 1, 2 or zero in each part, 4 * 4 - 1
+        ((1000, 1000), 15),
+        # Z_2 + Z_32 + Z_15625: 10 classes in the 2-part (zero, (0, 2^v) for
+        # v <= 4, (1, 0), (1, 2^v) for v = 1, 2, 3) and 7 in the 5-part
+        ((2, 500000), 69),
+    ],
+)
+def test_canonical_roots_fast_on_large_groups(factors, orbits):
+    # divisor patterns per coordinate, never the group's 10^6 elements
+    g = GroupSpec(factors)
+    start = time.perf_counter()
+    roots = canonical_roots(g)
+    assert time.perf_counter() - start < 1.0
+    assert len(roots) == orbits
+    assert roots[0] == 1
 
 
 def test_units_mapping_solves_by_definition():

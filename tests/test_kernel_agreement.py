@@ -5,17 +5,21 @@ counterexample, nodes) for check_dav_at_most, on (G, A, k) drawn by _draw()
 over groups of rank 1 to 4.  Witnesses are flat indices.  Values, witnesses,
 holds flags and counterexamples are those of the flat-layout kernel, which
 translated reachable sets one move at a time with engine._Layout.translate.
-Node counts are those of that kernel where no unit s != 1 fixes A (s*A = A);
-where one does, they are the counts of the kernel that never extends a
-prefix by an element such a unit maps lower.  Any other change to the
-layout, the visit order or the fail memo shows up here as a different node
-count.
+Node counts on cyclic groups are those of that kernel where no unit s != 1
+fixes A (s*A = A); where one does, they are the counts of the kernel that
+never extends a prefix by an element such a unit maps lower.  On non-cyclic
+groups they are the counts of the kernel that also roots its search at the
+least element of each Aut(G)-orbit instead of each unit orbit, and the last
+test checks those roots against the unit-orbit ones.  Any other change to
+the layout, the visit order or the fail memo shows up here as a different
+node count.
 """
 
 import random
 
+from davlab import solver
 from davlab.engine import WeightSet
-from davlab.groups import GroupSpec, element_index
+from davlab.groups import GroupSpec, element_index, orbit_minima, unit_generators, units
 from davlab.solver import check_dav_at_most, davenport
 
 GROUPS_BY_RANK = [
@@ -54,123 +58,123 @@ def _run(fs, ws, k):
 PINNED = [
     ((12,), (2, 4, 9), None, 3, (1, 1), 4),
     ((12,), (2, 4, 9), 7, True, None, 2),
-    ((2, 2, 2, 4), (1,), None, 7, (1, 1, 1, 4, 8, 16), 22017),
+    ((2, 2, 2, 4), (1,), None, 7, (1, 1, 1, 4, 8, 16), 6513),
     ((2, 2, 2, 4), (1,), 2, False, (1, 1), 1),
     ((11,), (8,), None, 11, (1, 1, 1, 1, 1, 1, 1, 1, 1, 1), 45),
     ((11,), (8,), 1, False, (1,), 0),
-    ((2, 2, 2, 4), (2,), None, 2, (1,), 8),
-    ((2, 2, 2, 4), (2,), 5, True, None, 8),
-    ((2, 2, 6), (1, 5), None, 5, (1, 2, 6, 12), 391),
-    ((2, 2, 6), (1, 5), 6, True, None, 385),
+    ((2, 2, 2, 4), (2,), None, 2, (1,), 1),
+    ((2, 2, 2, 4), (2,), 5, True, None, 1),
+    ((2, 2, 6), (1, 5), None, 5, (1, 2, 6, 12), 157),
+    ((2, 2, 6), (1, 5), 6, True, None, 151),
     ((19,), (10, 15, 18), None, 4, (1, 1, 3), 17),
     ((19,), (10, 15, 18), 3, False, (1, 1, 3), 2),
-    ((2, 2, 2), (1,), None, 4, (1, 2, 4), 31),
+    ((2, 2, 2), (1,), None, 4, (1, 2, 4), 10),
     ((2, 2, 2), (1,), 8, True, None, 0),
-    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 336),
+    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 49),
     ((2, 2, 2, 2), (1,), 2, False, (1, 2), 1),
-    ((2, 2, 2, 4), (2, 3), None, 2, (1,), 8),
-    ((2, 2, 2, 4), (2, 3), 7, True, None, 8),
-    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 336),
+    ((2, 2, 2, 4), (2, 3), None, 2, (1,), 1),
+    ((2, 2, 2, 4), (2, 3), 7, True, None, 1),
+    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 49),
     ((2, 2, 2, 2), (1,), 1, False, (1,), 0),
     ((24,), (5, 14, 16), None, 3, (1, 1), 17),
     ((24,), (5, 14, 16), 8, True, None, 16),
-    ((2, 4), (1, 2, 3), None, 2, (1,), 2),
-    ((2, 4), (1, 2, 3), 5, True, None, 2),
-    ((2, 2, 2, 4), (1, 2, 3), None, 2, (1,), 8),
-    ((2, 2, 2, 4), (1, 2, 3), 7, True, None, 8),
-    ((4, 4), (1, 3), None, 5, (1, 2, 4, 8), 94),
+    ((2, 4), (1, 2, 3), None, 2, (1,), 1),
+    ((2, 4), (1, 2, 3), 5, True, None, 1),
+    ((2, 2, 2, 4), (1, 2, 3), None, 2, (1,), 1),
+    ((2, 2, 2, 4), (1, 2, 3), 7, True, None, 1),
+    ((4, 4), (1, 3), None, 5, (1, 2, 4, 8), 46),
     ((4, 4), (1, 3), 3, False, (1, 2, 4), 2),
-    ((2, 2, 2, 4), (1, 2), None, 2, (1,), 8),
-    ((2, 2, 2, 4), (1, 2), 8, True, None, 8),
-    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 2921),
+    ((2, 2, 2, 4), (1, 2), None, 2, (1,), 1),
+    ((2, 2, 2, 4), (1, 2), 8, True, None, 1),
+    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 829),
     ((2, 2, 2, 4), (1, 3), 5, False, (1, 2, 4, 8, 16), 4),
-    ((3, 3, 3), (2,), None, 7, (1, 1, 3, 3, 9, 9), 24432),
+    ((3, 3, 3), (2,), None, 7, (1, 1, 3, 3, 9, 9), 5405),
     ((3, 3, 3), (2,), 5, False, (1, 1, 3, 3, 9), 4),
-    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 336),
+    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 49),
     ((2, 2, 2, 2), (1,), 2, False, (1, 2), 1),
-    ((3, 3, 3), (1, 2), None, 4, (1, 3, 9), 94),
-    ((3, 3, 3), (1, 2), 7, True, None, 91),
-    ((5, 5), (1,), None, 9, (1, 1, 1, 1, 5, 5, 5, 5), 19668),
+    ((3, 3, 3), (1, 2), None, 4, (1, 3, 9), 16),
+    ((3, 3, 3), (1, 2), 7, True, None, 13),
+    ((5, 5), (1,), None, 9, (1, 1, 1, 1, 5, 5, 5, 5), 6185),
     ((5, 5), (1,), 1, False, (1,), 0),
-    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 336),
+    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 49),
     ((2, 2, 2, 2), (1,), 2, False, (1, 2), 1),
     ((19,), (5, 12), None, 10, (1, 1, 1, 1, 1, 1, 1, 1, 1), 72),
     ((19,), (5, 12), 1, False, (1,), 0),
-    ((2, 4, 4), (1, 2, 3), None, 3, (1, 4), 61),
-    ((2, 4, 4), (1, 2, 3), 8, True, None, 60),
-    ((4, 4), (2,), None, 3, (1, 4), 19),
-    ((4, 4), (2,), 3, True, None, 18),
-    ((4, 4), (1, 2, 3), None, 3, (1, 4), 7),
-    ((4, 4), (1, 2, 3), 4, True, None, 6),
-    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 336),
+    ((2, 4, 4), (1, 2, 3), None, 3, (1, 4), 10),
+    ((2, 4, 4), (1, 2, 3), 8, True, None, 9),
+    ((4, 4), (2,), None, 3, (1, 4), 6),
+    ((4, 4), (2,), 3, True, None, 5),
+    ((4, 4), (1, 2, 3), None, 3, (1, 4), 2),
+    ((4, 4), (1, 2, 3), 4, True, None, 1),
+    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 49),
     ((2, 2, 2, 2), (1,), 2, False, (1, 2), 1),
     ((13,), (1, 6, 11), None, 3, (1, 1), 9),
     ((13,), (1, 6, 11), 8, True, None, 1),
-    ((2, 2, 6), (1, 3), None, 4, (1, 6, 12), 579),
-    ((2, 2, 6), (1, 3), 8, True, None, 576),
-    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 336),
-    ((2, 2, 2, 2), (1,), 7, True, None, 330),
-    ((3, 3, 3), (1,), None, 7, (1, 1, 3, 3, 9, 9), 24432),
-    ((3, 3, 3), (1,), 7, True, None, 24417),
+    ((2, 2, 6), (1, 3), None, 4, (1, 6, 12), 185),
+    ((2, 2, 6), (1, 3), 8, True, None, 182),
+    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 49),
+    ((2, 2, 2, 2), (1,), 7, True, None, 43),
+    ((3, 3, 3), (1,), None, 7, (1, 1, 3, 3, 9, 9), 5405),
+    ((3, 3, 3), (1,), 7, True, None, 5390),
     ((8,), (1, 2, 5), None, 3, (1, 1), 3),
     ((8,), (1, 2, 5), 1, False, (1,), 0),
-    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 336),
+    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 49),
     ((2, 2, 2, 2), (1,), 3, False, (1, 2, 4), 2),
-    ((2, 6), (2,), None, 3, (1, 1), 17),
-    ((2, 6), (2,), 7, True, None, 16),
-    ((3, 3, 3), (1, 2), None, 4, (1, 3, 9), 94),
-    ((3, 3, 3), (1, 2), 5, True, None, 91),
-    ((2, 8), (3,), None, 9, (1, 1, 1, 1, 1, 1, 1, 8), 630),
+    ((2, 6), (2,), None, 3, (1, 1), 11),
+    ((2, 6), (2,), 7, True, None, 10),
+    ((3, 3, 3), (1, 2), None, 4, (1, 3, 9), 16),
+    ((3, 3, 3), (1, 2), 5, True, None, 13),
+    ((2, 8), (3,), None, 9, (1, 1, 1, 1, 1, 1, 1, 8), 551),
     ((2, 8), (3,), 8, False, (1, 1, 1, 1, 1, 1, 1, 8), 7),
-    ((2, 2, 2, 4), (1, 2), None, 2, (1,), 8),
-    ((2, 2, 2, 4), (1, 2), 6, True, None, 8),
-    ((2, 2, 2, 4), (3,), None, 7, (1, 1, 1, 4, 8, 16), 22017),
+    ((2, 2, 2, 4), (1, 2), None, 2, (1,), 1),
+    ((2, 2, 2, 4), (1, 2), 6, True, None, 1),
+    ((2, 2, 2, 4), (3,), None, 7, (1, 1, 1, 4, 8, 16), 6513),
     ((2, 2, 2, 4), (3,), 5, False, (1, 1, 1, 4, 8), 4),
     ((8,), (1,), None, 8, (1, 1, 1, 1, 1, 1, 1), 21),
     ((8,), (1,), 2, False, (1, 1), 1),
-    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 2921),
+    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 829),
     ((2, 2, 2, 4), (1, 3), 1, False, (1,), 0),
-    ((2, 2, 4), (1, 3), None, 5, (1, 2, 4, 8), 174),
+    ((2, 2, 4), (1, 3), None, 5, (1, 2, 4, 8), 97),
     ((2, 2, 4), (1, 3), 2, False, (1, 2), 1),
-    ((2, 4, 4), (1, 2, 3), None, 3, (1, 4), 61),
-    ((2, 4, 4), (1, 2, 3), 5, True, None, 60),
-    ((2, 4), (1, 2), None, 2, (1,), 2),
-    ((2, 4), (1, 2), 3, True, None, 2),
+    ((2, 4, 4), (1, 2, 3), None, 3, (1, 4), 10),
+    ((2, 4, 4), (1, 2, 3), 5, True, None, 9),
+    ((2, 4), (1, 2), None, 2, (1,), 1),
+    ((2, 4), (1, 2), 3, True, None, 1),
     ((23,), (12,), None, 23, (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1), 231),
     ((23,), (12,), 3, False, (1, 1, 1), 2),
     ((18,), (3, 9), None, 2, (1,), 3),
     ((18,), (3, 9), 5, True, None, 3),
-    ((2, 2, 4), (1, 2), None, 2, (1,), 4),
+    ((2, 2, 4), (1, 2), None, 2, (1,), 1),
     ((2, 2, 4), (1, 2), 1, False, (1,), 0),
-    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 2921),
+    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 829),
     ((2, 2, 2, 4), (1, 3), 2, False, (1, 2), 1),
-    ((2, 2), (1,), None, 3, (1, 2), 4),
+    ((2, 2), (1,), None, 3, (1, 2), 2),
     ((2, 2), (1,), 2, False, (1, 2), 1),
-    ((2, 2, 6), (1, 5), None, 5, (1, 2, 6, 12), 391),
-    ((2, 2, 6), (1, 5), 7, True, None, 385),
-    ((2, 4, 4), (3,), None, 8, (1, 1, 1, 4, 4, 4, 16), 76006),
-    ((2, 4, 4), (3,), 8, True, None, 75985),
-    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 336),
-    ((2, 2, 2, 2), (1,), 7, True, None, 330),
-    ((2, 2, 6), (4,), None, 3, (1, 1), 49),
+    ((2, 2, 6), (1, 5), None, 5, (1, 2, 6, 12), 157),
+    ((2, 2, 6), (1, 5), 7, True, None, 151),
+    ((2, 4, 4), (3,), None, 8, (1, 1, 1, 4, 4, 4, 16), 18601),
+    ((2, 4, 4), (3,), 8, True, None, 18580),
+    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 49),
+    ((2, 2, 2, 2), (1,), 7, True, None, 43),
+    ((2, 2, 6), (4,), None, 3, (1, 1), 19),
     ((2, 2, 6), (4,), 1, False, (1,), 0),
-    ((2, 2, 6), (1, 3), None, 4, (1, 6, 12), 579),
-    ((2, 2, 6), (1, 3), 7, True, None, 576),
-    ((2, 4, 4), (3,), None, 8, (1, 1, 1, 4, 4, 4, 16), 76006),
+    ((2, 2, 6), (1, 3), None, 4, (1, 6, 12), 185),
+    ((2, 2, 6), (1, 3), 7, True, None, 182),
+    ((2, 4, 4), (3,), None, 8, (1, 1, 1, 4, 4, 4, 16), 18601),
     ((2, 4, 4), (3,), 6, False, (1, 1, 1, 4, 4, 4), 5),
-    ((2, 2), (1,), None, 3, (1, 2), 4),
+    ((2, 2), (1,), None, 3, (1, 2), 2),
     ((2, 2), (1,), 2, False, (1, 2), 1),
     ((3,), (2,), None, 3, (1, 1), 1),
     ((3,), (2,), 5, True, None, 0),
     ((15,), (3, 6, 7), None, 3, (1, 1), 5),
     ((15,), (3, 6, 7), 7, True, None, 3),
-    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 336),
+    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 49),
     ((2, 2, 2, 2), (1,), 3, False, (1, 2, 4), 2),
-    ((2, 2), (1,), None, 3, (1, 2), 4),
-    ((2, 2), (1,), 3, True, None, 3),
-    ((2, 2), (1,), None, 3, (1, 2), 4),
+    ((2, 2), (1,), None, 3, (1, 2), 2),
+    ((2, 2), (1,), 3, True, None, 1),
+    ((2, 2), (1,), None, 3, (1, 2), 2),
     ((2, 2), (1,), 8, True, None, 0),
-    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 2921),
+    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 829),
     ((2, 2, 2, 4), (1, 3), 3, False, (1, 2, 4), 2),
 ]
 
@@ -178,3 +182,42 @@ PINNED = [
 def test_kernel_matches_pinned_results():
     got = [(fs, ws, k, *_run(fs, ws, k)) for fs, ws, k in _draw()]
     assert got == PINNED
+
+
+def _unit_orbit_roots(g):
+    """The nonzero flat indices least in their orbit under the units of Z_e."""
+    e = g.exponent
+    mins = orbit_minima(g, unit_generators(units(e), e))
+    return tuple(i for i in range(1, g.order) if mins[i] == i)
+
+
+def _run_with_roots(fs, ws, k, roots):
+    """_run on one set of tables whose root scan is `roots`."""
+    g = GroupSpec(fs)
+    tables = solver._WeightTables(g, WeightSet(g.exponent, ws))
+    tables.roots = roots
+    if k is not None:
+        found, nodes = tables.first(k)
+        return found is None, found and tuple(sorted(found)), nodes
+    witness, nodes, k = (), 0, 1
+    while True:
+        found, n_nodes = tables.first(k)
+        nodes += n_nodes
+        if found is None:
+            return k, witness, nodes
+        witness, k = tuple(sorted(found)), k + 1
+
+
+def test_automorphism_roots_agree_with_unit_orbit_roots():
+    # rooting at Aut(G)-orbit minima, a subset of the unit-orbit minima,
+    # keeps every answer and drops only nodes under the roots it skips
+    checked = 0
+    for fs, ws, k in _draw():
+        if len(fs) == 1:
+            continue
+        unit = _run_with_roots(fs, ws, k, _unit_orbit_roots(GroupSpec(fs)))
+        got = _run(fs, ws, k)
+        assert got[:2] == unit[:2], (fs, ws, k)
+        assert got[2] <= unit[2], (fs, ws, k)
+        checked += 1
+    assert checked >= 60

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 from math import ceil, gcd
 
 import pytest
@@ -94,22 +95,42 @@ def test_davenport_matches_brute_force_products():
 @pytest.mark.parametrize(
     "factors, weights, value, nodes, witness",
     [
-        ((3, 9), (1,), 11, 21_323, ((0, 1),) * 8 + ((1, 0),) * 2),
-        ((3, 3, 3), (1,), 7, 24_432, ((0, 0, 1),) * 2 + ((0, 1, 0),) * 2 + ((1, 0, 0),) * 2),
-        ((5, 5), (1,), 9, 19_668, ((0, 1),) * 4 + ((1, 0),) * 4),
+        ((3, 9), (1,), 11, 14_498, ((0, 1),) * 8 + ((1, 0),) * 2),
+        ((3, 3, 3), (1,), 7, 5_405, ((0, 0, 1),) * 2 + ((0, 1, 0),) * 2 + ((1, 0, 0),) * 2),
+        ((5, 5), (1,), 9, 6_185, ((0, 1),) * 4 + ((1, 0),) * 4),
         ((150,), (1, 2, 148, 149), 5, 12_284, ((1,), (3,), (9,), (27,))),
         ((48,), (1, 47), 6, 2_689, ((1,), (2,), (4,), (8,), (16,))),
-        ((2, 2, 2, 2), (1,), 5, 336, ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))),
+        ((2, 2, 2, 2), (1,), 5, 49, ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))),
     ],
 )
 def test_node_counts_and_witnesses_pinned(factors, weights, value, nodes, witness):
     # values and witnesses are the first kernel's; nodes are pinned too, so a
     # faster kernel must visit the same nodes in the same order.  The two
     # rows whose weights a unit s != 1 fixes (s = -1) count the nodes of the
-    # kernel that never extends a prefix by an element s maps lower.
+    # kernel that never extends a prefix by an element s maps lower, and the
+    # non-cyclic rows those of the kernel rooted at Aut(G)-orbit minima.
     g = GroupSpec(factors)
     r = davenport(g, WeightSet(g.exponent, weights), threads=1)
     assert (r.value, r.nodes_explored, r.witness.entries) == (value, nodes, witness)
+
+
+@pytest.mark.parametrize(
+    "factors, weights, value, nodes",
+    [
+        ((2,) * 6, (1,), 7, 2_434),  # Olson: 1 + r for Z_2^r
+        ((3,) * 5, (1, 2), 6, 2_381),  # {1, 2} is every weight of Z_3: r + 1
+    ],
+)
+def test_elementary_groups_refuted_from_one_root(factors, weights, value, nodes):
+    # every nonzero element of Z_p^r lies in one Aut(G)-orbit, so the
+    # refutation at D searches the single root (0, ..., 0, 1); rooted at every
+    # unit-orbit minimum the same searches took 80,361 and 148,598 nodes
+    g = GroupSpec(factors)
+    start = time.perf_counter()
+    r = davenport(g, WeightSet(g.exponent, weights))
+    assert time.perf_counter() - start < 5.0
+    basis = tuple(tuple(int(i == j) for i in range(len(factors))) for j in reversed(range(len(factors))))
+    assert (r.value, r.nodes_explored, r.witness.entries) == (value, nodes, basis)
 
 
 def _lex_least_cases():
