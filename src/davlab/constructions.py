@@ -351,6 +351,8 @@ def complement_weight_set(p: int, r: int) -> ConstructionReport:
     )
 
 
+# quartic_weight_set recertifies D_A <= 4 by the bounded check up to this p.
+QUARTIC_EXHAUSTIVE_LIMIT = 1000
 DEFAULT_QUARTIC_SCHEDULE: tuple[tuple[float, int], ...] = (
     (1.5, 1),
     (1.5, 2),
@@ -371,7 +373,6 @@ def quartic_weight_set(
     s_den: int = 10,
     seed: int = 1,
     n_dilates: Optional[int] = None,
-    exhaustive_limit: int = 1000,
     budget: Optional[Budget] = None,
 ) -> ConstructionReport:
     """Union of dilated symmetric intervals with D_A <= 4, built greedily.
@@ -380,7 +381,7 @@ def quartic_weight_set(
     [1, eta], dilates x_i are drawn from the low-representation pool NORMAL
     until S intersect x_1 S intersect ... is empty; the weight set is
     [-L, L]_* joined with the intervals dilated by each x_i^{-1}.  The final
-    bound is never assumed: for p up to the exhaustive limit the solver
+    bound is never assumed: for p up to QUARTIC_EXHAUSTIVE_LIMIT the solver
     recertifies D_A <= 4, and the report fails loudly otherwise.  The
     budget's Meter is tested before each greedy round; once it trips the
     ConstructionError carries the residual intersection size.
@@ -467,7 +468,7 @@ def quartic_weight_set(
     ws = WeightSet(p, tuple(sorted(weights)))
     verified = None
     method = None
-    if p <= exhaustive_limit:
+    if p <= QUARTIC_EXHAUSTIVE_LIMIT:
         chk = check_dav_at_most(cyclic(p), ws, 4)
         if not chk.holds:
             raise ConstructionError(
@@ -503,16 +504,13 @@ def quartic_weight_set(
     )
 
 
-def quartic_weight_set_auto(
-    p: int,
-    schedule: tuple[tuple[float, int], ...] = DEFAULT_QUARTIC_SCHEDULE,
-    **kwargs,
-) -> ConstructionReport:
-    """First success of quartic_weight_set over a (c0, seed) schedule."""
+def quartic_weight_set_auto(p: int) -> ConstructionReport:
+    """First success of quartic_weight_set over DEFAULT_QUARTIC_SCHEDULE's
+    (c0, seed) pairs."""
     failures = []
-    for c0, seed in schedule:
+    for c0, seed in DEFAULT_QUARTIC_SCHEDULE:
         try:
-            return quartic_weight_set(p, c0=c0, seed=seed, **kwargs)
+            return quartic_weight_set(p, c0=c0, seed=seed)
         except ConstructionError as exc:
             failures.append((c0, seed, str(exc)))
     raise ConstructionError(f"all schedule entries failed for p={p}", p=p, failures=failures)

@@ -7,12 +7,12 @@ element, whatever the group's shape, which keeps the reachable-sum recurrence
 
     R_i = R_{i-1}  union  A*x_i  union  (R_{i-1} + A*x_i)
 
-and the set operations cheap up to the order limit.  (The search kernel in
-solver keeps its own padded layout of reachable sets.)  The multiples A*x
-come from flat indices by arithmetic on digits (images), and one walk,
-_Walk, builds R step by step and, when asked whether a multiset is
-zero-sum-free, rejects it at the first x_i with a*x_i = 0 or a*x_i in
--R_{i-1} before translating anything by it.
+and the set operations cheap up to the order limit.  reachable_sums folds
+it over a sequence and has_weighted_zero_sum reads bit 0 of the fold.  The
+multiples A*x come from flat indices by arithmetic on digits (images), which
+solver's padded layout shares through scaled_weights.  The zero-sum-free
+test that fd and classify_dav run on many multisets is solver's
+first_zero_free, the search kernel's own test and step on that layout.
 
 Weight sets are enumerated one per unit-dilation orbit by
 dilation_orbit_reps, a generator with one canonicity rule for every modulus,
@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from operator import add
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator
 
 from .groups import (
     Element,
@@ -268,88 +268,6 @@ def _check_weights(group: GroupSpec, weights: WeightSet) -> None:
         )
 
 
-class _Walk:
-    """Prefix-sums walks of multisets of flat indices over one group and one
-    weight set A.
-
-    A step from the sums R of a prefix by an element x gives
-    R | A*x | (R + A*x), with A*x = images(x, plus).  Before the step, x
-    closes a weighted zero-sum when a*x = 0 or a*x lies in -R: one AND of
-    R | {0} against the bits of (-A)*x.  zero_free memoizes both, the bits
-    of (-A)*x per x and the step per (R, x), so multisets that share a
-    prefix (as the culprits of one fd call mostly do) share its steps.
-    """
-
-    __slots__ = ("translate", "plus", "minus", "negs", "steps")
-
-    def __init__(self, group: GroupSpec, residues: tuple[int, ...]):
-        lay = _layout(group)
-        e = group.exponent
-        self.translate = lay.translate
-        self.plus = lay.scaled(residues)
-        self.minus = lay.scaled(tuple([e - a for a in residues]))  # (e - a)*x = -a*x
-        self.negs: dict[int, int] = {}
-        self.steps: dict[tuple[int, int], int] = {}
-
-    def step(self, bits: int, i: int) -> int:
-        """The sums after adding the element of flat index i to a prefix
-        with sums `bits`."""
-        nxt = bits
-        if bits:
-            translate = self.translate
-            for m in images(i, self.plus):
-                nxt |= 1 << m | translate(bits, m)
-        else:
-            for m in images(i, self.plus):
-                nxt |= 1 << m
-        return nxt
-
-    def sums(self, indices: Iterable[int]) -> int:
-        """All weighted sums of nonempty sub-multisets, as bits."""
-        bits = 0
-        for i in indices:
-            bits = self.step(bits, i)
-        return bits
-
-    def zero_free(self, indices: Sequence[int]) -> bool:
-        """Whether no nonempty sub-multiset has a weighted zero-sum.
-
-        Stops at the first element that closes one, and takes no step by
-        the last element, whose sums nothing reads.
-        """
-        negs, steps = self.negs, self.steps
-        bits = 0
-        last = len(indices) - 1
-        for j, i in enumerate(indices):
-            neg = negs.get(i)
-            if neg is None:
-                neg = 0
-                for m in images(i, self.minus):
-                    neg |= 1 << m
-                negs[i] = neg
-            if neg & (bits | 1):
-                return False
-            if j < last:
-                key = (bits, i)
-                nxt = steps.get(key)
-                if nxt is None:
-                    nxt = steps[key] = self.step(bits, i)
-                bits = nxt
-        return True
-
-
-def first_zero_free(
-    group: GroupSpec, residues: tuple[int, ...], multisets: Iterable[Sequence[int]]
-) -> Optional[int]:
-    """Position of the first multiset of flat indices that is zero-sum-free
-    under the weights `residues` of G, or None."""
-    walk = _Walk(group, residues)
-    for j, ms in enumerate(multisets):
-        if walk.zero_free(ms):
-            return j
-    return None
-
-
 def _seq_indices(group: GroupSpec, weights: WeightSet, seq: GSequence) -> list[int]:
     _check_weights(group, weights)
     if seq.group != group:
@@ -358,14 +276,25 @@ def _seq_indices(group: GroupSpec, weights: WeightSet, seq: GSequence) -> list[i
 
 
 def reachable_sums(group: GroupSpec, weights: WeightSet, seq: GSequence) -> ResidueSet:
-    """All values of sum a_i x_i over nonempty subsequences and weights a_i."""
+    """All values of sum a_i x_i over nonempty subsequences and weights a_i.
+
+    The fold R_i = R_{i-1} | A*x_i | (R_{i-1} + A*x_i) on the flat layout.
+    """
     indices = _seq_indices(group, weights, seq)
-    return ResidueSet(group, _Walk(group, weights.residues).sums(indices))
+    lay = _layout(group)
+    plus = lay.scaled(weights.residues)
+    bits = 0
+    for i in indices:
+        nxt = bits
+        for m in images(i, plus):
+            nxt |= 1 << m | lay.translate(bits, m)
+        bits = nxt
+    return ResidueSet(group, bits)
 
 
 def has_weighted_zero_sum(group: GroupSpec, weights: WeightSet, seq: GSequence) -> bool:
     """True when some nonempty subsequence admits a weighted zero-sum."""
-    return not _Walk(group, weights.residues).zero_free(_seq_indices(group, weights, seq))
+    return reachable_sums(group, weights, seq).bits & 1 == 1
 
 
 def sumset(s: ResidueSet, t: ResidueSet) -> ResidueSet:

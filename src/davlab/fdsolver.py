@@ -8,7 +8,8 @@ lex order and accepts the first passing the bounded Davenport check, with
 the checks guided by counterexamples: a failed check returns a culprit, a
 zero-sum-free multiset of length k, and a later candidate under which some
 earlier culprit is still zero-sum-free fails as well (D_A(G) > k), which
-one prefix-sums walk per culprit shows without a bounded check.  The rule
+solver.first_zero_free shows without a bounded check by walking the
+culprit with the bounded check's own zero-sum test and step.  The rule
 only skips candidates that fail, so value, witness and sizes_excluded are
 those of checking every candidate.  Infinity is only ever declared after
 exhausting every size up to exp(G) - 1; running out of budget yields
@@ -23,7 +24,7 @@ from functools import lru_cache, partial
 from math import inf, isqrt
 from typing import Callable, Iterable, Optional
 
-from .engine import WeightSet, dilation_orbit_reps, first_zero_free
+from .engine import WeightSet, dilation_orbit_reps
 from .groups import (
     DEFAULT_ORDER_LIMIT,
     GroupOrderError,
@@ -34,7 +35,7 @@ from .groups import (
     normalize_group,
 )
 from .numtheory import floor_log, integer_nthroot, isprime, primitive_root
-from .solver import Budget, BudgetExceededError, Meter, check_dav_at_most
+from .solver import Budget, BudgetExceededError, Meter, check_dav_at_most, first_zero_free
 
 
 class FdStatus(str, Enum):
@@ -157,8 +158,11 @@ def _first_holding(
     culprits holds the counterexamples of this fd call's failed bounded
     checks as flat indices, kept across sizes: a culprit is a length-k
     multiset, so it does not depend on |A|.  A representative under which
-    one of them is still zero-sum-free fails without a bounded check; the
-    others get check_dav_at_most, and each failure adds its culprit.  New
+    one of them is still zero-sum-free fails without a bounded check
+    (first_zero_free, on the kernel's padded layout; not called before the
+    first culprit, so a group whose move tables are refused is refused by
+    its first check before any layout is built).  The others get
+    check_dav_at_most, and each failure adds its culprit.  New
     culprits go in front, and so does a culprit that just refuted a
     representative, since lex-consecutive representatives share most
     elements and the last culprit to refute usually refutes the next.  The
@@ -170,7 +174,7 @@ def _first_holding(
     for rep in dilation_orbit_reps(exp, size):
         meter.check()
         meter.candidates += 1
-        j = first_zero_free(group, rep, culprits)
+        j = first_zero_free(group, rep, culprits) if culprits else None
         if j is not None:
             if j:
                 culprits.insert(0, culprits.pop(j))
@@ -396,12 +400,7 @@ def _fd_value_label(r: FdResult):
     return r.value if r.status == FdStatus.FINITE else r.status.value
 
 
-def fd_relation_checks(
-    p: int,
-    m: int,
-    k: int,
-    budget: Optional[Budget] = None,
-) -> FdRelationReport:
+def fd_relation_checks(p: int, m: int, k: int) -> FdRelationReport:
     """Exact checks of the structural fd relations reachable from (p, m, k).
 
     Covers the prime-power collapse fd(Z_{p^m}) = fd(Z_p), the coprime
@@ -418,8 +417,8 @@ def fd_relation_checks(
         # p^m itself would take longer to compute than to refuse
         raise GroupOrderError(f"group order {p}^{m} exceeds limit {DEFAULT_ORDER_LIMIT}")
     checks = []
-    base = fd(cyclic(p), k, budget=budget)
-    power = fd(cyclic(p**m), k, budget=budget)
+    base = fd(cyclic(p), k)
+    power = fd(cyclic(p**m), k)
     checks.append(
         RelationCheck(
             name="prime-power-collapse",
@@ -435,8 +434,8 @@ def fd_relation_checks(
         )
     )
     if m >= 2 and m != p and isprime(m):
-        other = fd(cyclic(m), k, budget=budget)
-        product = fd(normalize_group([p, m]), k, budget=budget)
+        other = fd(cyclic(m), k)
+        product = fd(normalize_group([p, m]), k)
         lhs = product.as_comparable()
         rhs = min(base.as_comparable(), other.as_comparable())
         checks.append(
@@ -454,7 +453,7 @@ def fd_relation_checks(
     tower = []
     for i in range(1, m + 1):
         g = GroupSpec((p,) * i)
-        tower.append(fd(g, k, budget=budget))
+        tower.append(fd(g, k))
     vals = [t.as_comparable() for t in tower]
     checks.append(
         RelationCheck(

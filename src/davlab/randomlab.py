@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .engine import GSequence, WeightSet, has_weighted_zero_sum
+from .engine import WeightSet
 from .fdsolver import ratio_covers
 from .groups import GroupSpec, check_order, cyclic
 from .numtheory import isprime
@@ -111,11 +111,13 @@ def classify_dav(p: int, weights, k: int) -> Classification:
     Two tests decide it, D_A <= k - 1 and D_A <= k.  A test of D_A <= 2 is
     the exact criterion A/A = Z_p* (fdsolver.ratio_covers), which costs
     |A| rotations of a (p-1)-bit set, or |A|^2 products when that is fewer
-    than p, instead of a bounded check; larger
-    bounds go through the bounded check, and for k >= 4, where both tests
-    are bounded checks, the two share one set of tables.  The k-1 test is
-    skipped when the all-ones sequence of length k-1 is already
-    zero-sum-free, which rules LT out without a search.
+    than p, instead of a bounded check; larger bounds go through the
+    bounded check, which stays check_dav_at_most for k < 4, and for k >= 4,
+    where both tests are bounded checks, the two share one set of tables.
+    The k-1 test is skipped when the all-ones multiset of length k-1 is
+    already zero-sum-free, which rules LT out without a search; that
+    pretest is one solver.first_zero_free walk, the bounded check's own
+    test and step with no tables built.
     """
     if not isprime(p):
         raise ValueError(f"p = {p} must be prime")
@@ -136,10 +138,9 @@ def _classify(group: GroupSpec, ws: WeightSet, k: int, bounded) -> Classificatio
     def at_most(j: int) -> bool:
         return ratio_covers(group.order, ws.residues) if j == 2 else bounded(j)
 
-    if k >= 2:
-        ones = GSequence.of(group, [(1,)] * (k - 1))
-        if has_weighted_zero_sum(group, ws, ones) and at_most(k - 1):
-            return Classification.LT
+    ones = [[1] * (k - 1)]  # flat index 1 is the element 1 of Z_p
+    if k >= 2 and solver.first_zero_free(group, ws.residues, ones) is None and at_most(k - 1):
+        return Classification.LT
     if at_most(k):
         return Classification.EQ
     return Classification.GT

@@ -17,6 +17,10 @@ every point at x_j and x_j + n_j in each coordinate.  Then for a move m,
 (T >> (S - m)) & mask is T + m, with S = sum n_j*P_j and mask the padded
 bits of G: of the two copies in coordinate j exactly one lands in
 [0, n_j), and a borrow from a negative coordinate lands in its padding.
+first_zero_free runs the same test and step along given multisets, with no
+search, memo or table beyond the bits of A*(-x): fd refutes candidates with
+it by the culprits of its failed checks, and classify_dav pretests the
+all-ones multiset.  It is the one zero-sum-free walk besides the kernel.
 
 check_dav_at_most(G, A, k) is one kernel call per root, and D_A(G) is the
 first k at which it holds, so davenport() scans k = 1, 2, ... over one set
@@ -97,10 +101,12 @@ from .numtheory import isprime
 _MEMO_LIMIT = 1 << 19
 _MEMO_BYTES = 1 << 27
 # The masks A*c reach about halfway up a reachable set, so the move tables of
-# a group take about |G| * width / 16 bytes.  Groups past this are refused:
-# cyclic ones past order 2^17, whose flat tables already took over 1 GiB, and
-# Z_2^r from r = 12, where padding multiplies the flat tables by 2^(r-1).
-# Since width >= |G|, no group past order 2^17 gets through.
+# a group take about |G| * width / 16 bytes.  _WeightTables refuses groups
+# past this: cyclic ones past order 2^17, whose flat tables already took over
+# 1 GiB, and Z_2^r from r = 12, where padding multiplies the flat tables by
+# 2^(r-1).  Since width >= |G|, no group past order 2^17 gets tables.  The
+# layout alone is one width-bit mask, so first_zero_free, which builds no
+# table, still runs on cyclic groups up to the order limit.
 _TABLE_BYTES = 1 << 30
 # A search that counts nodes tests its budget once per this many nodes.
 _CHECK_EVERY = 4096
@@ -131,17 +137,11 @@ class _Padding:
     __slots__ = ("coords", "strides", "mask", "spread", "shift", "width", "memo_limit")
 
     def __init__(self, group: GroupSpec):
-        n = group.order
         fs = group.invariant_factors
         strides = [1] * len(fs)
         for j in range(len(fs) - 2, -1, -1):
             strides[j] = strides[j + 1] * 2 * fs[j + 1]
         self.width = fs[0] * strides[0]
-        if n * self.width // 16 > _TABLE_BYTES:
-            raise GroupOrderError(
-                f"{group}: move tables over {self.width}-bit reachable sets would take"
-                f" about {n * self.width >> 24} MiB, over the {_TABLE_BYTES >> 20} MiB limit"
-            )
         coords = []
         st = 1
         for nj, pj in zip(fs[::-1], strides[::-1]):
@@ -319,6 +319,12 @@ class _WeightTables:
         _check_weights(group, weights)
         self.group = group
         self.order = n = group.order
+        width = n << group.rank - 1  # _Padding.width, known before its mask is built
+        if n * width // 16 > _TABLE_BYTES:
+            raise GroupOrderError(
+                f"{group}: move tables over {width}-bit reachable sets would take"
+                f" about {n * width >> 24} MiB, over the {_TABLE_BYTES >> 20} MiB limit"
+            )
         self.padding = pad = _padding(group)
         self.weights = weights
         e = group.exponent
@@ -562,6 +568,51 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
             fail_at[(chosen.pop(), bits)] = remaining
             stack.pop()
     return None, nodes
+
+
+def first_zero_free(
+    group: GroupSpec, residues: tuple[int, ...], multisets: Iterable[Sequence[int]]
+) -> Optional[int]:
+    """Position of the first multiset of flat indices that is zero-sum-free
+    under the weights `residues` of G, or None.
+
+    Each multiset is walked with _find_zsf's test and step on the padded
+    layout: x closes a weighted zero-sum after a prefix with sums R when
+    A*(-x) meets R | {0}, and otherwise R grows to
+    R | ((OR over m in A*x of T >> (S - m)) & mask), T the tiled R | {0}.
+    The bits of A*(-x) are kept for the call.  No step is kept, and none is
+    taken by a multiset's last element, whose sums nothing reads.  Every
+    element of A*x is moved by, so the walk reads no move list (which a
+    unit fixing A leaves empty).  It builds G's padded layout, one
+    2^(r-1)*|G|-bit mask, and no table, so _TABLE_BYTES does not apply.
+    """
+    pad = _padding(group)
+    e = group.exponent
+    plus = pad.scaled(residues)
+    minus = pad.scaled(tuple([e - a for a in residues]))  # (e - a)*x = -a*x
+    mask, spread, shift = pad.mask, pad.spread, pad.shift
+    bits_of = _WeightTables.bits
+    negs: dict[int, int] = {}
+    for j, ms in enumerate(multisets):
+        bits = 0
+        last = len(ms) - 1
+        for i, x in enumerate(ms):
+            neg = negs.get(x)
+            if neg is None:
+                neg = negs[x] = bits_of(x, minus)
+            if neg & (bits | 1):
+                break
+            if i < last:
+                tiled = bits | 1
+                for s in spread:
+                    tiled |= tiled << s
+                nb = 0
+                for m in images(x, plus):
+                    nb |= tiled >> shift - m
+                bits |= nb & mask
+        else:
+            return j
+    return None
 
 
 def davenport(

@@ -14,16 +14,15 @@ from davlab.engine import (
     difference_set,
     dilate,
     dilation_orbit_reps,
-    first_zero_free,
     has_weighted_zero_sum,
     negate,
     quotient_set,
     reachable_sums,
     sumset,
 )
-from davlab.engine import _Walk
 from davlab.groups import GroupSpec, cyclic, element_index, normalize_group
 from davlab.numtheory import primerange
+from davlab.solver import first_zero_free
 
 from conftest import brute_is_zsf, brute_reachable, tuple_add, tuple_scale
 
@@ -110,11 +109,28 @@ def test_has_weighted_zero_sum_consistency():
         assert has_weighted_zero_sum(g, weights, seq) == want
 
 
+def _check_walk(g, weights, multisets):
+    # solver.first_zero_free on each multiset alone and on every suffix of
+    # the list: the walk keeps the bits of A*(-x) across the multisets of one
+    # call, and nothing else may carry from one multiset to the next
+    factors, n = g.invariant_factors, g.exponent
+    flat = [[element_index(g, x) for x in ms] for ms in multisets]
+    zsf = [brute_is_zsf(factors, weights, ms) for ms in multisets]
+    for idx, ms, want in zip(flat, multisets, zsf):
+        assert (first_zero_free(g, weights, [idx]) == 0) is want, (g, weights, ms)
+        seq = GSequence.of(g, ms)
+        got = set(reachable_sums(g, WeightSet(n, weights), seq).elements())
+        assert got == brute_reachable(factors, weights, ms), (g, weights, ms)
+        assert has_weighted_zero_sum(g, WeightSet(n, weights), seq) is not want
+    for start in range(len(flat)):
+        rest = zsf[start:]
+        first = rest.index(True) if True in rest else None
+        assert first_zero_free(g, weights, flat[start:]) == first, (g, weights, start)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_walk_matches_brute_force(data):
-    # one walk over several multisets, as fd's culprit scan uses it: the
-    # memoized steps of one multiset must not leak into the next
     orders = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
     g = normalize_group(orders)
     factors, n = g.invariant_factors, g.exponent
@@ -123,17 +139,25 @@ def test_walk_matches_brute_force(data):
     multisets = data.draw(
         st.lists(st.lists(element, min_size=1, max_size=4), min_size=1, max_size=5)
     )
-    flat = [[element_index(g, x) for x in ms] for ms in multisets]
-    zsf = [brute_is_zsf(factors, weights, ms) for ms in multisets]
-    walk = _Walk(g, weights)
-    for idx, ms, want in zip(flat, multisets, zsf):
-        assert walk.zero_free(idx) is want, (g, weights, ms)
-        got = set(ResidueSet(g, walk.sums(idx)).elements())
-        assert got == brute_reachable(factors, weights, ms), (g, weights, ms)
-        seq = GSequence.of(g, ms)
-        assert has_weighted_zero_sum(g, WeightSet(n, weights), seq) is not want
-    first = zsf.index(True) if True in zsf else None
-    assert first_zero_free(g, weights, flat) == first
+    _check_walk(g, weights, multisets)
+
+
+@pytest.mark.parametrize(
+    "factors, weights, multisets",
+    [
+        # multisets holding 0 close a zero-sum at 0 itself
+        ((7,), (1, 3), [[(2,), (0,)], [(0,)], [(0,), (3,)], [(3,)]]),
+        # -1 fixes A = {1, 8} and maps 7 to 2, so the kernel never extends a
+        # prefix by 7 (its move list is empty); the walk must still step by
+        # it, or it misses 1*7 + 1*2 = 0
+        ((9,), (1, 8), [[(7,), (2,)], [(7,), (1,), (1,)], [(7,), (7,), (2,)], [(4,), (7,)]]),
+        # rank 3: three padded coordinates, borrows between them
+        ((2, 4, 8), (1, 3, 5), [[(1, 3, 7), (1, 1, 1)], [(0, 2, 4), (1, 0, 6), (1, 3, 5)],
+                                [(1, 2, 3), (0, 1, 1), (1, 1, 2)]]),
+    ],
+)
+def test_walk_fixed_rows(factors, weights, multisets):
+    _check_walk(GroupSpec(factors), weights, multisets)
 
 
 @settings(max_examples=60)

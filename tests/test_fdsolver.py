@@ -5,7 +5,7 @@ from concurrent import futures
 
 import pytest
 
-from davlab import fdsolver, solver
+from davlab import fdsolver, randomlab, solver
 from davlab.engine import WeightSet, dilation_orbit_reps
 from davlab.fdsolver import (
     FdStatus,
@@ -343,6 +343,31 @@ def test_culprit_refutation_agrees_with_checking_every_rep():
             # the first candidate has no culprit to meet, so gets a bounded check
             checks, candidates = res.search_stats.checks, res.search_stats.candidates
             assert min(candidates, 1) <= checks <= candidates, (group, k)
+
+
+def test_bounded_checks_go_through_check_dav_at_most(monkeypatch):
+    # fd's general path and classify_dav verify by the module-level name
+    # check_dav_at_most, which a tracer of the bounded checks wraps: one call
+    # per bounded check fd counts, none bypassed by the culprit walk
+    calls = []
+    real = check_dav_at_most
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fdsolver, "check_dav_at_most", counted)
+    for group, k in ((cyclic(9), 2), (cyclic(7), 3), (normalize_group([3, 3]), 3)):
+        calls.clear()
+        res = fd(group, k)
+        assert len(calls) == res.search_stats.checks >= 1, (group, k)
+    monkeypatch.setattr(randomlab, "check_dav_at_most", counted)
+    # k = 3 with no ratio decision: {1} leaves (1, 1) zero-sum-free, and
+    # {1, 6} has a zero-sum there but 6/1 and 1/6 do not cover Z_7*
+    for weights, want in (([1], Classification.GT), ([1, 6], Classification.EQ)):
+        calls.clear()
+        assert classify_dav(7, weights, 3) is want
+        assert len(calls) == 1, weights
 
 
 def test_fd_z53_k3():

@@ -18,7 +18,7 @@ from davlab.randomlab import (
     threshold_sweep,
     trial_seed,
 )
-from davlab.solver import Budget, davenport
+from davlab.solver import Budget, check_dav_at_most, davenport
 
 
 def test_sweep_config_validation():
@@ -81,6 +81,19 @@ def test_classify_examples():
         classify_dav(8, [1], 2)
     with pytest.raises(ValueError):
         classify_dav(7, WeightSet(11, (1, 2)), 2)
+
+
+def test_classify_past_the_table_bound():
+    # at a prime past 2^17 the bounded check refuses Z_p for its move tables,
+    # but the ratio criterion and the all-ones pretest build none, so k = 2
+    # and an LT at k = 3 are still classified
+    p = 131101
+    with pytest.raises(GroupOrderError):
+        check_dav_at_most(cyclic(p), WeightSet(p, (1,)), 2)
+    assert classify_dav(p, [1, 2, 3], 2) is Classification.GT
+    m = math.isqrt(p)
+    interval = [*range(1, m + 1), *range(p - m, p)]  # A/A = Z_p*, and 1 + (p - 1) = 0
+    assert classify_dav(p, interval, 3) is Classification.LT
 
 
 def test_classify_agrees_with_full_solver():
