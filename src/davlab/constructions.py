@@ -58,17 +58,11 @@ class GFCubicField:
     cubic by (r2, r1, r0); a cubic with no root in Z_q is irreducible.
     """
 
-    def __init__(self, q: int, reduction: Optional[tuple[int, int, int]] = None):
+    def __init__(self, q: int):
         if not isprime(q):
             raise ValueError(f"field characteristic {q} must be prime")
         self.q = q
-        if reduction is None:
-            reduction = self._first_irreducible(q)
-        else:
-            if self._has_root(q, reduction):
-                raise ValueError(f"{reduction} is not irreducible over Z_{q}")
-        self.reduction = reduction
-        r2, r1, r0 = reduction
+        self.reduction = r2, r1, r0 = self._first_irreducible(q)
         # t^3 = s2 t^2 + s1 t + s0 and t^4 = t * t^3, reduced
         s2, s1, s0 = (-r2) % q, (-r1) % q, (-r0) % q
         self._t3 = (s0, s1, s2)

@@ -25,13 +25,13 @@ DEFAULT_ORDER_LIMIT = 10**6
 
 
 class GroupOrderError(ValueError):
-    """Requested group exceeds the configured order limit."""
+    """Requested group exceeds the order limit."""
 
 
-def check_order(n: int, order_limit: int = DEFAULT_ORDER_LIMIT) -> None:
-    """Refuse order n past the limit, before anything is built over it."""
-    if n > order_limit:
-        raise GroupOrderError(f"group order {n} exceeds limit {order_limit}")
+def check_order(n: int) -> None:
+    """Refuse order n past DEFAULT_ORDER_LIMIT, before anything is built over it."""
+    if n > DEFAULT_ORDER_LIMIT:
+        raise GroupOrderError(f"group order {n} exceeds limit {DEFAULT_ORDER_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def cyclic(n: int) -> GroupSpec:
     return GroupSpec((n,))
 
 
-def normalize_group(orders: Sequence[int], order_limit: int = DEFAULT_ORDER_LIMIT) -> GroupSpec:
+def normalize_group(orders: Sequence[int]) -> GroupSpec:
     """Canonical invariant-factor form of Z_{o_1} x ... x Z_{o_r}.
 
     Merges the prime-power content of the given cyclic orders into a
@@ -99,7 +99,7 @@ def normalize_group(orders: Sequence[int], order_limit: int = DEFAULT_ORDER_LIMI
             raise ValueError(f"cyclic order {n!r} is not a positive integer")
     # the group order is the product of the cyclic orders: refuse before
     # factoring, which costs up to sqrt(n) trial divisions
-    check_order(prod(orders), order_limit)
+    check_order(prod(orders))
     by_prime: dict[int, list[int]] = {}
     for n in orders:
         if n == 1:
@@ -118,14 +118,14 @@ def normalize_group(orders: Sequence[int], order_limit: int = DEFAULT_ORDER_LIMI
     return GroupSpec(tuple(factors))
 
 
-def parse_group(text: str, order_limit: int = DEFAULT_ORDER_LIMIT) -> GroupSpec:
+def parse_group(text: str) -> GroupSpec:
     """Parse CLI group syntax: '12' or '2x4' or '3x3x9'."""
     parts = text.lower().replace("*", "x").split("x")
     try:
         orders = [int(p.strip()) for p in parts]
     except ValueError:
         raise ValueError(f"cannot parse group {text!r}: expected N or NxM...") from None
-    return normalize_group(orders, order_limit=order_limit)
+    return normalize_group(orders)
 
 
 def add(group: GroupSpec, g: Element, h: Element) -> Element:

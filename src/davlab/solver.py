@@ -30,16 +30,16 @@ backtracking (k - 1 nodes when none), so nearly all of a scan is the one
 refutation at k = D.  Masks and move lists follow one rule (see
 _WeightTables): each is built the first time the kernel reads it, the mask
 of c when it first tests c and the move list of c (the shifts S - m for m
-in A*c) when it first extends a prefix by c.  The first root's own
-reachable set A*r already kills every c with a*c in -(A*r) | {0}, which a
-congruence solve finds, so every state under that root scans the
-ascending list of the survivors of A*r instead of every element, and their
-masks are never built; once the stabilizer below is computed, the list also
-drops the elements it maps lower.  The list is kept per table, since a
-survivor list per state would cost a copy on every push; later roots scan
-every element.  The search is serial at any thread count, since its roots
-are scanned in order and the first that extends ends a k; process pools
-run only independent whole answers, the representatives of
+in A*c) when it first extends a prefix by c.  A root r's own sums A*r
+already kill every c with a*c in -(A*r) | {0}, which a congruence solve
+finds, and R only grows, so every state under r scans the ascending list
+of the others instead of every element and never builds their masks; once
+the stabilizer below is computed, every list also drops the elements it
+maps lower.  A root's list is built the first time a search under it scans
+and kept per table, since a list per state would cost a copy on every
+push.  The search is serial at any thread count, since its roots are
+scanned in order and the first that extends ends a k; process pools run
+only independent whole answers, the representatives of
 max_davenport_over_size and the trials of a sweep.
 
 Roots are the least elements of the Aut(G)-orbits of nonzero elements
@@ -286,14 +286,15 @@ class _WeightTables:
     every level, for every k and every root; a search builds only the masks
     it tested.
 
-    Every search starts at the first root r = 1.  killed() finds the
-    candidates that R = A*r already kills, the c with a*c in -(A*r) | {0}
-    for some a in A, by solving a*x = t (mod n_j) coordinate by coordinate;
-    since R only grows they are dead in every state of the root's search.
-    survive() lists the others ascending as `survivors`, once per table, and
-    every state under that root scans that list, so the kernel never tests a
-    killed candidate there and never builds its mask.  A later root is
-    searched only after the first one failed and scans every element.
+    A search under root r starts from R = A*r, which already kills the c
+    with a*c in -(A*r) | {0} for some a in A; killed() finds them by solving
+    a*x = t (mod n_j) coordinate by coordinate, and since R only grows they
+    are dead in every state under r.  root_scan() keeps A*r and the others
+    from r up, ascending, as root_scans[r] the first time a search under r
+    scans (not one that ends on A*r alone: r dead, k = 1, or too few
+    elements left to grow R), so the kernel never tests a killed candidate
+    and never builds its mask.  Entries live as long as the tables: at most
+    one list of at most |G| indices per root scanned.
 
     moves[c], the shifts S - m for the padded bits m of A*c, is built the
     first time the kernel would extend a prefix by c.  It is empty when a
@@ -303,16 +304,18 @@ class _WeightTables:
     the first move list of an element other than 1, so searches that never
     extend a prefix (k <= 2, or every candidate killed) never compute the
     stabilizer.  Building it also drops the elements those units map lower
-    from `survivors`, which the kernel reads afresh at every state.  That
+    from every list in root_scans, in place, and lists built later leave
+    them out; the kernel reads its root's list afresh at every state.  That
     changes no answer and no node count: the kernel already never extends a
     prefix by them, and a search that ended on one would return a multiset
     other than the lex-least one, which holds none of them (see the module
-    docstring).
+    docstring).  No list loses its own root: a root is least in its
+    Aut(G)-orbit, which holds its images under those units.
     """
 
     __slots__ = (
         "group", "order", "padding", "weights", "negated", "plus", "minus", "masks", "moves",
-        "roots", "starts", "minima", "survivors",
+        "roots", "root_scans", "minima",
     )
 
     def __init__(self, group: GroupSpec, weights: WeightSet):
@@ -334,9 +337,8 @@ class _WeightTables:
         self.masks = [0] * n
         self.moves: list[Optional[tuple[int, ...]]] = [None] * n
         self.roots = canonical_roots(group)
-        self.starts = [0] * n
+        self.root_scans: dict[int, tuple[int, list[int]]] = {}  # see root_scan()
         self.minima: Optional[Sequence[int]] = None
-        self.survivors: Optional[list[int]] = None  # see survive()
 
     @staticmethod
     def bits(c: int, scaled: tuple) -> int:
@@ -346,11 +348,18 @@ class _WeightTables:
             w |= 1 << m
         return w
 
-    def start(self, root: int) -> int:
-        """starts[root] = A*root as a padded set, which holds bit 0 when root
-        is dead."""
-        w = self.starts[root] = self.bits(root, self.plus)
-        return w
+    def root_scan(self, root: int, w: int) -> list[int]:
+        """Build root_scans[root] = (w, survivors) from w = A*root as a
+        padded set, and return survivors: the elements from root up that
+        killed(root) leaves, ascending and narrowed to stabilizer minima
+        once those are known."""
+        dead = self.killed(root)
+        survivors = list(filterfalse(dead.__contains__, range(root, self.order)))
+        minima = self.minima
+        if isinstance(minima, list):  # not range: some unit fixing A
+            survivors = [x for x in survivors if minima[x] == x]
+        self.root_scans[root] = (w, survivors)
+        return survivors
 
     def shifts(self, c: int) -> tuple[int, ...]:
         """The move list of c: S - m for the padded bits m of A*c, largest
@@ -358,6 +367,7 @@ class _WeightTables:
 
         No unit maps c = 1, the least nonzero element, lower, so a search
         that extends prefixes only by 1 never computes the stabilizer.
+        Computing it narrows every list in root_scans to its minima.
         """
         if c > 1:
             minima = self.minima
@@ -366,8 +376,8 @@ class _WeightTables:
                 if stab:
                     e = self.group.exponent
                     minima = self.minima = orbit_minima(self.group, unit_generators(stab, e))
-                    if self.survivors is not None:
-                        self.survivors = [x for x in self.survivors if minima[x] == x]
+                    for _, survivors in self.root_scans.values():
+                        survivors[:] = [x for x in survivors if minima[x] == x]
                 else:
                     minima = self.minima = range(self.order)
             if minima[c] != c:
@@ -427,13 +437,6 @@ class _WeightTables:
             w = -1
         self.masks[c] = w
         return w
-
-    def survive(self, root: int) -> None:
-        """survivors = the ascending complement of killed(root), for the
-        first root; shifts() drops from it what a unit fixing A maps lower
-        when it computes the stabilizer."""
-        dead = self.killed(root)
-        self.survivors = list(filterfalse(dead.__contains__, range(self.order)))
 
     def first(self, k: int) -> tuple[Optional[list[int]], int]:
         """Lex-least zero-sum-free multiset of size k over all roots (None
@@ -499,7 +502,8 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     which the fail memo records.  Extending R by c is
     R | ((OR over s in moves[c] of T >> s) & mask) with T the tiled R | {0}.
     """
-    w = tables.starts[root] or tables.start(root)
+    scan = tables.root_scans.get(root)
+    w = scan[0] if scan else tables.bits(root, tables.plus)
     if w & 1:
         return None, 0
     if k == 1:
@@ -508,9 +512,7 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     # the reachable set must grow per element yet stay zero-free
     if k - 1 > order - 1 - w.bit_count():
         return None, 0
-    first = root == tables.roots[0]  # scans tables.survivors, else every element
-    if first and tables.survivors is None:
-        tables.survive(root)
+    survivors = scan[1] if scan else tables.root_scan(root, w)
     negw = tables.masks  # A*(-c), 0 until built
     moves = tables.moves
     pad = tables.padding
@@ -526,12 +528,8 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     while stack:
         state = stack[-1]
         bits, remaining, tiled = state[0], state[1], state[3]
-        if first:  # read per state: shifts() may narrow the list
-            survivors = tables.survivors
-            scan = survivors[bisect_left(survivors, state[2]):]
-        else:
-            scan = range(state[2], order)
-        for c in scan:
+        # read per state: shifts() may narrow the list in place
+        for c in survivors[bisect_left(survivors, state[2]):]:
             if negw[c] & bits:
                 continue
             if not negw[c] and tables.mask(c) & bits:

@@ -47,8 +47,6 @@ def test_gf_cubic_field_ring_axioms_sampled():
 def test_gf_rejects_composite_characteristic():
     with pytest.raises(ValueError):
         GFCubicField(6)
-    with pytest.raises(ValueError):
-        GFCubicField(2, reduction=(0, 0, 1))  # t^3 + 1 has root 1
 
 
 def test_perfect_difference_set_census():

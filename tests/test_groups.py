@@ -75,7 +75,6 @@ def test_normalize_preserves_element_order_census(factors):
 def test_order_limit():
     with pytest.raises(GroupOrderError):
         normalize_group([10**4, 10**4])
-    normalize_group([10**4, 10**4], order_limit=10**8)
 
 
 def test_order_limit_checked_before_factoring():

@@ -184,6 +184,21 @@ def test_kernel_matches_pinned_results():
     assert got == PINNED
 
 
+# davenport (value, witness, nodes) on groups of several roots whose
+# refutations reach roots after the first, from the benchmark's exact battery
+PINNED_MULTI_ROOT = [
+    ((150,), (1, 2, 148, 149), 5, (1, 3, 9, 27), 12284),
+    ((48,), (1, 47), 6, (1, 2, 4, 8, 16), 2689),
+    ((3, 9), (1,), 11, (1, 1, 1, 1, 1, 1, 1, 1, 9, 9), 14498),
+    ((2, 4, 4), (1,), 8, (1, 1, 1, 4, 4, 4, 16), 18601),
+]
+
+
+def test_multi_root_answers_pinned():
+    got = [(fs, ws, *_run(fs, ws, None)) for fs, ws, *_ in PINNED_MULTI_ROOT]
+    assert got == PINNED_MULTI_ROOT
+
+
 def _unit_orbit_roots(g):
     """The nonzero flat indices least in their orbit under the units of Z_e."""
     e = g.exponent

@@ -334,6 +334,27 @@ def test_root_survivors_match_tuple_arithmetic():
     assert checked >= 4000
 
 
+def test_later_roots_skip_their_own_kills():
+    # every root scans the complement of what its own sums A*r kill, so a
+    # root after the first, searched alone, builds no mask for any of them
+    cases = [
+        ((150,), (1, 2, 148, 149), 5),
+        ((30,), (1, 29), 5),
+        ((12,), (1, 5), 4),
+        ((2, 4), (1, 3), 4),
+        ((6, 6), (1, 5), 5),
+    ]
+    for fs, ws, k in cases:
+        g = GroupSpec(fs)
+        w = WeightSet(g.exponent, ws)
+        roots = solver._WeightTables(g, w).roots
+        assert len(roots) > 1, fs
+        for r in roots[1:]:
+            tables = solver._WeightTables(g, w)
+            solver._find_zsf(tables, r, k)
+            assert not [c for c in tables.killed(r) if tables.masks[c]], (fs, ws, r)
+
+
 def test_check_dav_at_most():
     g = cyclic(8)
     w = WeightSet.of(8, [1, 7])

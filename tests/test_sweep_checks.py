@@ -81,7 +81,7 @@ def test_refutation_builds_fewer_masks_than_elements():
 
 
 def test_refutation_masks_pinned():
-    # the last element's scan walks the first root's survivors, and must
+    # the last element's scan walks its root's survivors, and must
     # build a mask for each one it tests and for no candidate the root
     # kills, so the counts equal those of a scan over every element
     tables = solver._WeightTables(cyclic(P), _draw(13))
