@@ -101,10 +101,10 @@ def _start_size(group: GroupSpec, k: int) -> int:
     if k < 2:
         return 1
     fs = group.invariant_factors
-    if group.is_cyclic and isprime(fs[0]):
-        return fd_lower_bound(fs[0], k)
-    if len(fs) > 1 and len(set(fs)) == 1 and isprime(fs[0]):
-        # elementary abelian: same counting argument against |G| - 1 targets
+    if len(set(fs)) == 1 and isprime(fs[0]):
+        # Z_p^r, r >= 1: at most (|A|+1)^k - 1 weighted sums of k elements
+        # must cover the |G| - 1 nonzero targets, so |A| >= ceil(|G|^(1/k)) - 1
+        # (fd_lower_bound for r = 1, whose sharper k = 2 bound fd_fast_k2 uses)
         root, exact = integer_nthroot(group.order, k)
         return max(1, root - 1 if exact else root)
     return 1

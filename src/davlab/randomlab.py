@@ -53,8 +53,8 @@ class SweepConfig:
             raise ValueError("theta grid must be strictly increasing")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.omega < 0:
-            raise ValueError("omega must be nonnegative")
+        if not 0 <= self.omega < math.inf:  # NaN fails too
+            raise ValueError("omega must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,7 @@ def classify_dav(p: int, weights, k: int) -> Classification:
     pretest is one solver.first_zero_free walk, the bounded check's own
     test and step with no tables built.
     """
+    check_order(p)
     if not isprime(p):
         raise ValueError(f"p = {p} must be prime")
     if k < 1:

@@ -3,22 +3,24 @@
 One kernel answers everything: does a zero-sum-free multiset of size k
 exist, and if so which is the lexicographically least?  It walks
 nondecreasing multisets of nonzero group elements carrying the bit-vector
-set R of weighted sums realizable from the prefix.  Appending x kills the
-prefix exactly when some weight multiple of x lands in -R or at 0, which is
-one AND of R against the mask A*(-x).  A fail memo per (last
-element, R) records the fewest remaining elements already shown impossible.
+set Sigma of the prefix's weighted subsequence sums, the sums with the empty
+one, so 0 is always in Sigma.  Appending x closes a zero-sum exactly when
+some weight multiple of x lands in -Sigma, which is one AND of Sigma against
+the mask A*(-x); its bit 0 is set exactly when A*x holds 0.  Otherwise
+Sigma grows to Sigma | (Sigma + A*x).  A fail memo per (last element, Sigma)
+records the fewest remaining elements already shown impossible.
 
 Reachable sets use a padded layout in which translating by any element is
 one right shift.  Every coordinate but the first gets twice its extent, so
 coordinate j has stride P_j = prod_{i>j} 2*n_i and a set takes 2^(r-1)*|G|
 bits; for cyclic groups this is the flat layout.  Each open state tiles
-T = R | {0} once by T |= T << n_j*P_j for j = r..1, which places a copy of
+T = Sigma once by T |= T << n_j*P_j for j = r..1, which places a copy of
 every point at x_j and x_j + n_j in each coordinate.  Then for a move m,
-(T >> (S - m)) & mask is T + m, with S = sum n_j*P_j and mask the padded
+(T >> (S - m)) & mask is Sigma + m, with S = sum n_j*P_j and mask the padded
 bits of G: of the two copies in coordinate j exactly one lands in
 [0, n_j), and a borrow from a negative coordinate lands in its padding.
 first_zero_free runs the same test and step along given multisets, with no
-search, memo or table beyond the bits of A*(-x): fd refutes candidates with
+search, memo or table beyond the masks A*(-x): fd refutes candidates with
 it by the culprits of its failed checks, and classify_dav pretests the
 all-ones multiset.  It is the one zero-sum-free walk besides the kernel.
 
@@ -30,14 +32,14 @@ backtracking (k - 1 nodes when none), so nearly all of a scan is the one
 refutation at k = D.  Masks and move lists follow one rule (see
 _WeightTables): each is built the first time the kernel reads it, the mask
 of c when it first tests c and the move list of c (the shifts S - m for m
-in A*c) when it first extends a prefix by c.  A root r's own sums A*r
-already kill every c with a*c in -(A*r) | {0}, which a congruence solve
-finds, and R only grows, so every state under r scans the ascending list
-of the others instead of every element and never builds their masks; once
-the stabilizer below is computed, every list also drops the elements it
-maps lower.  A root's list is built the first time a search under it scans
-and kept per table, since a list per state would cost a copy on every
-push.  The search is serial at any thread count, since its roots are
+in A*c) when it first extends a prefix by c.  A root r's own sums
+Sigma = A*r | {0} already kill every c with a*c in -Sigma, which a
+congruence solve finds, and Sigma only grows, so every state under r scans
+the ascending list of the others instead of every element and never builds
+their masks; once the stabilizer below is computed, every list also drops
+the elements it maps lower.  A root's list is built the first time a search
+under it scans and kept per table, since a list per state would cost a copy
+on every push.  The search is serial at any thread count, since its roots are
 scanned in order and the first that extends ends a k; process pools run
 only independent whole answers, the representatives of
 max_davenport_over_size and the trials of a sweep.
@@ -56,7 +58,7 @@ element is restricted to orbit minima under the units s != 1 with s*A = A
 of a zero-sum-free multiset for a lower s*x keeps it zero-sum-free and makes
 it lex-smaller, so the lex-least multiset holds no such x.  The fail memo
 stays sound, as the restricted subtree under a state still depends only on
-(last element, R, elements still to place).
+(last element, Sigma, elements still to place).
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import filterfalse
-from math import gcd
+from math import gcd, isnan
 from operator import add
 from typing import Iterable, Optional, Sequence
 
@@ -113,11 +115,11 @@ _CHECK_EVERY = 4096
 
 
 def _memo_limit(width: int) -> int:
-    """Fail-memo entries one search may keep when R takes `width` bits.
+    """Fail-memo entries one search may keep when Sigma takes `width` bits.
 
-    A key (c, R) is a 2-tuple of a small int and a width-bit int: 56 + 28
-    bytes plus 24 + 4 per 30 bits of R, and about 50 more for its dict slot.
-    Up to width 720 the entry cap is the smaller bound.
+    A key (c, Sigma) is a 2-tuple of a small int and a width-bit int: 56 + 28
+    bytes plus 24 + 4 per 30 bits of Sigma, and about 50 more for its dict
+    slot.  Up to width 720 the entry cap is the smaller bound.
     """
     per_key = 160 + 4 * -(-width // 30)
     return min(_MEMO_LIMIT, _MEMO_BYTES // per_key)
@@ -196,6 +198,11 @@ class Budget:
 
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        # NaN compares false with every deadline, so it would never trip
+        if self.max_seconds is not None and isnan(self.max_seconds):
+            raise ValueError("max_seconds must be a number, not NaN")
 
 
 class Meter:
@@ -279,22 +286,23 @@ class _WeightTables:
     each built the first time a search can read it.
 
     Indexed by the flat index c of an element, holding sets in the padded
-    layout of `padding`.  A candidate c dies against a reachable set R when
-    A*c meets -R or holds 0, which masks[c] = A*(-c) tests with one AND (-1
-    when A*c holds 0).  masks holds 0 where no mask is built yet, and the
-    kernel builds a 0 entry through mask() the first time it tests it, at
-    every level, for every k and every root; a search builds only the masks
-    it tested.
+    layout of `padding`.  A candidate c dies against Sigma, the sums with the
+    empty one, when A*c meets -Sigma, which masks[c] = A*(-c) tests with one
+    AND; 0 is in Sigma, so that covers A*c holding 0.  A*(-c) is never empty,
+    so masks holds 0 exactly where no mask is built yet, and the kernel
+    builds a 0 entry through mask() the first time it tests it, at every
+    level, for every k and every root; a search builds only the masks it
+    tested.
 
-    A search under root r starts from R = A*r, which already kills the c
-    with a*c in -(A*r) | {0} for some a in A; killed() finds them by solving
-    a*x = t (mod n_j) coordinate by coordinate, and since R only grows they
-    are dead in every state under r.  root_scan() keeps A*r and the others
-    from r up, ascending, as root_scans[r] the first time a search under r
-    scans (not one that ends on A*r alone: r dead, k = 1, or too few
-    elements left to grow R), so the kernel never tests a killed candidate
-    and never builds its mask.  Entries live as long as the tables: at most
-    one list of at most |G| indices per root scanned.
+    A search under root r starts from Sigma = A*r | {0}, which already kills
+    the c with a*c in -Sigma for some a in A; killed() finds them by solving
+    a*x = t (mod n_j) coordinate by coordinate, and since Sigma only grows
+    they are dead in every state under r.  root_scan() keeps A*r and the
+    others from r up, ascending, as root_scans[r] the first time a search
+    under r scans (not one that ends on A*r alone: r dead, k = 1, or too few
+    elements left to grow Sigma), so the kernel never tests a killed
+    candidate and never builds its mask.  Entries live as long as the
+    tables: at most one list of at most |G| indices per root scanned.
 
     moves[c], the shifts S - m for the padded bits m of A*c, is built the
     first time the kernel would extend a prefix by c.  It is empty when a
@@ -344,6 +352,11 @@ class _WeightTables:
     def bits(c: int, scaled: tuple) -> int:
         """The padded bits of b*c for b in A (scaled = plus) or -A (minus)."""
         w = 0
+        nj, period, bs = scaled[0]
+        if c < nj:  # c lies in the last factor: one product per weight
+            for b in bs:
+                w |= 1 << (b * c % period)
+            return w
         for m in images(c, scaled):
             w |= 1 << m
         return w
@@ -384,12 +397,13 @@ class _WeightTables:
                 return ()
         shift = self.padding.shift
         nj, period, bs = self.plus[0]
-        if c < nj:  # as in mask()
+        if c < nj:  # as in bits()
             return tuple(sorted({shift - b * c % period for b in bs}, reverse=True))
         return tuple(sorted({shift - m for m in images(c, self.plus)}, reverse=True))
 
     def killed(self, root: int) -> set[int]:
-        """Flat indices c with a*c in -(A*root) | {0} for some weight a.
+        """Flat indices c with a*c in -Sigma for some weight a, where
+        Sigma = A*root | {0} holds root's sums with the empty one.
 
         a*x = t (mod n_j) is solvable iff g = gcd(a, n_j) divides t, by
         x = (t/g)*inv (mod n_j/g) plus any multiple of n_j/g.  Each
@@ -425,17 +439,8 @@ class _WeightTables:
         return dead
 
     def mask(self, c: int) -> int:
-        """Build masks[c] = A*(-c), or -1 when A*c holds 0."""
-        nj, period, bs = self.minus[0]
-        if c < nj:  # c lies in the last factor: one product per weight
-            w = 0
-            for b in bs:
-                w |= 1 << (b * c % period)
-        else:
-            w = self.bits(c, self.minus)
-        if w & 1:
-            w = -1
-        self.masks[c] = w
+        """Build masks[c] = A*(-c), never 0."""
+        w = self.masks[c] = self.bits(c, self.minus)
         return w
 
     def first(self, k: int) -> tuple[Optional[list[int]], int]:
@@ -498,9 +503,13 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     """Lex-least zero-sum-free multiset of size k starting at root, plus nodes.
 
     Depth-first over nondecreasing extensions on an explicit stack.  A state
-    (last, R) that failed with r elements still to place fails for any r' >= r,
-    which the fail memo records.  Extending R by c is
-    R | ((OR over s in moves[c] of T >> s) & mask) with T the tiled R | {0}.
+    (last, Sigma) that failed with r elements still to place fails for any
+    r' >= r, which the fail memo records.  c is killed when masks[c] = A*(-c)
+    meets Sigma, the sums with the empty one, and otherwise extends Sigma to
+    Sigma | ((OR over s in moves[c] of T >> s) & mask) with T the tiled Sigma.
+    Every element but the last grows Sigma, which must still miss -A*x of
+    the last x, so a state prunes once more elements are still to place than
+    lie outside Sigma, at the root and after every push alike.
     """
     scan = tables.root_scans.get(root)
     w = scan[0] if scan else tables.bits(root, tables.plus)
@@ -509,8 +518,9 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     if k == 1:
         return [root], 0
     order = tables.order
-    # the reachable set must grow per element yet stay zero-free
-    if k - 1 > order - 1 - w.bit_count():
+    z = w | 1
+    # the growth rule, as after a push
+    if k - 1 > order - z.bit_count():
         return None, 0
     survivors = scan[1] if scan else tables.root_scan(root, w)
     negw = tables.masks  # A*(-c), 0 until built
@@ -521,18 +531,16 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     fail_at: dict[tuple[int, int], int] = {}
     nodes = 1
     chosen = [root]
-    # open states as [reachable set, elements still to place, next candidate,
-    # tiled R | {0} or None until a candidate needs it]; the state at depth i
-    # was reached by appending chosen[i]
-    stack = [[w, k - 1, root, None]]
+    # open states as [Sigma, elements still to place, next candidate, tiled
+    # Sigma or None until a candidate needs it]; the state at depth i was
+    # reached by appending chosen[i]
+    stack = [[z, k - 1, root, None]]
     while stack:
         state = stack[-1]
         bits, remaining, tiled = state[0], state[1], state[3]
         # read per state: shifts() may narrow the list in place
         for c in survivors[bisect_left(survivors, state[2]):]:
-            if negw[c] & bits:
-                continue
-            if not negw[c] and tables.mask(c) & bits:
+            if (negw[c] or tables.mask(c)) & bits:
                 continue
             if remaining == 1:
                 chosen.append(c)
@@ -543,7 +551,7 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
             if not mv:  # a unit fixing A maps c lower
                 continue
             if tiled is None:
-                tiled = bits | 1
+                tiled = bits
                 for s in spread:
                     tiled |= tiled << s
                 state[3] = tiled
@@ -551,7 +559,7 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
             for s in mv:
                 nb |= tiled >> s
             nb = bits | (nb & mask)
-            if remaining > order - nb.bit_count():
+            if remaining - 1 > order - nb.bit_count():
                 continue
             known = fail_at.get((c, nb))
             if known is None or remaining - 1 < known:
@@ -575,11 +583,13 @@ def first_zero_free(
     under the weights `residues` of G, or None.
 
     Each multiset is walked with _find_zsf's test and step on the padded
-    layout: x closes a weighted zero-sum after a prefix with sums R when
-    A*(-x) meets R | {0}, and otherwise R grows to
-    R | ((OR over m in A*x of T >> (S - m)) & mask), T the tiled R | {0}.
-    The bits of A*(-x) are kept for the call.  No step is kept, and none is
-    taken by a multiset's last element, whose sums nothing reads.  Every
+    layout, from Sigma = {0}: x closes a weighted zero-sum after a prefix
+    with Sigma, the sums with the empty one, when A*(-x) meets Sigma, and
+    otherwise Sigma grows to
+    Sigma | ((OR over m in A*x of T >> (S - m)) & mask), T the tiled Sigma.
+    The bits of A*(-x), the kernel's masks, are kept for the call.  No step
+    is kept, and none is taken by a multiset's last element, whose sums
+    nothing reads.  Every
     element of A*x is moved by, so the walk reads no move list (which a
     unit fixing A leaves empty).  It builds G's padded layout, one
     2^(r-1)*|G|-bit mask, and no table, so _TABLE_BYTES does not apply.
@@ -592,16 +602,16 @@ def first_zero_free(
     bits_of = _WeightTables.bits
     negs: dict[int, int] = {}
     for j, ms in enumerate(multisets):
-        bits = 0
+        bits = 1
         last = len(ms) - 1
         for i, x in enumerate(ms):
             neg = negs.get(x)
             if neg is None:
                 neg = negs[x] = bits_of(x, minus)
-            if neg & (bits | 1):
+            if neg & bits:
                 break
             if i < last:
-                tiled = bits | 1
+                tiled = bits
                 for s in spread:
                     tiled |= tiled << s
                 nb = 0

@@ -85,6 +85,22 @@ def test_fd_reports_bounded_checks(capsys, tmp_path):
     assert record["result"]["checks"] == payload["checks"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--p", "31", "--k", "2", "--theta", "0.3:0.3:1", "--trials", "1", "--omega", "nan"),
+        ("sweep", "--p", "31", "--k", "2", "--theta", "0.3:0.3:1", "--trials", "1", "--omega", "inf"),
+        ("fd", "--group", "31", "--k", "3", "--max-seconds", "nan"),
+    ],
+)
+def test_non_finite_settings_are_usage_errors(capsys, argv):
+    # NaN would print as invalid JSON, or run a budget that never trips
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert "error" in err
+
+
 def test_davenport_cap_exceeded_is_budget_exit(capsys, tmp_path):
     log_path = tmp_path / "records.jsonl"
     argv = ["davenport", "--group", "64", "--weights", "1", "--cap", "10", "--log", str(log_path)]

@@ -36,6 +36,18 @@ def test_sweep_config_validation():
         SweepConfig(p=101, k=2, theta_grid=(0.1,), trials=0, seed=0)
     with pytest.raises(GroupOrderError):
         SweepConfig(p=1000003, k=2, theta_grid=(0.1,), trials=1, seed=0)
+    with pytest.raises(ValueError):
+        SweepConfig(p=101, k=2, theta_grid=(0.1,), trials=5, seed=0, omega=float("nan"))
+    with pytest.raises(ValueError):
+        SweepConfig(p=101, k=2, theta_grid=(0.1,), trials=5, seed=0, omega=float("inf"))
+
+
+def test_classify_refuses_modulus_past_order_limit():
+    # refused before the all-ones walk tiles a p-bit mask
+    with pytest.raises(GroupOrderError):
+        classify_dav(1000003, [1, 2], 2)
+    with pytest.raises(GroupOrderError):
+        classify_dav(10**24 + 7, [1], 2)
 
 
 def test_sweep_row_invariant():

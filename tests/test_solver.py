@@ -8,7 +8,7 @@ import pytest
 
 from davlab import solver
 from davlab.engine import GSequence, WeightSet, has_weighted_zero_sum
-from davlab.groups import GroupOrderError, GroupSpec, cyclic, normalize_group, units
+from davlab.groups import GroupOrderError, GroupSpec, cyclic, index_element, normalize_group, units
 from davlab.randomlab import Classification, SweepConfig, classify_dav, threshold_sweep
 from davlab.solver import (
     CapExceededError,
@@ -19,6 +19,7 @@ from davlab.solver import (
 )
 
 from conftest import brute_davenport, brute_lex_least_zsf, tuple_scale
+from test_kernel_agreement import GROUPS_BY_RANK
 from test_sweep_checks import P as SWEEP_P, _draw as sweep_draw
 
 
@@ -353,6 +354,38 @@ def test_later_roots_skip_their_own_kills():
             tables = solver._WeightTables(g, w)
             solver._find_zsf(tables, r, k)
             assert not [c for c in tables.killed(r) if tables.masks[c]], (fs, ws, r)
+
+
+def test_masks_are_plain_negated_multiples():
+    # masks[c] is A*(-c) in the padded layout, with no sentinel: its bit 0 is
+    # set exactly when A*c holds 0, which one AND against a reachable set
+    # that carries the empty sum then detects
+    rng = random.Random(19)
+    checked = 0
+    for fs in (fs for rank in GROUPS_BY_RANK for fs in rank):
+        g = GroupSpec(fs)
+        e = g.exponent
+        ws = tuple(sorted(rng.sample(range(1, e), rng.randint(1, min(4, e - 1)))))
+        tables = solver._WeightTables(g, WeightSet(e, ws))
+        pad = solver._padding(g)
+        strides = [pj for _, pj in reversed(pad.strides)]  # first coordinate first
+        for c in range(g.order):
+            x = index_element(g, c)
+            want = 0
+            for a in ws:
+                y = tuple_scale(fs, e - a, x)  # -a*x
+                want |= 1 << sum(yj * pj for yj, pj in zip(y, strides))
+            got = tables.mask(c)
+            assert got == want == tables.masks[c], (fs, ws, c)
+            zero_free = solver.first_zero_free(g, ws, [[c]]) == 0
+            assert bool(got & 1) == (not zero_free), (fs, ws, c)
+            checked += 1
+    assert checked >= 500
+
+
+def test_budget_refuses_nan_seconds():
+    with pytest.raises(ValueError):
+        solver.Budget(max_seconds=float("nan"))
 
 
 def test_check_dav_at_most():
