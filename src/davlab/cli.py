@@ -1,14 +1,18 @@
 """Command-line surface.
 
-Machine-readable JSON on stdout, a human table with --pretty, and an
-append-only JSON-lines log of self-contained result records with --log.
+Each subcommand computes and returns its command name, normalized input,
+result, human table and exit code. main alone times that call, ends the
+result with elapsed_ms, appends the self-contained JSON-lines record of
+--log, and prints the result as JSON on stdout, or the table with --pretty.
 Exit codes: 0 success, 1 violated claim, 2 budget exhaustion (including an
-exceeded davenport --cap), 64 usage.
+exceeded davenport --cap), 64 usage (including a flag the subcommand does
+not read and an unwritable --log or --out file).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -84,17 +88,16 @@ def _flatten(element: tuple[int, ...]):
     return element[0] if len(element) == 1 else list(element)
 
 
-def _emit(payload: dict, pretty_lines: Optional[list[str]], args) -> None:
-    if getattr(args, "pretty", False) and pretty_lines is not None:
-        print("\n".join(pretty_lines))
-    else:
-        print(json.dumps(payload))
+def _write(flag: str, path: str, mode: str, text: str) -> None:
+    """Write to a file the user named; a path that cannot be written is a usage error."""
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _log_record(args, command: str, normalized: dict, result: dict, elapsed_ms: float) -> None:
-    path = getattr(args, "log", None)
-    if not path:
-        return
     record = {
         "command": command,
         "normalized_input": normalized,
@@ -106,8 +109,12 @@ def _log_record(args, command: str, normalized: dict, result: dict, elapsed_ms: 
         },
         "elapsed_ms": round(elapsed_ms, 3),
     }
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record) + "\n")
+    _write("--log", args.log, "a", json.dumps(record) + "\n")
+
+
+# what each _cmd_* hands to main: command name, normalized input, result,
+# human table and exit code
+_Outcome = tuple[str, dict, dict, list[str], int]
 
 
 def _budget(args) -> Budget:
@@ -115,76 +122,49 @@ def _budget(args) -> Budget:
     return Budget(max_nodes=getattr(args, "max_nodes", None), max_seconds=args.max_seconds)
 
 
-def _cmd_davenport(args) -> int:
+def _cmd_davenport(args) -> _Outcome:
     group = parse_group(args.group)
     weights = parse_weights(args.weights, group.exponent)
     normalized = {"group": str(group), "weights": list(weights.residues), "cap": args.cap}
-    t0 = time.perf_counter()
     try:
         res = davenport(group, weights, cap=args.cap)
     except CapExceededError as exc:
-        ms = (time.perf_counter() - t0) * 1000
-        result = {
-            "status": "CAP_EXCEEDED",
-            "cap": exc.cap,
-            "nodes": exc.nodes,
-            "elapsed_ms": round(ms, 3),
-        }
-        _log_record(args, "davenport", normalized, result, ms)
+        result = {"status": "CAP_EXCEEDED", "cap": exc.cap, "nodes": exc.nodes}
         lines = [f"D_A({group}) > {exc.cap} (cap exceeded)", f"nodes explored: {exc.nodes}"]
-        _emit(result, lines, args)
-        return EXIT_BUDGET
-    ms = (time.perf_counter() - t0) * 1000
+        return "davenport", normalized, result, lines, EXIT_BUDGET
     result = {
         "value": res.value,
         "witness": [_flatten(e) for e in res.witness.entries] if res.witness else [],
         "nodes": res.nodes_explored,
-        "elapsed_ms": round(ms, 3),
     }
-    _log_record(args, "davenport", normalized, result, ms)
-    _emit(
-        result,
-        [
-            f"D_A({group}) = {res.value}",
-            "witness: " + " ".join(str(_flatten(e)) for e in res.witness.entries)
-            if res.witness
-            else "witness: (empty)",
-            f"nodes explored: {res.nodes_explored}",
-        ],
-        args,
-    )
-    return EXIT_OK
+    lines = [
+        f"D_A({group}) = {res.value}",
+        "witness: " + " ".join(str(_flatten(e)) for e in res.witness.entries)
+        if res.witness
+        else "witness: (empty)",
+        f"nodes explored: {res.nodes_explored}",
+    ]
+    return "davenport", normalized, result, lines, EXIT_OK
 
 
-def _cmd_davenport_max(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_davenport_max(args) -> _Outcome:
     res = max_davenport_over_size(args.p, args.k, threads=args.threads)
-    ms = (time.perf_counter() - t0) * 1000
     result = {
         "value": res.value,
         "argmax": list(res.argmax.residues),
         "candidates": res.candidates,
-        "elapsed_ms": round(ms, 3),
     }
-    normalized = {"p": args.p, "k": args.k}
-    _log_record(args, "davenport-max", normalized, result, ms)
-    _emit(
-        result,
-        [
-            f"max D_A(Z_{args.p}) over |A| = {args.k}: {res.value}",
-            f"attained by A = {set(res.argmax.residues)}",
-            f"orbit representatives tried: {res.candidates}",
-        ],
-        args,
-    )
-    return EXIT_OK
+    lines = [
+        f"max D_A(Z_{args.p}) over |A| = {args.k}: {res.value}",
+        f"attained by A = {set(res.argmax.residues)}",
+        f"orbit representatives tried: {res.candidates}",
+    ]
+    return "davenport-max", {"p": args.p, "k": args.k}, result, lines, EXIT_OK
 
 
-def _cmd_fd(args) -> int:
+def _cmd_fd(args) -> _Outcome:
     group = parse_group(args.group)
-    t0 = time.perf_counter()
     res = fd(group, args.k, budget=_budget(args))
-    ms = (time.perf_counter() - t0) * 1000
     result = {
         "status": res.status.value,
         "value": res.value,
@@ -193,10 +173,7 @@ def _cmd_fd(args) -> int:
         "nodes": res.search_stats.nodes,
         "candidates": res.search_stats.candidates,
         "checks": res.search_stats.checks,
-        "elapsed_ms": round(ms, 3),
     }
-    normalized = {"group": str(group), "k": args.k}
-    _log_record(args, "fd", normalized, result, ms)
     label = {
         FdStatus.FINITE: f"fd({group}, {args.k}) = {res.value}",
         FdStatus.INFINITE: f"fd({group}, {args.k}) = INFINITE",
@@ -205,8 +182,8 @@ def _cmd_fd(args) -> int:
     lines = [label]
     if res.witness_set:
         lines.append(f"witness A = {set(res.witness_set.residues)}")
-    _emit(result, lines, args)
-    return EXIT_BUDGET if res.status is FdStatus.UNKNOWN else EXIT_OK
+    code = EXIT_BUDGET if res.status is FdStatus.UNKNOWN else EXIT_OK
+    return "fd", {"group": str(group), "k": args.k}, result, lines, code
 
 
 # the options each construction cannot do without
@@ -220,11 +197,14 @@ _CONSTRUCT_NEEDS = {
 }
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> _Outcome:
     missing = [f"--{name}" for name in _CONSTRUCT_NEEDS[args.kind] if getattr(args, name) is None]
     if missing:
         raise ValueError(f"construct {args.kind} needs {', '.join(missing)}")
-    t0 = time.perf_counter()
+    command = f"construct-{args.kind}"
+    normalized = {
+        k: v for k, v in vars(args).items() if k not in {"func", "pretty", "log"} and v is not None
+    }
     try:
         if args.kind == "singer":
             pds = singer_difference_set(args.q)
@@ -254,20 +234,9 @@ def _cmd_construct(args) -> int:
             result = rep.as_dict()
             lines = [f"{k}: {v}" for k, v in result.items()]
     except ConstructionError as exc:
-        ms = (time.perf_counter() - t0) * 1000
         result = {"error": str(exc), "info": {k: str(v) for k, v in exc.info.items()}}
-        _log_record(args, f"construct-{args.kind}", vars_of(args), result, ms)
-        _emit(result, [f"construction failed: {exc}"], args)
-        return EXIT_VIOLATION
-    ms = (time.perf_counter() - t0) * 1000
-    _log_record(args, f"construct-{args.kind}", vars_of(args), result, ms)
-    _emit(result, lines, args)
-    return EXIT_OK
-
-
-def vars_of(args) -> dict:
-    skip = {"func", "pretty", "log", "threads"}
-    return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
+        return command, normalized, result, [f"construction failed: {exc}"], EXIT_VIOLATION
+    return command, normalized, result, lines, EXIT_OK
 
 
 def _parse_theta_grid(text: str) -> tuple[float, ...]:
@@ -282,17 +251,14 @@ def _parse_theta_grid(text: str) -> tuple[float, ...]:
     return tuple(a + i * (b - a) / (steps - 1) for i in range(steps))
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> _Outcome:
     grid = _parse_theta_grid(args.theta)
     config = SweepConfig(
         p=args.p, k=args.k, theta_grid=grid, trials=args.trials, seed=args.seed, omega=args.omega
     )
-    t0 = time.perf_counter()
     res = threshold_sweep(config, threads=args.threads, budget=_budget(args))
-    ms = (time.perf_counter() - t0) * 1000
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(res.to_csv())
+        _write("--out", args.out, "w", res.to_csv())
     result = {
         "rows": [
             {
@@ -308,17 +274,7 @@ def _cmd_sweep(args) -> int:
         "window": list(res.window),
         "window_empty": res.window_empty,
         "log_base": "e",
-        "elapsed_ms": round(ms, 3),
     }
-    normalized = {
-        "p": args.p,
-        "k": args.k,
-        "theta_grid": list(grid),
-        "trials": args.trials,
-        "seed": args.seed,
-        "omega": args.omega,
-    }
-    _log_record(args, "sweep", normalized, result, ms)
     if res.window_empty:
         print(
             f"note: theoretical window empty at p={args.p}, k={args.k}, omega={args.omega}",
@@ -330,46 +286,51 @@ def _cmd_sweep(args) -> int:
             f"{r.theta:<9.5f} {r.empirical_p_le:<7.3f} {r.empirical_p_eq:<7.3f} "
             f"{r.mean_size:<8.2f} {r.trials_empty}"
         )
-    _emit(result, lines, args)
-    return EXIT_BUDGET if res.partial else EXIT_OK
+    code = EXIT_BUDGET if res.partial else EXIT_OK
+    return "sweep", dataclasses.asdict(config), result, lines, code
 
 
-def _cmd_verify(args) -> int:
-    suite = SUITES[args.suite]
-    kwargs = {}
-    if args.suite == "known-formulas" and args.max_n is not None:
-        kwargs["max_n"] = args.max_n
-    if args.suite == "singer" and args.q is not None:
-        kwargs["qs"] = (args.q,)
-    if args.suite == "intervals" and args.limit is not None:
-        kwargs["limit"] = args.limit
-    if args.suite == "relations" and args.p is not None:
-        kwargs = {"p": args.p, "m": args.m, "k": args.k}
-    if args.suite == "dual-max" and args.p is not None and args.k is not None:
-        kwargs["pairs"] = ((args.p, args.k),)
-    if args.suite == "pair-lemma" and args.max_n is not None:
-        kwargs["n_max"] = args.max_n
-    if args.suite == "complement" and args.p is not None:
-        kwargs["ps"] = (args.p,)
-    t0 = time.perf_counter()
-    report = suite(**kwargs)
-    ms = (time.perf_counter() - t0) * 1000
-    result = report.as_dict()
-    _log_record(args, f"verify-{args.suite}", {"suite": args.suite, **kwargs}, result, ms)
+# verify: each suite's flags (the ones it needs once any is given, then the
+# optional ones) and the keyword arguments they become; other flags are refused
+_VERIFY_FLAGS = ("max_n", "limit", "q", "p", "m", "k")
+_VERIFY_ARGS = {
+    "known-formulas": (("max_n",), (), lambda a: {"max_n": a.max_n}),
+    "singer": (("q",), (), lambda a: {"qs": (a.q,)}),
+    "intervals": (("limit",), (), lambda a: {"limit": a.limit}),
+    "relations": (("p",), ("m", "k"), lambda a: {"p": a.p, "m": a.m, "k": a.k}),
+    "dual-max": (("p", "k"), (), lambda a: {"pairs": ((a.p, a.k),)}),
+    "pair-lemma": (("max_n",), (), lambda a: {"n_max": a.max_n}),
+    "complement": (("p",), (), lambda a: {"ps": (a.p,)}),
+}
+
+
+def _flags(names) -> str:
+    return ", ".join("--" + name.replace("_", "-") for name in names)
+
+
+def _cmd_verify(args) -> _Outcome:
+    needs, optional, to_kwargs = _VERIFY_ARGS[args.suite]
+    given = [name for name in _VERIFY_FLAGS if getattr(args, name) is not None]
+    stray = [name for name in given if name not in needs + optional]
+    if stray:
+        raise ValueError(f"verify {args.suite} does not read {_flags(stray)}")
+    missing = [name for name in needs if getattr(args, name) is None]
+    if given and missing:
+        raise ValueError(f"verify {args.suite} with {_flags(given)} needs {_flags(missing)}")
+    kwargs = to_kwargs(args) if given else {}
+    report = SUITES[args.suite](**kwargs)
     lines = []
     for c in report.checks:
         mark = "ok  " if c.ok else "FAIL"
         lines.append(f"[{mark}] {c.name}: computed={c.computed} expected={c.expected}")
     lines.append(f"suite {report.suite}: {'all checks passed' if report.ok else 'VIOLATIONS FOUND'}")
-    _emit(result, lines, args)
-    if not report.ok:
-        for c in report.failures():
-            print(
-                f"violated: {c.name}: computed={c.computed} expected={c.expected}",
-                file=sys.stderr,
-            )
-        return EXIT_VIOLATION
-    return EXIT_OK
+    for c in report.failures():
+        print(
+            f"violated: {c.name}: computed={c.computed} expected={c.expected}",
+            file=sys.stderr,
+        )
+    code = EXIT_OK if report.ok else EXIT_VIOLATION
+    return f"verify-{args.suite}", {"suite": args.suite, **kwargs}, report.as_dict(), lines, code
 
 
 def build_parser() -> _Parser:
@@ -440,12 +401,8 @@ def build_parser() -> _Parser:
 
     p_ver = sub.add_parser("verify", help="bundled verification suites")
     p_ver.add_argument("suite", choices=sorted(SUITES))
-    p_ver.add_argument("--max-n", type=int, default=None)
-    p_ver.add_argument("--limit", type=int, default=None)
-    p_ver.add_argument("--q", type=int, default=None)
-    p_ver.add_argument("--p", type=int, default=None)
-    p_ver.add_argument("--m", type=int, default=None)
-    p_ver.add_argument("--k", type=int, default=None)
+    for name in _VERIFY_FLAGS:
+        p_ver.add_argument(_flags([name]), type=int, default=None)
     common(p_ver)
     p_ver.set_defaults(func=_cmd_verify)
     return parser
@@ -455,9 +412,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        command, normalized, result, lines, code = args.func(args)
+        elapsed_ms = (time.perf_counter() - t0) * 1000
+        result["elapsed_ms"] = round(elapsed_ms, 3)
+        if args.log:
+            _log_record(args, command, normalized, result, elapsed_ms)
     except (ValueError, KeyError) as exc:
         parser.exit(EXIT_USAGE, f"davlab: error: {exc}\n")
+    print("\n".join(lines) if args.pretty else json.dumps(result))
+    return code
 
 
 if __name__ == "__main__":

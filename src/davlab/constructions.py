@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import ceil, isqrt
+from math import ceil, inf, isqrt
 from typing import Optional
 
 from .engine import WeightSet
@@ -383,14 +383,17 @@ def quartic_weight_set(
     check_order(p)
     if not isprime(p) or p < 101:
         raise ValueError(f"p = {p} must be a prime >= 101")
-    if c0 <= 0:
-        raise ValueError("c0 must be positive")
+    if not 0 < c0 < inf:  # NaN fails too
+        raise ValueError("c0 must be positive and finite")
     if s_num < 0 or s_den < 1:
         raise ValueError("slope fraction must be nonnegative with positive denominator")
     meter = Meter(budget)
     quarter = p ** 0.25
     L = ceil(c0 * quarter)
     eta = max(1, (L * s_num) // s_den)
+    # S's numerators [1, 2L] and denominators [1, eta] must be nonzero mod p
+    if 2 * L >= p or eta >= p:
+        raise ValueError(f"2L = {2 * L} and eta = {eta} must lie below p = {p}")
     inv = [0] * p
     inv[1] = 1
     for i in range(2, p):

@@ -235,6 +235,7 @@ class PairLemmaReport:
 def pair_lemma_check(n_max: int) -> PairLemmaReport:
     """For every n <= n_max and x in [1, n-1]: the weight set {x, n-x}
     (a singleton when x = n-x) has D <= floor(log2 n) + 1."""
+    check_order(n_max)
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     cases = 0

@@ -68,6 +68,7 @@ def _equality_check(name: str, group, weights, expected: int) -> Check:
 
 def known_formulas(max_n: int = 64) -> SuiteReport:
     """Closed-form Davenport values over Z_n for n up to max_n."""
+    check_order(max_n)
     start = time.perf_counter()
     checks: list[Check] = []
     units_targets = {4, 6, 8, 9, 12, 16, 18, 24, 30, 36}

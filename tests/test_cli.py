@@ -91,6 +91,7 @@ def test_fd_reports_bounded_checks(capsys, tmp_path):
         ("sweep", "--p", "31", "--k", "2", "--theta", "0.3:0.3:1", "--trials", "1", "--omega", "nan"),
         ("sweep", "--p", "31", "--k", "2", "--theta", "0.3:0.3:1", "--trials", "1", "--omega", "inf"),
         ("fd", "--group", "31", "--k", "3", "--max-seconds", "nan"),
+        ("construct", "quartic", "--p", "101", "--c0", "inf"),
     ],
 )
 def test_non_finite_settings_are_usage_errors(capsys, argv):
@@ -140,6 +141,8 @@ def test_weights_zero_rejected(capsys):
         ("construct", "singer", "--q", "3001"),
         ("construct", "symmetric", "--n", "100000000000", "--r", "10000000"),
         ("verify", "relations", "--p", "3", "--m", "10000000"),
+        ("verify", "known-formulas", "--max-n", "1000000000000000000000007"),
+        ("verify", "pair-lemma", "--max-n", "1000000000000000000000007"),
     ],
 )
 def test_huge_order_refused_fast(capsys, argv):
@@ -185,6 +188,39 @@ def test_threads_flag_only_where_used(capsys, argv):
     code, _, err = run_cli(capsys, *argv, "--threads", "2")
     assert code == 64
     assert "--threads" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "dual-max", "--p", "7"),
+        ("verify", "relations", "--m", "3", "--k", "3"),
+        ("verify", "pair-lemma", "--limit", "5"),
+        ("verify", "known-formulas", "--q", "3"),
+    ],
+)
+def test_verify_refuses_flags_its_suite_does_not_read(capsys, tmp_path, argv):
+    # a flag the suite ignores, or half of the pair it needs, would run the
+    # default battery under a record that names only the suite
+    log_path = tmp_path / "runs.jsonl"
+    code, out, err = run_cli(capsys, *argv, "--log", str(log_path))
+    assert code == 64
+    assert "error" in err
+    assert out == "" and not log_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("davenport", "--group", "8", "--weights", "1,7"), "--log"),
+        (("sweep", "--p", "13", "--k", "2", "--theta", "0.3:0.6:2", "--trials", "2"), "--out"),
+    ],
+)
+def test_unwritable_output_is_usage_error(capsys, tmp_path, argv, flag):
+    code, out, err = run_cli(capsys, *argv, flag, str(tmp_path / "missing" / "runs"))
+    assert code == 64
+    assert f"davlab: error: {flag}" in err and "Traceback" not in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("threads", ["0", "-2", "two"])

@@ -179,6 +179,14 @@ def test_quartic_determinism_and_reporting():
     assert "residual" in exc.value.info
 
 
+def test_quartic_parameters_out_of_range():
+    # an infinite c0 overflowed ceil; 2L >= p wraps [-2L, 2L] onto 0 and
+    # eta >= p reaches the denominator p, both indexing past the inverse table
+    for kwargs in ({"c0": float("inf")}, {"c0": float("nan")}, {"c0": 40.0}, {"s_num": 1000}):
+        with pytest.raises(ValueError):
+            quartic_weight_set(101, **kwargs)
+
+
 def test_quartic_verification_is_exhaustive():
     rep = quartic_weight_set_auto(101)
     assert check_dav_at_most(cyclic(101), rep.weight_set, 4).holds
