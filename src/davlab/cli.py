@@ -6,7 +6,7 @@ result with elapsed_ms, appends the self-contained JSON-lines record of
 --log, and prints the result as JSON on stdout, or the table with --pretty.
 Exit codes: 0 success, 1 violated claim, 2 budget exhaustion (including an
 exceeded davenport --cap), 64 usage (including a flag the subcommand does
-not read and an unwritable --log or --out file).
+not read and an unwritable --log or --out file, refused before computing).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import re
 import sys
 import time
@@ -95,6 +96,18 @@ def _write(flag: str, path: str, mode: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise ValueError(f"{flag}: {exc}") from None
+
+
+def _check_writable(flag: str, path: str) -> None:
+    """Refuse a file the user named that cannot be written, before anything is
+    computed for it; creates nothing, so a run refused later leaves no file."""
+    if os.path.exists(path):
+        ok = not os.path.isdir(path) and os.access(path, os.W_OK)
+    else:
+        parent = os.path.dirname(path) or "."
+        ok = os.path.isdir(parent) and os.access(parent, os.W_OK)
+    if not ok:
+        raise ValueError(f"{flag}: cannot write {path!r}")
 
 
 def _log_record(args, command: str, normalized: dict, result: dict, elapsed_ms: float) -> None:
@@ -412,6 +425,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("log", "out"):
+            path = getattr(args, flag, None)
+            if path:
+                _check_writable("--" + flag, path)
         t0 = time.perf_counter()
         command, normalized, result, lines, code = args.func(args)
         elapsed_ms = (time.perf_counter() - t0) * 1000

@@ -387,6 +387,8 @@ def quartic_weight_set(
         raise ValueError("c0 must be positive and finite")
     if s_num < 0 or s_den < 1:
         raise ValueError("slope fraction must be nonnegative with positive denominator")
+    if n_dilates is not None and n_dilates < 0:
+        raise ValueError(f"n_dilates = {n_dilates} must be >= 0")
     meter = Meter(budget)
     quarter = p ** 0.25
     L = ceil(c0 * quarter)

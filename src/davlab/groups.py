@@ -70,9 +70,6 @@ class GroupSpec:
     def is_cyclic(self) -> bool:
         return len(self.invariant_factors) == 1
 
-    def zero(self) -> Element:
-        return (0,) * len(self.invariant_factors)
-
     def elements(self) -> Iterator[Element]:
         """All elements in flat-index order."""
         n = self.order
@@ -126,17 +123,6 @@ def parse_group(text: str) -> GroupSpec:
     except ValueError:
         raise ValueError(f"cannot parse group {text!r}: expected N or NxM...") from None
     return normalize_group(orders)
-
-
-def add(group: GroupSpec, g: Element, h: Element) -> Element:
-    fs = group.invariant_factors
-    if len(g) != len(fs) or len(h) != len(fs):
-        raise ValueError("coordinate count mismatch")
-    return tuple((a + b) % n for a, b, n in zip(g, h, fs))
-
-
-def neg(group: GroupSpec, g: Element) -> Element:
-    return tuple((-a) % n for a, n in zip(g, group.invariant_factors))
 
 
 def scalar_mul(group: GroupSpec, c: int, g: Element) -> Element:

@@ -69,7 +69,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import filterfalse
-from math import gcd, isnan
+from math import gcd
 from operator import add
 from typing import Iterable, Optional, Sequence
 
@@ -200,9 +200,12 @@ class Budget:
     max_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # NaN compares false with every deadline, so it would never trip
-        if self.max_seconds is not None and isnan(self.max_seconds):
-            raise ValueError("max_seconds must be a number, not NaN")
+        # 0 is a limit that trips at the first checkpoint; a negative one is
+        # a mistake, and NaN compares false with every deadline, never tripping
+        if self.max_nodes is not None and self.max_nodes < 0:
+            raise ValueError(f"max_nodes must be >= 0, got {self.max_nodes}")
+        if self.max_seconds is not None and not self.max_seconds >= 0:  # NaN fails too
+            raise ValueError(f"max_seconds must be a number >= 0, got {self.max_seconds}")
 
 
 class Meter:

@@ -68,6 +68,8 @@ def _equality_check(name: str, group, weights, expected: int) -> Check:
 
 def known_formulas(max_n: int = 64) -> SuiteReport:
     """Closed-form Davenport values over Z_n for n up to max_n."""
+    if max_n < 2:
+        raise ValueError(f"max_n = {max_n} reaches no group: it must be >= 2")
     check_order(max_n)
     start = time.perf_counter()
     checks: list[Check] = []
@@ -147,13 +149,14 @@ def singer_suite(qs: tuple[int, ...] = (2, 3, 5, 17)) -> SuiteReport:
 
 def intervals_suite(limit: int = 2000) -> SuiteReport:
     """Interval weight sets at every odd prime below the limit."""
+    if limit <= 3:
+        raise ValueError(f"limit = {limit} reaches no odd prime: it must be > 3")
     # the largest prime the suite would build over must pass the order check
     # before the sieve below the limit is built
     top = limit - 1
-    while top >= 3 and not isprime(top):
+    while not isprime(top):
         top -= 1
-    if top >= 3:
-        check_order(top)
+    check_order(top)
     start = time.perf_counter()
     checks: list[Check] = []
     over_tight_bound = []

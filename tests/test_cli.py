@@ -102,6 +102,38 @@ def test_non_finite_settings_are_usage_errors(capsys, argv):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fd", "--group", "31", "--k", "3", "--max-seconds", "-1"),
+        ("fd", "--group", "31", "--k", "3", "--max-nodes", "-5"),
+        ("sweep", "--p", "31", "--k", "3", "--theta", "0.2:0.4:3", "--trials", "2")
+        + ("--max-seconds", "-1"),
+        ("verify", "known-formulas", "--max-n", "1"),
+        ("verify", "intervals", "--limit", "3"),
+        ("construct", "quartic", "--p", "499", "--n-dilates", "-1"),
+    ],
+)
+def test_settings_that_bound_nothing_are_usage_errors(capsys, argv):
+    # a negative budget tripped before it started (exit 2), an empty suite
+    # passed over no case (exit 0), and a negative dilate count failed as a
+    # violated claim (exit 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert "error" in err
+
+
+def test_unwritable_log_is_refused_before_the_search(capsys, tmp_path):
+    # fd(Z_67, 3) searches for seconds; the path is checked first
+    start = time.perf_counter()
+    log_path = tmp_path / "missing" / "x.jsonl"
+    code, out, err = run_cli(capsys, "fd", "--group", "67", "--k", "3", "--log", str(log_path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 64 and out == ""
+    assert "davlab: error: --log" in err
+
+
 def test_davenport_cap_exceeded_is_budget_exit(capsys, tmp_path):
     log_path = tmp_path / "records.jsonl"
     argv = ["davenport", "--group", "64", "--weights", "1", "--cap", "10", "--log", str(log_path)]

@@ -181,8 +181,10 @@ def test_quartic_determinism_and_reporting():
 
 def test_quartic_parameters_out_of_range():
     # an infinite c0 overflowed ceil; 2L >= p wraps [-2L, 2L] onto 0 and
-    # eta >= p reaches the denominator p, both indexing past the inverse table
-    for kwargs in ({"c0": float("inf")}, {"c0": float("nan")}, {"c0": 40.0}, {"s_num": 1000}):
+    # eta >= p reaches the denominator p, both indexing past the inverse
+    # table; a negative dilate count failed as a construction after 0 rounds
+    for kwargs in ({"c0": float("inf")}, {"c0": float("nan")}, {"c0": 40.0}, {"s_num": 1000},
+                   {"n_dilates": -1}):
         with pytest.raises(ValueError):
             quartic_weight_set(101, **kwargs)
 

@@ -10,9 +10,6 @@ from davlab.engine import (
     GSequence,
     ResidueSet,
     WeightSet,
-    covers_observation,
-    difference_set,
-    dilate,
     dilation_orbit_reps,
     has_weighted_zero_sum,
     negate,
@@ -21,7 +18,6 @@ from davlab.engine import (
     sumset,
 )
 from davlab.groups import GroupSpec, cyclic, element_index, normalize_group
-from davlab.numtheory import primerange
 from davlab.solver import first_zero_free
 
 from conftest import brute_is_zsf, brute_reachable, tuple_add, tuple_scale
@@ -45,13 +41,6 @@ def test_weightset_stores_tuple():
     assert hash(ws) == hash(WeightSet(12, (1, 5, 7, 11)))
 
 
-def test_weightset_dilated():
-    assert WeightSet.of(7, [1, 2]).dilated(3).residues == (3, 6)
-    assert WeightSet.of(12, [1, 5]).dilated(5).residues == (1, 5)
-    with pytest.raises(ValueError):
-        WeightSet.of(12, [1]).dilated(0)
-
-
 def test_gsequence_validation():
     g = cyclic(5)
     s = GSequence.of(g, [1, 4, 4])
@@ -66,13 +55,8 @@ def test_gsequence_validation():
 def test_residueset_ops():
     g = cyclic(10)
     a = ResidueSet.of(g, [(1,), (3,)])
-    b = ResidueSet.of(g, [(3,), (7,)])
-    assert sorted((a | b).indices()) == [1, 3, 7]
-    assert sorted((a & b).indices()) == [3]
-    assert len(ResidueSet.full(g)) == 10
-    assert len(ResidueSet.empty(g)) == 0
     with pytest.raises(ValueError):
-        a | ResidueSet.of(cyclic(11), [(1,)])
+        sumset(a, ResidueSet.of(cyclic(11), [(1,)]))
 
 
 def _random_case(rng, max_order=30, max_rank=2, max_len=4, max_weights=4):
@@ -175,12 +159,11 @@ def test_reachable_sums_permutation_invariant(data):
     assert a.bits == b.bits
 
 
-def test_sumset_dilate_negate():
+def test_sumset_negate():
     g = cyclic(13)
     a = ResidueSet.of(g, [(1,), (3,)])
     b = ResidueSet.of(g, [(2,), (5,)])
     assert sorted(sumset(a, b).indices()) == sorted({3, 6, 5, 8})
-    assert sorted(dilate(5, a).indices()) == sorted({5, 15 % 13})
     assert sorted(negate(a).indices()) == sorted({12, 10})
     g2 = GroupSpec((2, 4))
     c = ResidueSet.of(g2, [(1, 3)])
@@ -193,7 +176,7 @@ SHAPES = [(2,), (7,), (12,), (2, 2), (2, 6), (3, 9), (4, 4), (2, 2, 2), (2, 4, 8
 
 @pytest.mark.parametrize("factors", SHAPES)
 def test_set_operations_match_tuple_arithmetic(factors):
-    # every translate, and negate, sumset and difference_set of random sets,
+    # every translate, and negate and sumset of random sets,
     # against coordinate tuples added and negated one by one
     g = GroupSpec(factors)
     elements = list(itertools.product(*[range(n) for n in factors]))
@@ -210,9 +193,7 @@ def test_set_operations_match_tuple_arithmetic(factors):
         for ys in sets[:3]:
             t = ResidueSet.of(g, ys)
             plus = {tuple_add(factors, x, y) for x in xs for y in ys}
-            minus = {tuple_add(factors, x, tuple_scale(factors, -1, y)) for x in xs for y in ys}
             assert set(sumset(s, t).elements()) == plus
-            assert set(difference_set(s, t).elements()) == minus
 
 
 @pytest.mark.parametrize("factors", [(2, 500000), (100, 10000)])
@@ -234,7 +215,7 @@ def test_difference_and_quotient():
     g = cyclic(7)
     a = ResidueSet.of(g, [(2,), (3,), (4,)])
     # pairwise differences of the interval {2,3,4} are 0, +-1, +-2
-    assert sorted(difference_set(a, a).indices()) == [0, 1, 2, 5, 6]
+    assert sorted(sumset(a, negate(a)).indices()) == [0, 1, 2, 5, 6]
     # pairwise ratios hit all six units, which is why D_A(Z_7) = 2 here
     q = quotient_set(a, a)
     assert sorted(q.indices()) == [1, 2, 3, 4, 5, 6]
@@ -248,32 +229,6 @@ def test_quotient_requires_units():
     b = ResidueSet.of(g, [(2,)])
     with pytest.raises(ValueError):
         quotient_set(a, b)
-
-
-def test_covers_observation_matches_direct_check():
-    # (B - B) / ((A - A) minus 0) covering Z_p, against a plain O(p^2) loop
-    rng = random.Random(17)
-    primes = list(primerange(11, 200))
-    for _ in range(200):
-        p = rng.choice(primes)
-        g = cyclic(p)
-        asize = rng.randint(2, min(10, p - 1))
-        bsize = rng.randint(1, min(10, p - 1))
-        a_res = sorted(rng.sample(range(1, p), asize))
-        b_res = sorted(rng.sample(range(1, p), bsize))
-        a = ResidueSet.of(g, [(x,) for x in a_res])
-        b = ResidueSet.of(g, [(x,) for x in b_res])
-        got = covers_observation(g, a, b)
-        ratios = {
-            ((bx - by) * pow(ax - ay, -1, p)) % p
-            for bx in b_res
-            for by in b_res
-            for ax in a_res
-            for ay in a_res
-            if ax != ay
-        }
-        want = ratios | {0} == set(range(p))
-        assert got == want, (p, a_res, b_res)
 
 
 def test_dilation_orbit_reps_prime():

@@ -136,8 +136,8 @@ def test_fd_budget_checked_in_orbit_search():
     stats = res.search_stats
     assert (res.status, res.value, res.sizes_excluded) == (FdStatus.UNKNOWN, None, 2)
     assert (stats.candidates, stats.checks, stats.nodes) == (1, 1, 2)
-    # an expired clock stops it before the first candidate
-    res = fd(cyclic(31), 3, budget=Budget(max_seconds=-1))
+    # a zero time budget has expired by the first candidate
+    res = fd(cyclic(31), 3, budget=Budget(max_seconds=0))
     assert (res.status, res.sizes_excluded) == (FdStatus.UNKNOWN, 2)
     assert res.search_stats.candidates == 0
 

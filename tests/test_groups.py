@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from davlab.groups import (
     GroupOrderError,
     GroupSpec,
-    add,
     as_element,
     canonical_roots,
     check_element,
@@ -18,7 +17,6 @@ from davlab.groups import (
     element_index,
     element_order,
     index_element,
-    neg,
     normalize_group,
     orbit_minima,
     parse_group,
@@ -95,13 +93,9 @@ def test_parse_group():
         parse_group("2xx4")
 
 
-def test_add_scalar_neg():
+def test_scalar_mul():
     g = GroupSpec((2, 4))
-    assert add(g, (1, 3), (1, 2)) == (0, 1)
     assert scalar_mul(g, 3, (1, 2)) == (1, 2)
-    assert neg(g, (1, 3)) == (1, 1)
-    with pytest.raises(ValueError):
-        add(g, (1,), (1, 2))
     with pytest.raises(ValueError):
         scalar_mul(g, 2, (1, 2, 3))
 

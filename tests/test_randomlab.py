@@ -195,7 +195,7 @@ def test_threshold_sweep_csv_pinned():
 
 def test_threshold_sweep_budget_partial():
     cfg = SweepConfig(p=31, k=2, theta_grid=(0.2, 0.4), trials=10, seed=0)
-    res = threshold_sweep(cfg, budget=Budget(max_nodes=None, max_seconds=-1.0))
+    res = threshold_sweep(cfg, budget=Budget(max_nodes=None, max_seconds=0.0))
     assert res.partial
     assert res.rows == ()
 

@@ -388,6 +388,14 @@ def test_budget_refuses_nan_seconds():
         solver.Budget(max_seconds=float("nan"))
 
 
+@pytest.mark.parametrize("limits", [{"max_nodes": -5}, {"max_seconds": -1}, {"max_seconds": -0.5}])
+def test_budget_refuses_negative_limits(limits):
+    with pytest.raises(ValueError):
+        solver.Budget(**limits)
+    # a limit of 0 is still a limit
+    solver.Budget(**{key: 0 for key in limits})
+
+
 def test_check_dav_at_most():
     g = cyclic(8)
     w = WeightSet.of(8, [1, 7])

@@ -62,6 +62,16 @@ def test_intervals_suite_small():
     assert report.checks[-1].ok
 
 
+def test_suites_that_reach_no_case_refuse_to_run():
+    # each bound below reaches no group or prime, so the suite would check
+    # nothing and report success
+    with pytest.raises(ValueError):
+        known_formulas(max_n=1)
+    with pytest.raises(ValueError):
+        intervals_suite(limit=3)
+    assert [c.name for c in intervals_suite(limit=4).checks][0].endswith("odd primes < 4")
+
+
 def test_relations_suite_battery():
     report = relations_suite()
     assert report.ok, report.failures()
