@@ -43,7 +43,6 @@ from .fdsolver import (
     fd,
     fd_fast_k2,
     fd_lower_bound,
-    fd_relation_checks,
     ratio_covers,
 )
 from .constructions import (
@@ -61,12 +60,10 @@ from .constructions import (
 )
 from .randomlab import (
     Classification,
-    PairLemmaReport,
     SweepConfig,
     SweepResult,
     SweepRow,
     classify_dav,
-    pair_lemma_check,
     sample_theta_random,
     theoretical_window,
     threshold_sweep,
@@ -104,7 +101,6 @@ __all__ = [
     "fd",
     "fd_fast_k2",
     "fd_lower_bound",
-    "fd_relation_checks",
     "ratio_covers",
     "ConstructionError",
     "ConstructionReport",
@@ -118,12 +114,10 @@ __all__ = [
     "singer_weight_set",
     "symmetric_range_weight_set",
     "Classification",
-    "PairLemmaReport",
     "SweepConfig",
     "SweepResult",
     "SweepRow",
     "classify_dav",
-    "pair_lemma_check",
     "sample_theta_random",
     "theoretical_window",
     "threshold_sweep",

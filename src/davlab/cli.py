@@ -116,7 +116,7 @@ def _log_record(args, command: str, normalized: dict, result: dict, elapsed_ms: 
         "normalized_input": normalized,
         "result": result,
         "provenance": {
-            "seed": getattr(args, "seed", None),
+            "seed": normalized.get("seed"),
             "threads": getattr(args, "threads", 1),
             "version": __version__,
         },
@@ -199,56 +199,66 @@ def _cmd_fd(args) -> _Outcome:
     return "fd", {"group": str(group), "k": args.k}, result, lines, code
 
 
-# the options each construction cannot do without
-_CONSTRUCT_NEEDS = {
-    "singer": ("q",),
-    "singer-weights": ("p",),
-    "interval": ("p",),
-    "symmetric": ("n", "r"),
-    "complement": ("p", "r"),
-    "quartic": ("p",),
+def _flags(names) -> str:
+    return ", ".join("--" + name.replace("_", "-") for name in names)
+
+
+def _flag_values(args, command: str, flags, needs, optional, bare: bool = False) -> dict:
+    """The values of the flags a command reads, given or defaulted, None left out.
+
+    A given flag the command does not read is refused, and so is a needed one
+    that is missing, unless no flag is given and the command runs bare (its
+    default battery)."""
+    given = [name for name in flags if getattr(args, name) is not None]
+    stray = [name for name in given if name not in needs and name not in optional]
+    if stray:
+        raise ValueError(f"{command} does not read {_flags(stray)}")
+    missing = [name for name in needs if name not in given]
+    if missing and (given or not bare):
+        with_given = f" with {_flags(given)}" if given else ""
+        raise ValueError(f"{command}{with_given} needs {_flags(missing)}")
+    values = {}
+    for name in needs + tuple(optional):
+        value = getattr(args, name)
+        value = optional.get(name) if value is None else value
+        if value is not None:
+            values[name] = value
+    return values
+
+
+# each construction's flags (the ones it needs, then the optional ones with
+# their defaults, None for none) and the call they make; other flags are
+# refused, and --auto picks a quartic row of its own
+_CONSTRUCT_FLAGS = ("q", "p", "n", "r", "c0", "s_num", "s_den", "seed", "n_dilates", "auto")
+_QUARTIC_OPTIONAL = {"c0": 1.5, "s_num": 1, "s_den": 10, "seed": 0, "n_dilates": None}
+_CONSTRUCT_ARGS = {
+    "singer": (("q",), {}, singer_difference_set),
+    "singer-weights": (("p",), {}, singer_weight_set),
+    "interval": (("p",), {}, interval_weight_set),
+    "symmetric": (("n", "r"), {}, symmetric_range_weight_set),
+    "complement": (("p", "r"), {}, complement_weight_set),
+    "quartic": (("p",), _QUARTIC_OPTIONAL, quartic_weight_set),
+    "quartic --auto": (("p", "auto"), {}, lambda p, auto: quartic_weight_set_auto(p)),
 }
 
 
 def _cmd_construct(args) -> _Outcome:
-    missing = [f"--{name}" for name in _CONSTRUCT_NEEDS[args.kind] if getattr(args, name) is None]
-    if missing:
-        raise ValueError(f"construct {args.kind} needs {', '.join(missing)}")
+    kind = f"{args.kind} --auto" if args.kind == "quartic" and args.auto else args.kind
+    needs, optional, build = _CONSTRUCT_ARGS[kind]
+    values = _flag_values(args, f"construct {kind}", _CONSTRUCT_FLAGS, needs, optional)
     command = f"construct-{args.kind}"
-    normalized = {
-        k: v for k, v in vars(args).items() if k not in {"func", "pretty", "log"} and v is not None
-    }
+    normalized = {"kind": args.kind, **values}
     try:
-        if args.kind == "singer":
-            pds = singer_difference_set(args.q)
-            result = {"v": pds.v, "elements": list(pds.elements)}
-            lines = [f"perfect difference set in Z_{pds.v}: {list(pds.elements)}"]
-        else:
-            if args.kind == "singer-weights":
-                rep = singer_weight_set(args.p)
-            elif args.kind == "interval":
-                rep = interval_weight_set(args.p)
-            elif args.kind == "symmetric":
-                rep = symmetric_range_weight_set(args.n, args.r)
-            elif args.kind == "complement":
-                rep = complement_weight_set(args.p, args.r)
-            else:  # quartic
-                if args.auto:
-                    rep = quartic_weight_set_auto(args.p)
-                else:
-                    rep = quartic_weight_set(
-                        args.p,
-                        c0=args.c0,
-                        s_num=args.s_num,
-                        s_den=args.s_den,
-                        seed=args.seed,
-                        n_dilates=args.n_dilates,
-                    )
-            result = rep.as_dict()
-            lines = [f"{k}: {v}" for k, v in result.items()]
+        built = build(**values)
     except ConstructionError as exc:
         result = {"error": str(exc), "info": {k: str(v) for k, v in exc.info.items()}}
         return command, normalized, result, [f"construction failed: {exc}"], EXIT_VIOLATION
+    if args.kind == "singer":
+        result = {"v": built.v, "elements": list(built.elements)}
+        lines = [f"perfect difference set in Z_{built.v}: {result['elements']}"]
+    else:
+        result = built.as_dict()
+        lines = [f"{k}: {v}" for k, v in result.items()]
     return command, normalized, result, lines, EXIT_OK
 
 
@@ -304,33 +314,24 @@ def _cmd_sweep(args) -> _Outcome:
 
 
 # verify: each suite's flags (the ones it needs once any is given, then the
-# optional ones) and the keyword arguments they become; other flags are refused
+# optional ones with their defaults) and the keyword arguments they become;
+# other flags are refused
 _VERIFY_FLAGS = ("max_n", "limit", "q", "p", "m", "k")
 _VERIFY_ARGS = {
-    "known-formulas": (("max_n",), (), lambda a: {"max_n": a.max_n}),
-    "singer": (("q",), (), lambda a: {"qs": (a.q,)}),
-    "intervals": (("limit",), (), lambda a: {"limit": a.limit}),
-    "relations": (("p",), ("m", "k"), lambda a: {"p": a.p, "m": a.m, "k": a.k}),
-    "dual-max": (("p", "k"), (), lambda a: {"pairs": ((a.p, a.k),)}),
-    "pair-lemma": (("max_n",), (), lambda a: {"n_max": a.max_n}),
-    "complement": (("p",), (), lambda a: {"ps": (a.p,)}),
+    "known-formulas": (("max_n",), {}, lambda v: v),
+    "singer": (("q",), {}, lambda v: {"qs": (v["q"],)}),
+    "intervals": (("limit",), {}, lambda v: v),
+    "relations": (("p",), {"m": None, "k": None}, lambda v: v),
+    "dual-max": (("p", "k"), {}, lambda v: {"pairs": ((v["p"], v["k"]),)}),
+    "pair-lemma": (("max_n",), {}, lambda v: {"n_max": v["max_n"]}),
+    "complement": (("p",), {}, lambda v: {"ps": (v["p"],)}),
 }
-
-
-def _flags(names) -> str:
-    return ", ".join("--" + name.replace("_", "-") for name in names)
 
 
 def _cmd_verify(args) -> _Outcome:
     needs, optional, to_kwargs = _VERIFY_ARGS[args.suite]
-    given = [name for name in _VERIFY_FLAGS if getattr(args, name) is not None]
-    stray = [name for name in given if name not in needs + optional]
-    if stray:
-        raise ValueError(f"verify {args.suite} does not read {_flags(stray)}")
-    missing = [name for name in needs if getattr(args, name) is None]
-    if given and missing:
-        raise ValueError(f"verify {args.suite} with {_flags(given)} needs {_flags(missing)}")
-    kwargs = to_kwargs(args) if given else {}
+    values = _flag_values(args, f"verify {args.suite}", _VERIFY_FLAGS, needs, optional, bare=True)
+    kwargs = to_kwargs(values) if values else {}
     report = SUITES[args.suite](**kwargs)
     lines = []
     for c in report.checks:
@@ -391,12 +392,14 @@ def build_parser() -> _Parser:
     p_con.add_argument("--p", type=int, help="prime modulus")
     p_con.add_argument("--n", type=int, help="cyclic modulus (symmetric)")
     p_con.add_argument("--r", type=int, help="radius (symmetric, complement)")
-    p_con.add_argument("--c0", type=float, default=1.5, help="quartic interval constant")
-    p_con.add_argument("--s-num", type=int, default=1)
-    p_con.add_argument("--s-den", type=int, default=10)
-    p_con.add_argument("--seed", type=int, default=0)
-    p_con.add_argument("--n-dilates", type=int, default=None)
-    p_con.add_argument("--auto", action="store_true", help="try the default (c0, seed) schedule")
+    p_con.add_argument("--c0", type=float, help="quartic interval constant (default 1.5)")
+    p_con.add_argument("--s-num", type=int, help="quartic slope numerator (default 1)")
+    p_con.add_argument("--s-den", type=int, help="quartic slope denominator (default 10)")
+    p_con.add_argument("--seed", type=int, help="quartic dilate seed (default 0)")
+    p_con.add_argument("--n-dilates", type=int, help="quartic dilate cap")
+    p_con.add_argument(
+        "--auto", action="store_true", default=None, help="quartic: try the (c0, seed) schedule"
+    )
     common(p_con)
     p_con.set_defaults(func=_cmd_construct)
 

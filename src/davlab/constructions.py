@@ -18,7 +18,7 @@ from .engine import WeightSet
 from .fdsolver import fd_lower_bound, ratio_missing
 from .groups import check_order, cyclic
 from .numtheory import factorint, floor_log, isprime, primitive_root
-from .solver import Budget, BudgetExceededError, Meter, check_dav_at_most, davenport
+from .solver import check_dav_at_most, davenport
 
 
 class ConstructionError(RuntimeError):
@@ -367,7 +367,6 @@ def quartic_weight_set(
     s_den: int = 10,
     seed: int = 1,
     n_dilates: Optional[int] = None,
-    budget: Optional[Budget] = None,
 ) -> ConstructionReport:
     """Union of dilated symmetric intervals with D_A <= 4, built greedily.
 
@@ -376,9 +375,7 @@ def quartic_weight_set(
     until S intersect x_1 S intersect ... is empty; the weight set is
     [-L, L]_* joined with the intervals dilated by each x_i^{-1}.  The final
     bound is never assumed: for p up to QUARTIC_EXHAUSTIVE_LIMIT the solver
-    recertifies D_A <= 4, and the report fails loudly otherwise.  The
-    budget's Meter is tested before each greedy round; once it trips the
-    ConstructionError carries the residual intersection size.
+    recertifies D_A <= 4, and the report fails loudly otherwise.
     """
     check_order(p)
     if not isprime(p) or p < 101:
@@ -389,7 +386,6 @@ def quartic_weight_set(
         raise ValueError("slope fraction must be nonnegative with positive denominator")
     if n_dilates is not None and n_dilates < 0:
         raise ValueError(f"n_dilates = {n_dilates} must be >= 0")
-    meter = Meter(budget)
     quarter = p ** 0.25
     L = ceil(c0 * quarter)
     eta = max(1, (L * s_num) // s_den)
@@ -426,12 +422,6 @@ def quartic_weight_set(
     chosen: list[int] = []
     remaining = set(s_set)
     while remaining and len(chosen) < cap_dilates:
-        try:
-            meter.check()
-        except BudgetExceededError as exc:
-            raise ConstructionError(
-                f"{exc} before the intersection emptied", p=p, residual=len(remaining)
-            ) from None
         target = min(remaining)  # designated uncovered element
         order = rng.sample(pool, len(pool))
         pick = None

@@ -25,16 +25,8 @@ from math import inf, isqrt
 from typing import Callable, Iterable, Optional
 
 from .engine import WeightSet, dilation_orbit_reps
-from .groups import (
-    DEFAULT_ORDER_LIMIT,
-    GroupOrderError,
-    GroupSpec,
-    check_order,
-    cyclic,
-    element_index,
-    normalize_group,
-)
-from .numtheory import floor_log, integer_nthroot, isprime, primitive_root
+from .groups import GroupSpec, check_order, element_index
+from .numtheory import integer_nthroot, isprime, primitive_root
 from .solver import Budget, BudgetExceededError, Meter, check_dav_at_most, first_zero_free
 
 
@@ -374,93 +366,3 @@ def fd_fast_k2(p: int, budget: Optional[Budget] = None) -> FdResult:
         raise ValueError(f"modulus {p} must be prime")
     find = partial(_first_ratio_cover, p, _discrete_logs(p))
     return _smallest(p, range(fd_lower_bound(p, 2), p), find, _Meter(budget))
-
-
-@dataclass(frozen=True)
-class RelationCheck:
-    name: str
-    relation: str
-    holds: bool
-    details: dict
-
-
-@dataclass(frozen=True)
-class FdRelationReport:
-    p: int
-    m: int
-    k: int
-    checks: tuple[RelationCheck, ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks)
-
-
-def _fd_value_label(r: FdResult):
-    return r.value if r.status == FdStatus.FINITE else r.status.value
-
-
-def fd_relation_checks(p: int, m: int, k: int) -> FdRelationReport:
-    """Exact checks of the structural fd relations reachable from (p, m, k).
-
-    Covers the prime-power collapse fd(Z_{p^m}) = fd(Z_p), the coprime
-    product bound fd(Z_p x Z_m) <= min of the factors (when m is a prime
-    different from p), and monotonicity of fd along the tower (Z_p)^i.
-    """
-    if not isprime(p):
-        raise ValueError(f"p = {p} must be prime")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if m > floor_log(p, DEFAULT_ORDER_LIMIT):
-        # p^m itself would take longer to compute than to refuse
-        raise GroupOrderError(f"group order {p}^{m} exceeds limit {DEFAULT_ORDER_LIMIT}")
-    checks = []
-    base = fd(cyclic(p), k)
-    power = fd(cyclic(p**m), k)
-    checks.append(
-        RelationCheck(
-            name="prime-power-collapse",
-            relation=f"fd(Z{p**m},{k}) == fd(Z{p},{k})",
-            holds=(
-                power.status == base.status
-                and (power.status != FdStatus.FINITE or power.value == base.value)
-            ),
-            details={
-                f"fd(Z{p**m},{k})": _fd_value_label(power),
-                f"fd(Z{p},{k})": _fd_value_label(base),
-            },
-        )
-    )
-    if m >= 2 and m != p and isprime(m):
-        other = fd(cyclic(m), k)
-        product = fd(normalize_group([p, m]), k)
-        lhs = product.as_comparable()
-        rhs = min(base.as_comparable(), other.as_comparable())
-        checks.append(
-            RelationCheck(
-                name="coprime-product-bound",
-                relation=f"fd(Z{p * m},{k}) <= min(fd(Z{p},{k}), fd(Z{m},{k}))",
-                holds=lhs <= rhs,
-                details={
-                    f"fd(Z{p * m},{k})": _fd_value_label(product),
-                    f"fd(Z{p},{k})": _fd_value_label(base),
-                    f"fd(Z{m},{k})": _fd_value_label(other),
-                },
-            )
-        )
-    tower = []
-    for i in range(1, m + 1):
-        g = GroupSpec((p,) * i)
-        tower.append(fd(g, k))
-    vals = [t.as_comparable() for t in tower]
-    checks.append(
-        RelationCheck(
-            name="elementary-tower-monotone",
-            relation=f"fd(Zp^1..Zp^{m}, k={k}) nondecreasing",
-            holds=all(a <= b for a, b in zip(vals, vals[1:])),
-            details={f"fd((Z{p})^{i + 1},{k})": _fd_value_label(t) for i, t in enumerate(tower)},
-        )
-    )
-    return FdRelationReport(p=p, m=m, k=k, checks=tuple(checks))

@@ -20,7 +20,7 @@ from .fdsolver import ratio_covers
 from .groups import GroupSpec, check_order, cyclic
 from .numtheory import isprime
 from . import solver
-from .solver import Budget, BudgetExceededError, Meter, _Pool, check_dav_at_most, davenport
+from .solver import Budget, BudgetExceededError, Meter, _Pool, check_dav_at_most
 
 
 class Classification(str, Enum):
@@ -219,36 +219,3 @@ def threshold_sweep(
         window_empty=window[0] >= window[1],
         elapsed=meter.elapsed(),
     )
-
-
-@dataclass(frozen=True)
-class PairLemmaReport:
-    n_max: int
-    cases: int
-    violations: tuple[tuple[int, int, int, int], ...]  # (n, x, value, bound)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def pair_lemma_check(n_max: int) -> PairLemmaReport:
-    """For every n <= n_max and x in [1, n-1]: the weight set {x, n-x}
-    (a singleton when x = n-x) has D <= floor(log2 n) + 1."""
-    check_order(n_max)
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    cases = 0
-    violations = []
-    for n in range(2, n_max + 1):
-        group = cyclic(n)
-        bound = n.bit_length()  # floor(log2 n) + 1
-        cache: dict[frozenset, int] = {}
-        for x in range(1, n):
-            pair = frozenset((x, n - x))
-            if pair not in cache:
-                cache[pair] = davenport(group, WeightSet(n, tuple(sorted(pair)))).value
-            cases += 1
-            if cache[pair] > bound:
-                violations.append((n, x, cache[pair], bound))
-    return PairLemmaReport(n_max=n_max, cases=cases, violations=tuple(violations))

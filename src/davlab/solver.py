@@ -191,8 +191,7 @@ class Budget:
     - fd's prime k = 2 cover search: every _CHECK_EVERY nodes and at node
       max_nodes + 1; UNKNOWN.
     - threshold_sweep: before each row; partial.
-    - quartic_weight_set: before each round; ConstructionError.
-    The sweep and the constructions count no nodes.  Nothing stops a running
+    The sweep counts no nodes.  Nothing stops a running
     bounded check, and davenport and the bounded checks take no budget.
     """
 

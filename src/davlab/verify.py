@@ -2,14 +2,16 @@
 
 Each suite returns a SuiteReport whose checks carry computed vs expected
 values; nothing is asserted, so callers (tests, CLI) decide how to surface
-failures.  Known-formula equalities are certified with certify_dav_value,
-which is two bounded searches instead of a full exact solve.
+failures.  The suites build every check here from values the solver modules
+compute, the fd relations and the pair lemma included.  Known-formula
+equalities are certified with certify_dav_value, which is two bounded
+searches instead of a full exact solve.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import ceil, isqrt
 from typing import Optional
 
@@ -21,11 +23,17 @@ from .constructions import (
     singer_weight_set,
 )
 from .engine import WeightSet
-from .fdsolver import fd, fd_lower_bound, fd_relation_checks
-from .groups import check_order, cyclic, normalize_group, units
+from .fdsolver import FdResult, FdStatus, fd, fd_lower_bound
+from .groups import (
+    DEFAULT_ORDER_LIMIT,
+    GroupOrderError,
+    check_order,
+    cyclic,
+    normalize_group,
+    units,
+)
 from .numtheory import factorint, floor_log, isprime, primerange
-from .randomlab import pair_lemma_check
-from .solver import certify_dav_value, max_davenport_over_size
+from .solver import certify_dav_value, davenport, max_davenport_over_size
 
 
 @dataclass(frozen=True)
@@ -53,10 +61,7 @@ class SuiteReport:
         return {
             "suite": self.suite,
             "ok": self.ok,
-            "checks": [
-                {"name": c.name, "computed": c.computed, "expected": c.expected, "ok": c.ok}
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "elapsed": self.elapsed,
         }
 
@@ -189,18 +194,67 @@ def intervals_suite(limit: int = 2000) -> SuiteReport:
     return SuiteReport("intervals", tuple(checks), time.perf_counter() - start)
 
 
-def relations_suite(
-    p: Optional[int] = None, m: Optional[int] = None, k: Optional[int] = None
-) -> SuiteReport:
-    """Group relations among fd values; optionally one parametrized report."""
-    start = time.perf_counter()
-    checks: list[Check] = []
-    if p is not None:
-        rel = fd_relation_checks(p, m if m is not None else 2, k if k is not None else 2)
-        for c in rel.checks:
-            checks.append(Check(c.name, c.details, c.relation, c.holds))
-        return SuiteReport("relations", tuple(checks), time.perf_counter() - start)
+def _fd_label(r: FdResult):
+    return r.value if r.status == FdStatus.FINITE else r.status.value
 
+
+def _fd_relations(p: int, m: int, k: int) -> list[Check]:
+    """Exact checks of the structural fd relations reachable from (p, m, k).
+
+    Covers the prime-power collapse fd(Z_{p^m}) = fd(Z_p), the coprime
+    product bound fd(Z_p x Z_m) <= min of the factors (when m is a prime
+    different from p), and monotonicity of fd along the tower (Z_p)^i.
+    """
+    if not isprime(p):
+        raise ValueError(f"p = {p} must be prime")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if m > floor_log(p, DEFAULT_ORDER_LIMIT):
+        # p^m itself would take longer to compute than to refuse
+        raise GroupOrderError(f"group order {p}^{m} exceeds limit {DEFAULT_ORDER_LIMIT}")
+    base = fd(cyclic(p), k)
+    power = fd(cyclic(p**m), k)
+    checks = [
+        Check(
+            "prime-power-collapse",
+            {f"fd(Z{p**m},{k})": _fd_label(power), f"fd(Z{p},{k})": _fd_label(base)},
+            f"fd(Z{p**m},{k}) == fd(Z{p},{k})",
+            _fd_label(power) == _fd_label(base),
+        )
+    ]
+    if m >= 2 and m != p and isprime(m):
+        other = fd(cyclic(m), k)
+        product = fd(normalize_group([p, m]), k)
+        checks.append(
+            Check(
+                "coprime-product-bound",
+                {
+                    f"fd(Z{p * m},{k})": _fd_label(product),
+                    f"fd(Z{p},{k})": _fd_label(base),
+                    f"fd(Z{m},{k})": _fd_label(other),
+                },
+                f"fd(Z{p * m},{k}) <= min(fd(Z{p},{k}), fd(Z{m},{k}))",
+                product.as_comparable() <= min(base.as_comparable(), other.as_comparable()),
+            )
+        )
+    tower = [fd(normalize_group([p] * i), k) for i in range(1, m + 1)]
+    checks.append(
+        Check(
+            "elementary-tower-monotone",
+            {f"fd((Z{p})^{i},{k})": _fd_label(t) for i, t in enumerate(tower, 1)},
+            f"fd(Zp^1..Zp^{m}, k={k}) nondecreasing",
+            all(a.as_comparable() <= b.as_comparable() for a, b in zip(tower, tower[1:])),
+        )
+    )
+    return checks
+
+
+def _relations_battery() -> list[Check]:
+    """Prime-power collapses and the Klein group at k = 2, Z6 against its
+    factors, and the Z2 tower at k = 4."""
+    checks = []
     f9 = fd(cyclic(9), 2).value
     f3 = fd(cyclic(3), 2).value
     checks.append(Check("fd(Z9,2) = fd(Z3,2) = 2", (f9, f3), (2, 2), f9 == f3 == 2))
@@ -236,6 +290,19 @@ def relations_suite(
             all(a <= b for a, b in zip(tower, tower[1:])),
         )
     )
+    return checks
+
+
+def relations_suite(
+    p: Optional[int] = None, m: Optional[int] = None, k: Optional[int] = None
+) -> SuiteReport:
+    """Group relations among fd values: a fixed battery, or the relations
+    reachable from (p, m, k), m and k defaulting to 2."""
+    start = time.perf_counter()
+    if p is None:
+        checks = _relations_battery()
+    else:
+        checks = _fd_relations(p, 2 if m is None else m, 2 if k is None else k)
     return SuiteReport("relations", tuple(checks), time.perf_counter() - start)
 
 
@@ -253,17 +320,31 @@ def dual_max_suite(
 
 
 def pair_lemma_suite(n_max: int = 40) -> SuiteReport:
+    """For every n <= n_max and x in [1, n-1]: the weight set {x, n-x}
+    (a singleton when x = n-x) has D <= floor(log2 n) + 1."""
+    check_order(n_max)
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
     start = time.perf_counter()
-    rep = pair_lemma_check(n_max)
-    checks = (
-        Check(
-            f"pairs {{x, n-x}} within floor(log2 n) + 1, n <= {n_max}",
-            f"{rep.cases} cases, {len(rep.violations)} violations",
-            "0 violations",
-            rep.ok,
-        ),
+    violations = []  # (n, x, D, bound)
+    for n in range(2, n_max + 1):
+        group = cyclic(n)
+        bound = n.bit_length()  # floor(log2 n) + 1
+        # x and n - x give one set, solved once
+        dav = {x: davenport(group, WeightSet.of(n, {x, n - x})).value for x in range(1, n // 2 + 1)}
+        for x in range(1, n):
+            if dav[min(x, n - x)] > bound:
+                violations.append((n, x, dav[min(x, n - x)], bound))
+    computed = f"{n_max * (n_max - 1) // 2} cases, {len(violations)} violations"
+    if violations:
+        computed += f", first (n, x, D, bound) = {violations[0]}"
+    check = Check(
+        f"pairs {{x, n-x}} within floor(log2 n) + 1, n <= {n_max}",
+        computed,
+        "0 violations",
+        not violations,
     )
-    return SuiteReport("pair-lemma", checks, time.perf_counter() - start)
+    return SuiteReport("pair-lemma", (check,), time.perf_counter() - start)
 
 
 def complement_suite(ps: tuple[int, ...] = (13, 17, 29)) -> SuiteReport:

@@ -205,6 +205,59 @@ def test_construct_missing_option_usage_error(capsys, argv, needs):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("construct", "interval", "--p", "101", "--q", "7"),
+        ("construct", "interval", "--p", "101", "--q", "7", "--r", "3"),
+        ("construct", "interval", "--p", "101", "--auto"),
+        ("construct", "singer", "--q", "2", "--p", "7"),
+        ("construct", "symmetric", "--n", "30", "--r", "2", "--seed", "1"),
+        ("construct", "quartic", "--p", "101", "--auto", "--c0", "2", "--seed", "5"),
+        ("construct", "quartic", "--p", "101", "--auto", "--n-dilates", "3"),
+        ("construct", "quartic", "--p", "101", "--auto", "--s-den", "10"),
+    ],
+)
+def test_construct_refuses_flags_it_does_not_read(capsys, tmp_path, argv):
+    # the construction ran without the flag, or --auto ran its own schedule,
+    # under a record that logged the flag as if it had been used
+    log_path = tmp_path / "runs.jsonl"
+    code, out, err = run_cli(capsys, *argv, "--log", str(log_path))
+    assert code == 64
+    assert "does not read" in err and "Traceback" not in err
+    assert out == "" and not log_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, normalized, seed",
+    [
+        (("construct", "interval", "--p", "101"), {"kind": "interval", "p": 101}, None),
+        (
+            ("construct", "quartic", "--p", "101"),
+            {"kind": "quartic", "p": 101, "c0": 1.5, "s_num": 1, "s_den": 10, "seed": 0},
+            0,
+        ),
+        (
+            ("construct", "quartic", "--p", "101", "--seed", "3", "--n-dilates", "4"),
+            {"kind": "quartic", "p": 101, "c0": 1.5, "s_num": 1, "s_den": 10, "seed": 3,
+             "n_dilates": 4},
+            3,
+        ),
+        (
+            ("construct", "quartic", "--p", "101", "--auto"),
+            {"kind": "quartic", "p": 101, "auto": True},
+            None,
+        ),
+    ],
+)
+def test_construct_logs_the_inputs_it_read(capsys, tmp_path, argv, normalized, seed):
+    log_path = tmp_path / "runs.jsonl"
+    run_cli(capsys, *argv, "--log", str(log_path))
+    record = json.loads(log_path.read_text())
+    assert record["normalized_input"] == normalized
+    assert record["provenance"]["seed"] == seed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("construct", "interval", "--p", "101"),
         ("verify", "singer", "--q", "2"),
         ("davenport", "--group", "8", "--weights", "1,7"),

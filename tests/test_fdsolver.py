@@ -12,7 +12,6 @@ from davlab.fdsolver import (
     fd,
     fd_fast_k2,
     fd_lower_bound,
-    fd_relation_checks,
     ratio_covers,
 )
 from davlab.groups import GroupSpec, cyclic, normalize_group, units
@@ -237,12 +236,6 @@ def test_fd_value_via_ratio_criterion():
     res = fd(cyclic(13), 2)
     assert ratio_covers(13, res.witness_set.residues)
     assert res.value == 4
-
-
-def test_fd_relation_checks_hold():
-    for p, m, k in ((3, 2, 2), (5, 2, 2), (2, 3, 2), (2, 2, 4)):
-        rep = fd_relation_checks(p, m, k)
-        assert rep.all_hold, (p, m, k, [c.name for c in rep.checks if not c.holds])
 
 
 def test_fd_thread_invariance():

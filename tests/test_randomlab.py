@@ -8,11 +8,9 @@ from davlab.fdsolver import ratio_covers
 from davlab.groups import GroupOrderError, cyclic
 from davlab.randomlab import (
     Classification,
-    PairLemmaReport,
     SweepConfig,
     SweepRow,
     classify_dav,
-    pair_lemma_check,
     sample_theta_random,
     theoretical_window,
     threshold_sweep,
@@ -204,12 +202,3 @@ def test_window_empty_flag():
     cfg = SweepConfig(p=31, k=3, theta_grid=(0.3,), trials=2, seed=0)
     res = threshold_sweep(cfg)
     assert res.window_empty  # the k=3 window closes at this scale
-
-
-def test_pair_lemma_check():
-    rep = pair_lemma_check(20)
-    assert isinstance(rep, PairLemmaReport)
-    assert rep.ok
-    assert rep.cases == sum(n - 1 for n in range(2, 21))
-    with pytest.raises(ValueError):
-        pair_lemma_check(1)

@@ -4,8 +4,12 @@ Each suite is exercised at a reduced size so the whole file stays fast;
 the full-size runs live in test_acceptance.py.
 """
 
+import dataclasses
+
 import pytest
 
+from davlab import verify
+from davlab.solver import davenport
 from davlab.verify import (
     SUITES,
     complement_suite,
@@ -80,9 +84,17 @@ def test_relations_suite_battery():
     assert any("Z2xZ2" in n for n in names)
 
 
-def test_relations_suite_parametrized():
-    report = relations_suite(p=3, m=2, k=2)
+@pytest.mark.parametrize("p, m, k", [(3, 2, 2), (5, 2, 2), (2, 3, 2), (2, 2, 4)])
+def test_relations_suite_parametrized(p, m, k):
+    report = relations_suite(p=p, m=m, k=k)
     assert report.ok, report.failures()
+    # the coprime product bound needs m to be a prime other than p
+    names = ["prime-power-collapse", "coprime-product-bound", "elementary-tower-monotone"]
+    if m == p:
+        names.remove("coprime-product-bound")
+    assert [c.name for c in report.checks] == names
+    tower = report.checks[-1].computed
+    assert list(tower) == [f"fd((Z{p})^{i},{k})" for i in range(1, m + 1)]
 
 
 def test_dual_max_suite():
@@ -92,8 +104,28 @@ def test_dual_max_suite():
 
 
 def test_pair_lemma_suite_small():
-    report = pair_lemma_suite(n_max=16)
+    report = pair_lemma_suite(n_max=20)
     assert report.ok, report.failures()
+    (check,) = report.checks
+    assert check.computed == f"{sum(n - 1 for n in range(2, 21))} cases, 0 violations"
+    with pytest.raises(ValueError):
+        pair_lemma_suite(n_max=1)
+
+
+def test_pair_lemma_suite_names_first_violation(monkeypatch):
+    # a D above the bound for {2, 4} mod 6 (x = 2 and x = 4) must fail the
+    # suite and name the first violating case
+    def fake(group, weights):
+        res = davenport(group, weights)
+        if weights.exponent == 6 and weights.residues == (2, 4):
+            return dataclasses.replace(res, value=99)
+        return res
+
+    monkeypatch.setattr(verify, "davenport", fake)
+    report = pair_lemma_suite(n_max=8)
+    assert not report.ok
+    (check,) = report.failures()
+    assert check.computed == "28 cases, 2 violations, first (n, x, D, bound) = (6, 2, 99, 3)"
 
 
 def test_complement_suite_single_prime():
