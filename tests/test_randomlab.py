@@ -17,6 +17,7 @@ from davlab.randomlab import (
     trial_seed,
 )
 from davlab.solver import Budget, check_dav_at_most, davenport
+from davlab.verify import pair_lemma_suite
 
 
 def test_sweep_config_validation():
@@ -202,3 +203,22 @@ def test_window_empty_flag():
     cfg = SweepConfig(p=31, k=3, theta_grid=(0.3,), trials=2, seed=0)
     res = threshold_sweep(cfg)
     assert res.window_empty  # the k=3 window closes at this scale
+
+
+def test_pair_lemma_check():
+    # the pair lemma D_{x, p-x}(Z_p) <= floor(log2 p) + 1, read through
+    # classify_dav at k = floor(log2 p) + 1, where it must never say GT,
+    # and through the verify suite, which checks it for every modulus
+    for p in (5, 7, 11, 13, 17, 19, 23):
+        bound = p.bit_length()
+        for x in range(1, p // 2 + 1):
+            got = classify_dav(p, {x, p - x}, bound)
+            assert got is not Classification.GT, (p, x)
+            value = davenport(cyclic(p), WeightSet.of(p, {x, p - x})).value
+            assert got is (Classification.EQ if value == bound else Classification.LT), (p, x, value)
+    report = pair_lemma_suite(n_max=20)
+    assert report.ok, report.failures()
+    (check,) = report.checks
+    assert check.computed == f"{sum(n - 1 for n in range(2, 21))} cases, 0 violations"
+    with pytest.raises(ValueError):
+        pair_lemma_suite(n_max=1)
