@@ -59,6 +59,22 @@ of a zero-sum-free multiset for a lower s*x keeps it zero-sum-free and makes
 it lex-smaller, so the lex-least multiset holds no such x.  The fail memo
 stays sound, as the restricted subtree under a state still depends only on
 (last element, Sigma, elements still to place).
+
+On G = Z_p^r with r >= 2 the root argument runs at every depth (the span
+rule).  Let W be the span of the prefix m_1, ..., m_i of the lex-least M.
+If an automorphism phi fixes m_1, ..., m_i and phi(m_{i+1}) < m_{i+1},
+sorted(phi(M)) is a lex-smaller zero-sum-free multiset, so m_{i+1} is least
+in its orbit under the automorphisms fixing the prefix pointwise.  Those fix
+W pointwise and act transitively on the elements outside it (a basis of W
+and x extends to a basis of G, which a linear map sends to one extending W
+and y), so a state extends only by an element of W or by the least flat
+index outside W.  This keeps every value, witness and culprit.  Every
+weight is a unit mod p, so W is the span of Sigma and the fail memo stays
+sound.  W grows only when a state appends that least element, at most r
+times along a path, so each root keeps one chain of scan lists, one per
+span (see _WeightTables); groups that are not elementary abelian scan one
+list per root, as the rule does not apply to them.  Z_3 + Z_9, for one, is
+searched without it.
 """
 
 from __future__ import annotations
@@ -283,6 +299,17 @@ def _stabilizer(weights: WeightSet) -> tuple[int, ...]:
     return tuple(sorted(span))
 
 
+def _digit_add(x: int, y: int, p: int) -> int:
+    """The flat index of x + y in Z_p^r: base-p digits added without carry."""
+    total, st = 0, 1
+    while x or y:
+        x, a = divmod(x, p)
+        y, b = divmod(y, p)
+        total += (a + b) % p * st
+        st *= p
+    return total
+
+
 class _WeightTables:
     """Per-(group, weights) masks and move lists for the multiset search,
     each built the first time a search can read it.
@@ -299,12 +326,28 @@ class _WeightTables:
     A search under root r starts from Sigma = A*r | {0}, which already kills
     the c with a*c in -Sigma for some a in A; killed() finds them by solving
     a*x = t (mod n_j) coordinate by coordinate, and since Sigma only grows
-    they are dead in every state under r.  root_scan() keeps A*r and the
-    others from r up, ascending, as root_scans[r] the first time a search
-    under r scans (not one that ends on A*r alone: r dead, k = 1, or too few
-    elements left to grow Sigma), so the kernel never tests a killed
-    candidate and never builds its mask.  Entries live as long as the
-    tables: at most one list of at most |G| indices per root scanned.
+    they are dead in every state under r.  root_sums[r] keeps A*r from the
+    first search under r.  root_scans[r] = (scans, outs) keeps, from the
+    first search under r that scans (not one that ends on A*r alone: r dead,
+    k = 1, or too few elements left to grow Sigma), the survivors: the
+    others from r up, ascending, so the kernel never tests a killed
+    candidate and never builds its mask.  A state at span level j scans
+    scans[j] and may append outs[j], the one element outside its span that
+    takes its child to level j + 1; without the span rule there is one
+    level, scans = [survivors] and outs = [-1] (no such element).  Entries
+    live as long as the tables: per root scanned, one list of at most |G|
+    indices, and under the span rule one more per span level.
+
+    On G = Z_p^r with r >= 2 (span_prime = p; 0 elsewhere, and setting it to
+    0 turns the rule off) a state whose prefix spans W scans only the
+    survivors in W and the least flat index outside W (see the module
+    docstring).  No element outside W is ever killed, as a*c lies outside W
+    and -Sigma inside it, and no unit maps that least element lower, as
+    s*c lies outside W too.  W changes only when a state appends that
+    element, at most r times along a path and always to the same next span,
+    so each root keeps one chain of levels; spans[r] holds the survivors
+    and the span of the last level built, and grow_span() adds a level the
+    first time a search reaches it.
 
     moves[c], the shifts S - m for the padded bits m of A*c, is built the
     first time the kernel would extend a prefix by c.  It is empty when a
@@ -315,7 +358,7 @@ class _WeightTables:
     extend a prefix (k <= 2, or every candidate killed) never compute the
     stabilizer.  Building it also drops the elements those units map lower
     from every list in root_scans, in place, and lists built later leave
-    them out; the kernel reads its root's list afresh at every state.  That
+    them out; the kernel reads its level's list afresh at every state.  That
     changes no answer and no node count: the kernel already never extends a
     prefix by them, and a search that ended on one would return a multiset
     other than the lex-least one, which holds none of them (see the module
@@ -325,7 +368,7 @@ class _WeightTables:
 
     __slots__ = (
         "group", "order", "padding", "weights", "negated", "plus", "minus", "masks", "moves",
-        "roots", "root_scans", "minima",
+        "roots", "root_sums", "root_scans", "spans", "minima", "span_prime",
     )
 
     def __init__(self, group: GroupSpec, weights: WeightSet):
@@ -347,8 +390,13 @@ class _WeightTables:
         self.masks = [0] * n
         self.moves: list[Optional[tuple[int, ...]]] = [None] * n
         self.roots = canonical_roots(group)
-        self.root_scans: dict[int, tuple[int, list[int]]] = {}  # see root_scan()
+        self.root_sums: dict[int, int] = {}
+        self.root_scans: dict[int, tuple[list[list[int]], list[int]]] = {}
+        self.spans: dict[int, tuple[list[int], set[int]]] = {}
         self.minima: Optional[Sequence[int]] = None
+        fs = group.invariant_factors
+        elementary = len(fs) > 1 and fs[0] == e and isprime(e)
+        self.span_prime = e if elementary else 0
 
     @staticmethod
     def bits(c: int, scaled: tuple) -> int:
@@ -363,18 +411,38 @@ class _WeightTables:
             w |= 1 << m
         return w
 
-    def root_scan(self, root: int, w: int) -> list[int]:
-        """Build root_scans[root] = (w, survivors) from w = A*root as a
-        padded set, and return survivors: the elements from root up that
-        killed(root) leaves, ascending and narrowed to stabilizer minima
-        once those are known."""
+    def root_scan(self, root: int) -> tuple[list[list[int]], list[int]]:
+        """Build and return root_scans[root] with its first scan level, from
+        the elements from root up that killed(root) leaves, ascending and
+        narrowed to stabilizer minima once those are known."""
         dead = self.killed(root)
         survivors = list(filterfalse(dead.__contains__, range(root, self.order)))
         minima = self.minima
         if isinstance(minima, list):  # not range: some unit fixing A
             survivors = [x for x in survivors if minima[x] == x]
-        self.root_scans[root] = (w, survivors)
-        return survivors
+        if not self.span_prime:
+            entry = self.root_scans[root] = ([survivors], [-1])
+            return entry
+        entry = self.root_scans[root] = ([], [])
+        self.spans[root] = (survivors, {0})
+        self.grow_span(root, root)
+        return entry
+
+    def grow_span(self, root: int, c: int) -> None:
+        """Add root's next scan level: the span W + <c> for the last level's
+        span W ({0} before the first level), the survivors in it, and the
+        least flat index outside it (-1 once W = G)."""
+        p = self.span_prime
+        survivors, span = self.spans[root]
+        multiples = [0]
+        for _ in range(p - 1):
+            multiples.append(_digit_add(multiples[-1], c, p))
+        span = {_digit_add(x, m, p) for x in span for m in multiples}
+        self.spans[root] = (survivors, span)
+        out = next(filterfalse(span.__contains__, range(self.order)), -1)
+        scans, outs = self.root_scans[root]
+        scans.append([x for x in survivors if x in span or x == out])
+        outs.append(out)
 
     def shifts(self, c: int) -> tuple[int, ...]:
         """The move list of c: S - m for the padded bits m of A*c, largest
@@ -391,7 +459,10 @@ class _WeightTables:
                 if stab:
                     e = self.group.exponent
                     minima = self.minima = orbit_minima(self.group, unit_generators(stab, e))
-                    for _, survivors in self.root_scans.values():
+                    for scans, _ in self.root_scans.values():
+                        for scan in scans:
+                            scan[:] = [x for x in scan if minima[x] == x]
+                    for survivors, _ in self.spans.values():
                         survivors[:] = [x for x in survivors if minima[x] == x]
                 else:
                     minima = self.minima = range(self.order)
@@ -511,10 +582,13 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     Sigma | ((OR over s in moves[c] of T >> s) & mask) with T the tiled Sigma.
     Every element but the last grows Sigma, which must still miss -A*x of
     the last x, so a state prunes once more elements are still to place than
-    lie outside Sigma, at the root and after every push alike.
+    lie outside Sigma, at the root and after every push alike.  Each state
+    scans the list of its span level, and appending that level's element
+    outside the span moves its child one level up.
     """
-    scan = tables.root_scans.get(root)
-    w = scan[0] if scan else tables.bits(root, tables.plus)
+    w = tables.root_sums.get(root)
+    if w is None:
+        w = tables.root_sums[root] = tables.bits(root, tables.plus)
     if w & 1:
         return None, 0
     if k == 1:
@@ -524,7 +598,7 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     # the growth rule, as after a push
     if k - 1 > order - z.bit_count():
         return None, 0
-    survivors = scan[1] if scan else tables.root_scan(root, w)
+    scans, outs = tables.root_scans.get(root) or tables.root_scan(root)
     negw = tables.masks  # A*(-c), 0 until built
     moves = tables.moves
     pad = tables.padding
@@ -534,14 +608,15 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     nodes = 1
     chosen = [root]
     # open states as [Sigma, elements still to place, next candidate, tiled
-    # Sigma or None until a candidate needs it]; the state at depth i was
-    # reached by appending chosen[i]
-    stack = [[z, k - 1, root, None]]
+    # Sigma or None until a candidate needs it, scan list, the one element
+    # outside its span]; the state at depth i was reached by appending
+    # chosen[i]
+    stack = [[z, k - 1, root, None, scans[0], outs[0]]]
     while stack:
         state = stack[-1]
-        bits, remaining, tiled = state[0], state[1], state[3]
-        # read per state: shifts() may narrow the list in place
-        for c in survivors[bisect_left(survivors, state[2]):]:
+        bits, remaining, start, tiled, scan, out = state
+        # the list is read per state: shifts() may narrow it in place
+        for c in scan[bisect_left(scan, start):]:
             if (negw[c] or tables.mask(c)) & bits:
                 continue
             if remaining == 1:
@@ -568,7 +643,13 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
                 state[2] = c + 1
                 nodes += 1
                 chosen.append(c)
-                stack.append([nb, remaining - 1, c, None])
+                if c == out:  # c leaves the span: the next level
+                    up = outs.index(c) + 1
+                    if up == len(scans):
+                        tables.grow_span(root, c)
+                    stack.append([nb, remaining - 1, c, None, scans[up], outs[up]])
+                else:
+                    stack.append([nb, remaining - 1, c, None, scan, out])
                 break
         else:
             if len(fail_at) >= memo_limit:

@@ -297,7 +297,10 @@ def relations_suite(
     p: Optional[int] = None, m: Optional[int] = None, k: Optional[int] = None
 ) -> SuiteReport:
     """Group relations among fd values: a fixed battery, or the relations
-    reachable from (p, m, k), m and k defaulting to 2."""
+    reachable from (p, m, k), m and k defaulting to 2.  m or k without p is
+    refused: the battery would ignore them."""
+    if p is None and (m is not None or k is not None):
+        raise ValueError("m and k need p: without it the fixed battery runs")
     start = time.perf_counter()
     if p is None:
         checks = _relations_battery()

@@ -4,6 +4,7 @@ bit-vector engine: plain tuple arithmetic and itertools enumeration only."""
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 
 
 def tuple_add(factors, x, y):
@@ -94,8 +95,9 @@ def brute_fd(n, k, max_size=None):
     return None
 
 
-def brute_aut_orbit_minima(factors):
-    """For each flat index, the least flat index of its orbit under Aut(G).
+def brute_automorphisms(factors):
+    """Every automorphism of G, each as the tuple of images of the flat
+    indices, generated one at a time.
 
     An automorphism is fixed by the images of the canonical generators e_j,
     each of order dividing n_j; the images are chosen generator by generator,
@@ -106,13 +108,11 @@ def brute_aut_orbit_minima(factors):
     elements = list(itertools.product(*[range(n) for n in factors]))
     index = {x: i for i, x in enumerate(elements)}
     plus = [[index[tuple_add(factors, x, y)] for y in elements] for x in elements]
-    mins = list(range(len(elements)))
 
     def extend(j, images):
         # images: the image of each element of Z_{n_1} x ... x Z_{n_j}, flat order
-        nonlocal mins
         if j == len(factors):
-            mins = list(map(min, mins, images))
+            yield tuple(images)
             return
         for g in range(len(elements)):
             multiples = [0]
@@ -122,7 +122,11 @@ def brute_aut_orbit_minima(factors):
                 continue  # n_j * g != 0
             grown = [plus[y][t] for y in images for t in multiples]
             if len(set(grown)) == len(grown):
-                extend(j + 1, grown)
+                yield from extend(j + 1, grown)
 
-    extend(0, [0])
-    return mins
+    return extend(0, [0])
+
+
+def brute_aut_orbit_minima(factors):
+    """For each flat index, the least flat index of its orbit under Aut(G)."""
+    return list(reduce(lambda mins, images: list(map(min, mins, images)), brute_automorphisms(factors)))

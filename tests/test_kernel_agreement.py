@@ -9,10 +9,12 @@ Node counts on cyclic groups are those of that kernel where no unit s != 1
 fixes A (s*A = A); where one does, they are the counts of the kernel that
 never extends a prefix by an element such a unit maps lower.  On non-cyclic
 groups they are the counts of the kernel that also roots its search at the
-least element of each Aut(G)-orbit instead of each unit orbit, and the last
-test checks those roots against the unit-orbit ones.  Any other change to
-the layout, the visit order or the fail memo shows up here as a different
-node count.
+least element of each Aut(G)-orbit instead of each unit orbit, and on
+Z_p^r those of the kernel that also keeps every later element in the span
+of the prefix or least outside it.  The last two tests check those roots
+against the unit-orbit ones and that span rule against the search without
+it.  Any other change to the layout, the visit order or the fail memo shows
+up here as a different node count.
 """
 
 import random
@@ -20,6 +22,7 @@ import random
 from davlab import solver
 from davlab.engine import WeightSet
 from davlab.groups import GroupSpec, element_index, orbit_minima, unit_generators, units
+from davlab.numtheory import isprime
 from davlab.solver import check_dav_at_most, davenport
 
 GROUPS_BY_RANK = [
@@ -68,13 +71,13 @@ PINNED = [
     ((2, 2, 6), (1, 5), 6, True, None, 151),
     ((19,), (10, 15, 18), None, 4, (1, 1, 3), 17),
     ((19,), (10, 15, 18), 3, False, (1, 1, 3), 2),
-    ((2, 2, 2), (1,), None, 4, (1, 2, 4), 10),
+    ((2, 2, 2), (1,), None, 4, (1, 2, 4), 5),
     ((2, 2, 2), (1,), 8, True, None, 0),
-    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 49),
+    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 9),
     ((2, 2, 2, 2), (1,), 2, False, (1, 2), 1),
     ((2, 2, 2, 4), (2, 3), None, 2, (1,), 1),
     ((2, 2, 2, 4), (2, 3), 7, True, None, 1),
-    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 49),
+    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 9),
     ((2, 2, 2, 2), (1,), 1, False, (1,), 0),
     ((24,), (5, 14, 16), None, 3, (1, 1), 17),
     ((24,), (5, 14, 16), 8, True, None, 16),
@@ -88,15 +91,15 @@ PINNED = [
     ((2, 2, 2, 4), (1, 2), 8, True, None, 1),
     ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 829),
     ((2, 2, 2, 4), (1, 3), 5, False, (1, 2, 4, 8, 16), 4),
-    ((3, 3, 3), (2,), None, 7, (1, 1, 3, 3, 9, 9), 5405),
+    ((3, 3, 3), (2,), None, 7, (1, 1, 3, 3, 9, 9), 164),
     ((3, 3, 3), (2,), 5, False, (1, 1, 3, 3, 9), 4),
-    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 49),
+    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 9),
     ((2, 2, 2, 2), (1,), 2, False, (1, 2), 1),
-    ((3, 3, 3), (1, 2), None, 4, (1, 3, 9), 16),
-    ((3, 3, 3), (1, 2), 7, True, None, 13),
-    ((5, 5), (1,), None, 9, (1, 1, 1, 1, 5, 5, 5, 5), 6185),
+    ((3, 3, 3), (1, 2), None, 4, (1, 3, 9), 5),
+    ((3, 3, 3), (1, 2), 7, True, None, 2),
+    ((5, 5), (1,), None, 9, (1, 1, 1, 1, 5, 5, 5, 5), 1002),
     ((5, 5), (1,), 1, False, (1,), 0),
-    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 49),
+    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 9),
     ((2, 2, 2, 2), (1,), 2, False, (1, 2), 1),
     ((19,), (5, 12), None, 10, (1, 1, 1, 1, 1, 1, 1, 1, 1), 72),
     ((19,), (5, 12), 1, False, (1,), 0),
@@ -106,24 +109,24 @@ PINNED = [
     ((4, 4), (2,), 3, True, None, 5),
     ((4, 4), (1, 2, 3), None, 3, (1, 4), 2),
     ((4, 4), (1, 2, 3), 4, True, None, 1),
-    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 49),
+    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 9),
     ((2, 2, 2, 2), (1,), 2, False, (1, 2), 1),
     ((13,), (1, 6, 11), None, 3, (1, 1), 9),
     ((13,), (1, 6, 11), 8, True, None, 1),
     ((2, 2, 6), (1, 3), None, 4, (1, 6, 12), 185),
     ((2, 2, 6), (1, 3), 8, True, None, 182),
-    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 49),
-    ((2, 2, 2, 2), (1,), 7, True, None, 43),
-    ((3, 3, 3), (1,), None, 7, (1, 1, 3, 3, 9, 9), 5405),
-    ((3, 3, 3), (1,), 7, True, None, 5390),
+    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 9),
+    ((2, 2, 2, 2), (1,), 7, True, None, 3),
+    ((3, 3, 3), (1,), None, 7, (1, 1, 3, 3, 9, 9), 164),
+    ((3, 3, 3), (1,), 7, True, None, 149),
     ((8,), (1, 2, 5), None, 3, (1, 1), 3),
     ((8,), (1, 2, 5), 1, False, (1,), 0),
-    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 49),
+    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 9),
     ((2, 2, 2, 2), (1,), 3, False, (1, 2, 4), 2),
     ((2, 6), (2,), None, 3, (1, 1), 11),
     ((2, 6), (2,), 7, True, None, 10),
-    ((3, 3, 3), (1, 2), None, 4, (1, 3, 9), 16),
-    ((3, 3, 3), (1, 2), 5, True, None, 13),
+    ((3, 3, 3), (1, 2), None, 4, (1, 3, 9), 5),
+    ((3, 3, 3), (1, 2), 5, True, None, 2),
     ((2, 8), (3,), None, 9, (1, 1, 1, 1, 1, 1, 1, 8), 551),
     ((2, 8), (3,), 8, False, (1, 1, 1, 1, 1, 1, 1, 8), 7),
     ((2, 2, 2, 4), (1, 2), None, 2, (1,), 1),
@@ -154,8 +157,8 @@ PINNED = [
     ((2, 2, 6), (1, 5), 7, True, None, 151),
     ((2, 4, 4), (3,), None, 8, (1, 1, 1, 4, 4, 4, 16), 18601),
     ((2, 4, 4), (3,), 8, True, None, 18580),
-    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 49),
-    ((2, 2, 2, 2), (1,), 7, True, None, 43),
+    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 9),
+    ((2, 2, 2, 2), (1,), 7, True, None, 3),
     ((2, 2, 6), (4,), None, 3, (1, 1), 19),
     ((2, 2, 6), (4,), 1, False, (1,), 0),
     ((2, 2, 6), (1, 3), None, 4, (1, 6, 12), 185),
@@ -168,7 +171,7 @@ PINNED = [
     ((3,), (2,), 5, True, None, 0),
     ((15,), (3, 6, 7), None, 3, (1, 1), 5),
     ((15,), (3, 6, 7), 7, True, None, 3),
-    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 49),
+    ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 9),
     ((2, 2, 2, 2), (1,), 3, False, (1, 2, 4), 2),
     ((2, 2), (1,), None, 3, (1, 2), 2),
     ((2, 2), (1,), 3, True, None, 1),
@@ -206,11 +209,13 @@ def _unit_orbit_roots(g):
     return tuple(i for i in range(1, g.order) if mins[i] == i)
 
 
-def _run_with_roots(fs, ws, k, roots):
-    """_run on one set of tables whose root scan is `roots`."""
+def _run_on_tables(fs, ws, k, **settings):
+    """_run on one set of tables with the given attributes set, such as
+    `roots` (the root scan) or `span_prime` (0 turns the span rule off)."""
     g = GroupSpec(fs)
     tables = solver._WeightTables(g, WeightSet(g.exponent, ws))
-    tables.roots = roots
+    for name, value in settings.items():
+        setattr(tables, name, value)
     if k is not None:
         found, nodes = tables.first(k)
         return found is None, found and tuple(sorted(found)), nodes
@@ -230,9 +235,27 @@ def test_automorphism_roots_agree_with_unit_orbit_roots():
     for fs, ws, k in _draw():
         if len(fs) == 1:
             continue
-        unit = _run_with_roots(fs, ws, k, _unit_orbit_roots(GroupSpec(fs)))
+        unit = _run_on_tables(fs, ws, k, roots=_unit_orbit_roots(GroupSpec(fs)))
         got = _run(fs, ws, k)
         assert got[:2] == unit[:2], (fs, ws, k)
         assert got[2] <= unit[2], (fs, ws, k)
         checked += 1
     assert checked >= 60
+
+
+def test_span_rule_agrees_with_the_search_without_it():
+    # the span rule keeps every answer and drops nodes only on Z_p^r
+    elementary = lowered = 0
+    for fs, ws, k in _draw():
+        if len(fs) == 1:
+            continue
+        off = _run_on_tables(fs, ws, k, span_prime=0)
+        got = _run(fs, ws, k)
+        assert got[:2] == off[:2], (fs, ws, k)
+        if fs[0] == fs[-1] and isprime(fs[0]):
+            assert got[2] <= off[2], (fs, ws, k)
+            elementary += 1
+            lowered += got[2] < off[2]
+        else:
+            assert got[2] == off[2], (fs, ws, k)
+    assert elementary >= 30 and lowered >= 20

@@ -18,7 +18,7 @@ from davlab.solver import (
     max_davenport_over_size,
 )
 
-from conftest import brute_davenport, brute_lex_least_zsf, tuple_scale
+from conftest import brute_automorphisms, brute_davenport, brute_lex_least_zsf, tuple_scale
 from test_kernel_agreement import GROUPS_BY_RANK
 from test_sweep_checks import P as SWEEP_P, _draw as sweep_draw
 
@@ -97,11 +97,11 @@ def test_davenport_matches_brute_force_products():
     "factors, weights, value, nodes, witness",
     [
         ((3, 9), (1,), 11, 14_498, ((0, 1),) * 8 + ((1, 0),) * 2),
-        ((3, 3, 3), (1,), 7, 5_405, ((0, 0, 1),) * 2 + ((0, 1, 0),) * 2 + ((1, 0, 0),) * 2),
-        ((5, 5), (1,), 9, 6_185, ((0, 1),) * 4 + ((1, 0),) * 4),
+        ((3, 3, 3), (1,), 7, 164, ((0, 0, 1),) * 2 + ((0, 1, 0),) * 2 + ((1, 0, 0),) * 2),
+        ((5, 5), (1,), 9, 1_002, ((0, 1),) * 4 + ((1, 0),) * 4),
         ((150,), (1, 2, 148, 149), 5, 12_284, ((1,), (3,), (9,), (27,))),
         ((48,), (1, 47), 6, 2_689, ((1,), (2,), (4,), (8,), (16,))),
-        ((2, 2, 2, 2), (1,), 5, 49, ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))),
+        ((2, 2, 2, 2), (1,), 5, 9, ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))),
     ],
 )
 def test_node_counts_and_witnesses_pinned(factors, weights, value, nodes, witness):
@@ -109,7 +109,9 @@ def test_node_counts_and_witnesses_pinned(factors, weights, value, nodes, witnes
     # faster kernel must visit the same nodes in the same order.  The two
     # rows whose weights a unit s != 1 fixes (s = -1) count the nodes of the
     # kernel that never extends a prefix by an element s maps lower, and the
-    # non-cyclic rows those of the kernel rooted at Aut(G)-orbit minima.
+    # non-cyclic rows those of the kernel rooted at Aut(G)-orbit minima; the
+    # Z_p^r rows those of the kernel that also keeps every later element in
+    # the span of the prefix or least outside it.
     g = GroupSpec(factors)
     r = davenport(g, WeightSet(g.exponent, weights), threads=1)
     assert (r.value, r.nodes_explored, r.witness.entries) == (value, nodes, witness)
@@ -118,20 +120,82 @@ def test_node_counts_and_witnesses_pinned(factors, weights, value, nodes, witnes
 @pytest.mark.parametrize(
     "factors, weights, value, nodes",
     [
-        ((2,) * 6, (1,), 7, 2_434),  # Olson: 1 + r for Z_2^r
-        ((3,) * 5, (1, 2), 6, 2_381),  # {1, 2} is every weight of Z_3: r + 1
+        ((2,) * 6, (1,), 7, 20),  # Olson: 1 + r for Z_2^r
+        ((3,) * 5, (1, 2), 6, 14),  # {1, 2} is every weight of Z_3: r + 1
     ],
 )
 def test_elementary_groups_refuted_from_one_root(factors, weights, value, nodes):
     # every nonzero element of Z_p^r lies in one Aut(G)-orbit, so the
     # refutation at D searches the single root (0, ..., 0, 1); rooted at every
-    # unit-orbit minimum the same searches took 80,361 and 148,598 nodes
+    # unit-orbit minimum the same searches took 80,361 and 148,598 nodes, and
+    # from that one root, without the span rule, 2,434 and 2,381
     g = GroupSpec(factors)
     start = time.perf_counter()
     r = davenport(g, WeightSet(g.exponent, weights))
     assert time.perf_counter() - start < 5.0
     basis = tuple(tuple(int(i == j) for i in range(len(factors))) for j in reversed(range(len(factors))))
     assert (r.value, r.nodes_explored, r.witness.entries) == (value, nodes, basis)
+
+
+@pytest.mark.parametrize(
+    "factors, weights, value",
+    [
+        ((2,) * 8, (1,), 9),  # Olson: D(G) = 1 + sum(n_i - 1) for p-groups
+        ((2,) * 10, (1,), 11),
+        ((3,) * 4, (1,), 9),
+        ((7, 7), (1,), 13),
+        ((3,) * 6, (1, 2), 7),  # every weight of Z_3: r + 1
+    ],
+)
+def test_elementary_groups_olson(factors, weights, value):
+    # the span rule keeps each later element in the span of the prefix or
+    # least outside it; without it Z_7^2 takes about 6 s and the others give
+    # no answer within 40 s
+    g = GroupSpec(factors)
+    start = time.perf_counter()
+    r = davenport(g, WeightSet(g.exponent, weights))
+    assert time.perf_counter() - start < 5.0
+    # the lex-least witness repeats each basis element, least first, as often
+    # as the weights allow without a zero-sum
+    repeat = (value - 1) // len(factors)
+    basis = tuple(tuple(int(i == j) for i in range(len(factors))) for j in reversed(range(len(factors))))
+    assert r.value == value
+    assert r.witness.entries == tuple(x for x in basis for _ in range(repeat))
+
+
+@pytest.mark.parametrize("factors", [(2, 2, 2), (2, 2, 2, 2), (3, 3), (3, 3, 3), (5, 5)])
+def test_span_rule_scans_the_minima_under_prefix_stabilizers(factors):
+    # after every prefix of up to rank + 1 elements, from every nonzero root,
+    # a state scans exactly the survivors from its last element up that are
+    # least in their orbit under the automorphisms fixing the prefix pointwise
+    g = GroupSpec(factors)
+    tables = solver._WeightTables(g, WeightSet(g.exponent, (1,)))
+    assert tables.span_prime == factors[0]
+    auts = list(brute_automorphisms(factors))
+    depth = len(factors) + 1
+    checked = 0
+
+    def walk(prefix, level, stab):
+        nonlocal checked
+        root, last = prefix[0], prefix[-1]
+        scans, outs = tables.root_scans[root]
+        survivors = tables.spans[root][0]
+        scanned = [c for c in scans[level] if c >= last]
+        minima = [c for c in survivors if c >= last and all(phi[c] >= c for phi in stab)]
+        assert scanned == minima, prefix
+        checked += 1
+        if len(prefix) == depth:
+            return
+        for c in scanned:
+            up = level + (c == outs[level])
+            if up == len(scans):
+                tables.grow_span(root, c)
+            walk(prefix + [c], up, [phi for phi in stab if phi[c] == c])
+
+    for root in range(1, g.order):
+        tables.root_scan(root)
+        walk([root], 0, [phi for phi in auts if phi[root] == root])
+    assert checked > g.order
 
 
 def _lex_least_cases():

@@ -84,6 +84,13 @@ def test_relations_suite_battery():
     assert any("Z2xZ2" in n for n in names)
 
 
+@pytest.mark.parametrize("kwargs", [{"m": 5, "k": 3}, {"m": 3}, {"k": 2}])
+def test_relations_suite_refuses_m_or_k_without_p(kwargs):
+    # the fixed battery reads neither, so it would report ok on checks it never ran
+    with pytest.raises(ValueError, match="need p"):
+        relations_suite(**kwargs)
+
+
 @pytest.mark.parametrize("p, m, k", [(3, 2, 2), (5, 2, 2), (2, 3, 2), (2, 2, 4)])
 def test_relations_suite_parametrized(p, m, k):
     report = relations_suite(p=p, m=m, k=k)
