@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, product
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .numtheory import factorint
 
@@ -200,18 +200,6 @@ def unit_span(span: set[int], u: int, e: int) -> set[int]:
         out.update([h * x % e for h in span])
         x = x * u % e
     return out
-
-
-def unit_generators(us: Iterable[int], e: int) -> list[int]:
-    """A few units generating the same group mod e as `us`: in the order of
-    `us`, each one outside the group the earlier ones generate."""
-    gens: list[int] = []
-    span = {1}
-    for u in us:
-        if u not in span:
-            gens.append(u)
-            span = unit_span(span, u, e)
-    return gens
 
 
 def _scaled_indices(group: GroupSpec, s: int) -> list[int]:

@@ -114,8 +114,9 @@ def classify_dav(p: int, weights, k: int) -> Classification:
     than p, instead of a bounded check; larger bounds go through the
     bounded check, which stays check_dav_at_most for k < 4, and for k >= 4,
     where both tests are bounded checks, the two share one set of tables.
-    The k-1 test is skipped when the all-ones multiset of length k-1 is
-    already zero-sum-free, which rules LT out without a search; that
+    The k-1 test is skipped for k <= 2, as D_A(Z_p) >= 2, and when the
+    all-ones multiset of length k-1 is already zero-sum-free, which rules LT
+    out without a search; that
     pretest is one solver.first_zero_free walk, the bounded check's own
     test and step with no tables built.
     """
@@ -140,7 +141,9 @@ def _classify(group: GroupSpec, ws: WeightSet, k: int, bounded) -> Classificatio
         return ratio_covers(group.order, ws.residues) if j == 2 else bounded(j)
 
     ones = [[1] * (k - 1)]  # flat index 1 is the element 1 of Z_p
-    if k >= 2 and solver.first_zero_free(group, ws.residues, ones) is None and at_most(k - 1):
+    # no weight is 0 mod p, so [1] is zero-sum-free under every A and
+    # D_A(Z_p) >= 2: LT needs no test below k = 3
+    if k >= 3 and solver.first_zero_free(group, ws.residues, ones) is None and at_most(k - 1):
         return Classification.LT
     if at_most(k):
         return Classification.EQ

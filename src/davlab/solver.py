@@ -70,17 +70,19 @@ and x extends to a basis of G, which a linear map sends to one extending W
 and y), so a state extends only by an element of W or by the least flat
 index outside W.  This keeps every value, witness and culprit.  Every
 weight is a unit mod p, so W is the span of Sigma and the fail memo stays
-sound.  W grows only when a state appends that least element, at most r
-times along a path, so each root keeps one chain of scan lists, one per
-span (see _WeightTables); groups that are not elementary abelian scan one
-list per root, as the rule does not apply to them.  Z_3 + Z_9, for one, is
-searched without it.
+sound.  The search has the one root 1, and the last coordinate varies
+fastest, so after 1, p, ..., p^j the span is the flat indices [0, p^(j+1))
+and the least index outside it is p^(j+1): the rule is a bound, and a state
+that has appended p^j scans root 1's survivors up to p^(j+1) (see
+_WeightTables).  Groups that are not elementary abelian scan one list per
+root, as the rule does not apply to them.  Z_3 + Z_9, for one, is searched
+without it.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -106,7 +108,6 @@ from .groups import (
     cyclic,
     index_element,
     orbit_minima,
-    unit_generators,
     unit_span,
     units_mapping,
 )
@@ -268,13 +269,15 @@ class BoundedCheckResult:
 
 
 def _stabilizer(weights: WeightSet) -> tuple[int, ...]:
-    """The units s != 1 mod e with s*A = A, ascending.
+    """Units generating A's stabilizer, the units s mod e with s*A = A, each
+    outside the group the ones before it generate; () when only s = 1 fixes A.
 
     For such s, A*(s*x) = (s*A)*x = A*x, so x and s*x kill and extend every
     prefix alike.  Each s maps a weight a0 into A, so it is among the units
     solving s*a0 = a for some weight a.  a0 is a weight with the least
     gcd(a0, e), a unit where A has one, which leaves one candidate per weight.
-    A candidate in the group the accepted ones generate needs no test.  s
+    A candidate in the group the accepted ones generate needs no test, so
+    every member of the stabilizer is either generated or accepted.  s
     permutes A, so s*sum(A) = sum(A) (mod e): s = 1 modulo q = e/gcd(sum(A),
     e), which leaves only s = 1 when the gcd is 1 (nearly every random A).
     """
@@ -286,6 +289,7 @@ def _stabilizer(weights: WeightSet) -> tuple[int, ...]:
     members = set(rs)
     a0 = min(rs, key=lambda a: gcd(a, e))
     span = {1}
+    gens: list[int] = []
     for a in rs:
         for s in units_mapping(a0, a, e):
             if (s - 1) % q or s in span:
@@ -294,20 +298,9 @@ def _stabilizer(weights: WeightSet) -> tuple[int, ...]:
                 if s * b % e not in members:
                     break
             else:
+                gens.append(s)
                 span = unit_span(span, s, e)
-    span.discard(1)
-    return tuple(sorted(span))
-
-
-def _digit_add(x: int, y: int, p: int) -> int:
-    """The flat index of x + y in Z_p^r: base-p digits added without carry."""
-    total, st = 0, 1
-    while x or y:
-        x, a = divmod(x, p)
-        y, b = divmod(y, p)
-        total += (a + b) % p * st
-        st *= p
-    return total
+    return tuple(gens)
 
 
 class _WeightTables:
@@ -331,23 +324,23 @@ class _WeightTables:
     first search under r that scans (not one that ends on A*r alone: r dead,
     k = 1, or too few elements left to grow Sigma), the survivors: the
     others from r up, ascending, so the kernel never tests a killed
-    candidate and never builds its mask.  A state at span level j scans
-    scans[j] and may append outs[j], the one element outside its span that
-    takes its child to level j + 1; without the span rule there is one
-    level, scans = [survivors] and outs = [-1] (no such element).  Entries
-    live as long as the tables: per root scanned, one list of at most |G|
-    indices, and under the span rule one more per span level.
+    candidate and never builds its mask.  A state at level j scans scans[j]
+    and may append outs[j], the one element that takes its child to level
+    j + 1; a root has one level, scans = [survivors] and outs = [-1] (no
+    such element), except root 1 under the span rule.  Entries live as long
+    as the tables: per root scanned, one list of at most |G| indices, and
+    under the span rule r - 1 shorter ones.
 
     On G = Z_p^r with r >= 2 (span_prime = p; 0 elsewhere, and setting it to
     0 turns the rule off) a state whose prefix spans W scans only the
     survivors in W and the least flat index outside W (see the module
-    docstring).  No element outside W is ever killed, as a*c lies outside W
-    and -Sigma inside it, and no unit maps that least element lower, as
-    s*c lies outside W too.  W changes only when a state appends that
-    element, at most r times along a path and always to the same next span,
-    so each root keeps one chain of levels; spans[r] holds the survivors
-    and the span of the last level built, and grow_span() adds a level the
-    first time a search reaches it.
+    docstring).  From root 1 the prefix 1, p, ..., p^j spans the flat
+    indices [0, p^(j+1)), so level j of root 1, for p^(j+1) < |G|, is its
+    survivors up to p^(j+1) with out element p^(j+1), and the last level is
+    all its survivors.  p^(j+1) is always a survivor: no element outside W
+    is ever killed, as a*c lies outside W and -Sigma inside it, and no unit
+    maps it lower, as s*c lies outside W too.  Any other root, which only
+    tests set on Z_p^r through `roots`, scans one level.
 
     moves[c], the shifts S - m for the padded bits m of A*c, is built the
     first time the kernel would extend a prefix by c.  It is empty when a
@@ -368,7 +361,7 @@ class _WeightTables:
 
     __slots__ = (
         "group", "order", "padding", "weights", "negated", "plus", "minus", "masks", "moves",
-        "roots", "root_sums", "root_scans", "spans", "minima", "span_prime",
+        "roots", "root_sums", "root_scans", "minima", "span_prime",
     )
 
     def __init__(self, group: GroupSpec, weights: WeightSet):
@@ -392,7 +385,6 @@ class _WeightTables:
         self.roots = canonical_roots(group)
         self.root_sums: dict[int, int] = {}
         self.root_scans: dict[int, tuple[list[list[int]], list[int]]] = {}
-        self.spans: dict[int, tuple[list[int], set[int]]] = {}
         self.minima: Optional[Sequence[int]] = None
         fs = group.invariant_factors
         elementary = len(fs) > 1 and fs[0] == e and isprime(e)
@@ -412,37 +404,27 @@ class _WeightTables:
         return w
 
     def root_scan(self, root: int) -> tuple[list[list[int]], list[int]]:
-        """Build and return root_scans[root] with its first scan level, from
-        the elements from root up that killed(root) leaves, ascending and
-        narrowed to stabilizer minima once those are known."""
+        """Build and return root_scans[root] from the survivors, the elements
+        from root up that killed(root) leaves, ascending and narrowed to
+        stabilizer minima once those are known: root 1 under the span rule
+        gets a level per power of p, every other root one level."""
         dead = self.killed(root)
         survivors = list(filterfalse(dead.__contains__, range(root, self.order)))
         minima = self.minima
         if isinstance(minima, list):  # not range: some unit fixing A
             survivors = [x for x in survivors if minima[x] == x]
-        if not self.span_prime:
-            entry = self.root_scans[root] = ([survivors], [-1])
-            return entry
-        entry = self.root_scans[root] = ([], [])
-        self.spans[root] = (survivors, {0})
-        self.grow_span(root, root)
-        return entry
-
-    def grow_span(self, root: int, c: int) -> None:
-        """Add root's next scan level: the span W + <c> for the last level's
-        span W ({0} before the first level), the survivors in it, and the
-        least flat index outside it (-1 once W = G)."""
+        scans, outs = [], []
         p = self.span_prime
-        survivors, span = self.spans[root]
-        multiples = [0]
-        for _ in range(p - 1):
-            multiples.append(_digit_add(multiples[-1], c, p))
-        span = {_digit_add(x, m, p) for x in span for m in multiples}
-        self.spans[root] = (survivors, span)
-        out = next(filterfalse(span.__contains__, range(self.order)), -1)
-        scans, outs = self.root_scans[root]
-        scans.append([x for x in survivors if x in span or x == out])
-        outs.append(out)
+        if p and root == 1:
+            out = p
+            while out < self.order:
+                scans.append(survivors[:bisect_right(survivors, out)])
+                outs.append(out)
+                out *= p
+        scans.append(survivors)
+        outs.append(-1)
+        entry = self.root_scans[root] = (scans, outs)
+        return entry
 
     def shifts(self, c: int) -> tuple[int, ...]:
         """The move list of c: S - m for the padded bits m of A*c, largest
@@ -457,13 +439,10 @@ class _WeightTables:
             if minima is None:
                 stab = _stabilizer(self.weights)
                 if stab:
-                    e = self.group.exponent
-                    minima = self.minima = orbit_minima(self.group, unit_generators(stab, e))
+                    minima = self.minima = orbit_minima(self.group, stab)
                     for scans, _ in self.root_scans.values():
                         for scan in scans:
                             scan[:] = [x for x in scan if minima[x] == x]
-                    for survivors, _ in self.spans.values():
-                        survivors[:] = [x for x in survivors if minima[x] == x]
                 else:
                     minima = self.minima = range(self.order)
             if minima[c] != c:
@@ -645,8 +624,6 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
                 chosen.append(c)
                 if c == out:  # c leaves the span: the next level
                     up = outs.index(c) + 1
-                    if up == len(scans):
-                        tables.grow_span(root, c)
                     stack.append([nb, remaining - 1, c, None, scans[up], outs[up]])
                 else:
                     stack.append([nb, remaining - 1, c, None, scan, out])

@@ -21,7 +21,6 @@ from davlab.groups import (
     orbit_minima,
     parse_group,
     scalar_mul,
-    unit_generators,
     units,
     units_mapping,
 )
@@ -195,18 +194,15 @@ def test_orbit_minima_match_unit_orbits(factors):
     g = GroupSpec(factors)
     e = g.exponent
     us = units(e)
-    gens = unit_generators(us, e)
-    assert _unit_group(gens, e) == set(us)
-    assert orbit_minima(g, gens) == _orbit_minima_by_definition(g, us)
+    assert orbit_minima(g, us) == _orbit_minima_by_definition(g, us)
     assert canonical_roots(g) == tuple(element_index(g, x) for x in AUT_ROOTS[factors])
-    # subgroups: the stabilizers of weight sets, e.g. {1, -1}
+    # subgroups, given by generators as the solver passes A's stabilizer:
+    # e.g. {1, -1} by -1
     rng = random.Random(sum(factors))
     for _ in range(4):
         picked = rng.sample(us, min(2, len(us)))
         sub = sorted(_unit_group(picked, e))
-        sub_gens = unit_generators(sub, e)
-        assert _unit_group(sub_gens, e) == set(sub)
-        assert orbit_minima(g, sub_gens) == _orbit_minima_by_definition(g, sub)
+        assert orbit_minima(g, picked) == _orbit_minima_by_definition(g, sub)
     assert orbit_minima(g, [e - 1]) == _orbit_minima_by_definition(g, [1, e - 1])
 
 

@@ -21,7 +21,7 @@ import random
 
 from davlab import solver
 from davlab.engine import WeightSet
-from davlab.groups import GroupSpec, element_index, orbit_minima, unit_generators, units
+from davlab.groups import GroupSpec, element_index, orbit_minima, units
 from davlab.numtheory import isprime
 from davlab.solver import check_dav_at_most, davenport
 
@@ -204,8 +204,7 @@ def test_multi_root_answers_pinned():
 
 def _unit_orbit_roots(g):
     """The nonzero flat indices least in their orbit under the units of Z_e."""
-    e = g.exponent
-    mins = orbit_minima(g, unit_generators(units(e), e))
+    mins = orbit_minima(g, units(g.exponent))
     return tuple(i for i in range(1, g.order) if mins[i] == i)
 
 

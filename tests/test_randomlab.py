@@ -1,8 +1,10 @@
+import itertools
 import math
 import random
 
 import pytest
 
+from davlab import solver
 from davlab.engine import WeightSet
 from davlab.fdsolver import ratio_covers
 from davlab.groups import GroupOrderError, cyclic
@@ -136,6 +138,28 @@ def test_classify_agrees_with_full_solver():
         )
         assert got is want, (p, ws, k, value)
     assert ratio_outcomes == {(2, False), (2, True), (3, False), (3, True)}
+
+
+def test_classify_at_two_skips_the_pretest(monkeypatch):
+    # [1] is zero-sum-free under every A on Z_p, so D_A(Z_p) >= 2 and k = 2
+    # is never LT: it walks no all-ones multiset
+    walks = []
+
+    def counting(*args):
+        walks.append(args)
+        return first_zero_free(*args)
+
+    first_zero_free = solver.first_zero_free
+    monkeypatch.setattr(solver, "first_zero_free", counting)
+    for p in (3, 5, 7, 11):
+        for size in range(1, p):
+            for ws in itertools.combinations(range(1, p), size):
+                value = davenport(cyclic(p), WeightSet(p, ws)).value
+                want = Classification.EQ if value == 2 else Classification.GT
+                assert classify_dav(p, ws, 2) is want, (p, ws, value)
+    assert walks == []
+    assert classify_dav(7, [1], 3) is Classification.GT
+    assert len(walks) == 1
 
 
 def test_theoretical_window_values():

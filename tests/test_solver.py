@@ -8,7 +8,7 @@ import pytest
 
 from davlab import solver
 from davlab.engine import GSequence, WeightSet, has_weighted_zero_sum
-from davlab.groups import GroupOrderError, GroupSpec, cyclic, index_element, normalize_group, units
+from davlab.groups import GroupOrderError, GroupSpec, cyclic, element_index, index_element, normalize_group, units
 from davlab.randomlab import Classification, SweepConfig, classify_dav, threshold_sweep
 from davlab.solver import (
     CapExceededError,
@@ -19,6 +19,7 @@ from davlab.solver import (
 )
 
 from conftest import brute_automorphisms, brute_davenport, brute_lex_least_zsf, tuple_scale
+from test_groups import _unit_group
 from test_kernel_agreement import GROUPS_BY_RANK
 from test_sweep_checks import P as SWEEP_P, _draw as sweep_draw
 
@@ -165,21 +166,22 @@ def test_elementary_groups_olson(factors, weights, value):
 
 @pytest.mark.parametrize("factors", [(2, 2, 2), (2, 2, 2, 2), (3, 3), (3, 3, 3), (5, 5)])
 def test_span_rule_scans_the_minima_under_prefix_stabilizers(factors):
-    # after every prefix of up to rank + 1 elements, from every nonzero root,
-    # a state scans exactly the survivors from its last element up that are
-    # least in their orbit under the automorphisms fixing the prefix pointwise
+    # after every prefix of up to rank + 1 elements from root 1, the only
+    # root on Z_p^r, a state scans exactly the survivors from its last
+    # element up that are least in their orbit under the automorphisms
+    # fixing the prefix pointwise
     g = GroupSpec(factors)
     tables = solver._WeightTables(g, WeightSet(g.exponent, (1,)))
-    assert tables.span_prime == factors[0]
+    assert tables.span_prime == factors[0] and tables.roots == (1,)
+    scans, outs = tables.root_scan(1)
+    survivors = scans[-1]
     auts = list(brute_automorphisms(factors))
     depth = len(factors) + 1
     checked = 0
 
     def walk(prefix, level, stab):
         nonlocal checked
-        root, last = prefix[0], prefix[-1]
-        scans, outs = tables.root_scans[root]
-        survivors = tables.spans[root][0]
+        last = prefix[-1]
         scanned = [c for c in scans[level] if c >= last]
         minima = [c for c in survivors if c >= last and all(phi[c] >= c for phi in stab)]
         assert scanned == minima, prefix
@@ -187,15 +189,58 @@ def test_span_rule_scans_the_minima_under_prefix_stabilizers(factors):
         if len(prefix) == depth:
             return
         for c in scanned:
-            up = level + (c == outs[level])
-            if up == len(scans):
-                tables.grow_span(root, c)
-            walk(prefix + [c], up, [phi for phi in stab if phi[c] == c])
+            walk(prefix + [c], level + (c == outs[level]), [phi for phi in stab if phi[c] == c])
 
-    for root in range(1, g.order):
-        tables.root_scan(root)
-        walk([root], 0, [phi for phi in auts if phi[root] == root])
+    walk([1], 0, [phi for phi in auts if phi[1] == 1])
     assert checked > g.order
+
+
+ELEMENTARY = [(2,) * r for r in range(2, 10)] + [(3,) * r for r in range(2, 5)]
+ELEMENTARY += [(5, 5), (5, 5, 5), (7, 7), (7, 7, 7), (11, 11)]
+
+
+@pytest.mark.parametrize("factors", ELEMENTARY)
+def test_root_one_scans_its_survivors_up_to_each_power_of_p(factors):
+    # level j of root 1 holds its survivors up to p^(j+1), the span of
+    # 1, p, ..., p^j and the least element outside it, before and after the
+    # stabilizer of A narrows the lists, in either order
+    g = GroupSpec(factors)
+    p = factors[0]
+    powers = [p**j for j in range(1, len(factors))]
+    rng = random.Random(g.order)
+    for ws in [(1, p - 1)] + [rng.sample(range(1, p), rng.randint(1, p - 1)) for _ in range(3)]:
+        w = WeightSet.of(p, ws)
+        # an element dies against A*1 | {0} when a*c = -b*1 for weights a, b:
+        # c = (0, ..., 0, -b/a)
+        dead = {-b * pow(a, -1, p) % p for a in w.residues for b in w.residues}
+        survivors = [c for c in range(1, g.order) if c not in dead]
+        stab = set(_stabilizer_by_definition(p, w.residues))
+        scaled = [[element_index(g, tuple_scale(factors, s, index_element(g, c))) for s in stab]
+                  for c in range(g.order)]
+        least = [c for c in survivors if min(scaled[c], default=c) >= c]
+        for narrowed_first in (False, True):
+            tables = solver._WeightTables(g, w)
+            if narrowed_first:
+                tables.shifts(2)
+            scans, outs = tables.root_scan(1)
+            assert outs == powers + [-1]
+            want = least if narrowed_first else survivors
+            assert scans == [[c for c in want if c <= q] for q in powers] + [want]
+            tables.shifts(2)
+            assert tables.root_scans[1] == ([[c for c in least if c <= q] for q in powers] + [least], outs)
+
+
+def test_roots_other_than_one_scan_one_level():
+    # only root 1 gets the span levels: another root, which only tests set on
+    # Z_p^r, scans all its survivors at every depth and answers the same
+    g = GroupSpec((3, 3))
+    w = WeightSet(3, (1,))
+    tables = solver._WeightTables(g, w)
+    tables.roots = (3,)  # (1, 0)
+    assert tables.first(4)[0] == [3, 3, 4, 4]
+    assert tables.holds(5)
+    survivors = [c for c in range(3, 9) if c not in tables.killed(3)]
+    assert tables.root_scans == {3: ([survivors], [-1])}
 
 
 def _lex_least_cases():
@@ -238,17 +283,27 @@ def _stabilizer_by_definition(e, residues):
     )
 
 
+def _stabilizer_group(w):
+    """The units s != 1 that solver._stabilizer's units generate, ascending,
+    after checking that each of those lies outside the group the ones before
+    it generate."""
+    gens = solver._stabilizer(w)
+    for i, s in enumerate(gens):
+        assert s not in _unit_group(gens[:i], w.exponent), (w, gens)
+    return tuple(sorted(_unit_group(gens, w.exponent) - {1}))
+
+
 def test_stabilizer():
     for n in (3, 4, 7, 12, 150):
-        assert solver._stabilizer(WeightSet(n, (1, n - 1))) == (n - 1,)
+        assert _stabilizer_group(WeightSet(n, (1, n - 1))) == (n - 1,)
     for n in (5, 12, 36, 48):
-        assert solver._stabilizer(WeightSet(n, tuple(units(n)))) == tuple(units(n))[1:]
+        assert _stabilizer_group(WeightSet(n, tuple(units(n)))) == tuple(units(n))[1:]
     # no weight is a unit: candidates solve s*2 = 2 (mod 4)
-    assert solver._stabilizer(WeightSet(4, (2,))) == (3,)
-    assert solver._stabilizer(WeightSet(150, (1, 2, 148, 149))) == (149,)
+    assert _stabilizer_group(WeightSet(4, (2,))) == (3,)
+    assert _stabilizer_group(WeightSet(150, (1, 2, 148, 149))) == (149,)
     # the sweep's random weight sets have none
     for i in range(30):
-        assert solver._stabilizer(sweep_draw(i)) == ()
+        assert _stabilizer_group(sweep_draw(i)) == ()
     rng = random.Random(53)
     for _ in range(400):
         e = rng.randint(2, 60)
@@ -256,13 +311,13 @@ def test_stabilizer():
         if rng.random() < 0.5:
             ws |= {e - a for a in ws}
         w = WeightSet.of(e, ws)
-        assert solver._stabilizer(w) == _stabilizer_by_definition(e, w.residues), w
+        assert _stabilizer_group(w) == _stabilizer_by_definition(e, w.residues), w
     # s*A = A forces s = 1 modulo e/gcd(sum(A), e): every A for e <= 16, and
     # random A of any size, some closed under a random unit, for e <= 60
     for e in range(2, 17):
         for bits in range(1, 1 << (e - 1)):
             rs = tuple(a for a in range(1, e) if bits >> (a - 1) & 1)
-            assert solver._stabilizer(WeightSet(e, rs)) == _stabilizer_by_definition(e, rs), rs
+            assert _stabilizer_group(WeightSet(e, rs)) == _stabilizer_by_definition(e, rs), rs
     for _ in range(600):
         e = rng.randint(17, 60)
         ws = set(rng.sample(range(1, e), rng.randint(1, e - 1)))
@@ -274,7 +329,7 @@ def test_stabilizer():
                     ws.add(x)
                     x = x * u % e
         w = WeightSet.of(e, ws)
-        assert solver._stabilizer(w) == _stabilizer_by_definition(e, w.residues), w
+        assert _stabilizer_group(w) == _stabilizer_by_definition(e, w.residues), w
 
 
 def test_checks_that_never_extend_never_compute_the_stabilizer(monkeypatch):
