@@ -147,14 +147,12 @@ def _cmd_davenport(args) -> _Outcome:
         return "davenport", normalized, result, lines, EXIT_BUDGET
     result = {
         "value": res.value,
-        "witness": [_flatten(e) for e in res.witness.entries] if res.witness else [],
+        "witness": [_flatten(e) for e in res.witness.entries],
         "nodes": res.nodes_explored,
     }
     lines = [
         f"D_A({group}) = {res.value}",
-        "witness: " + " ".join(str(_flatten(e)) for e in res.witness.entries)
-        if res.witness
-        else "witness: (empty)",
+        "witness: " + " ".join(str(_flatten(e)) for e in res.witness.entries),
         f"nodes explored: {res.nodes_explored}",
     ]
     return "davenport", normalized, result, lines, EXIT_OK

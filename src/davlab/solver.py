@@ -36,13 +36,16 @@ in A*c) when it first extends a prefix by c.  A root r's own sums
 Sigma = A*r | {0} already kill every c with a*c in -Sigma, which a
 congruence solve finds, and Sigma only grows, so every state under r scans
 the ascending list of the others instead of every element and never builds
-their masks; once the stabilizer below is computed, every list also drops
-the elements it maps lower.  A root's list is built the first time a search
-under it scans and kept per table, since a list per state would cost a copy
-on every push.  The search is serial at any thread count, since its roots are
-scanned in order and the first that extends ends a k; process pools run
-only independent whole answers, the representatives of
-max_davenport_over_size and the trials of a sweep.
+their masks; the list also leaves out the elements the stabilizer below
+maps lower, and it is the one place that decides what a state may append.
+A root's list is built the first time a search under it scans and kept per
+table, since a list per state would cost a copy on every push.  A k = 2
+search scans no list: the root's state is its only one, and the least
+element from r up that the congruence solve leaves is its answer.  The
+search is serial at any thread count, since its roots are scanned in order
+and the first that extends ends a k; process pools run only independent
+whole answers, the representatives of max_davenport_over_size and the
+trials of a sweep.
 
 Roots are the least elements of the Aut(G)-orbits of nonzero elements
 (groups.canonical_roots).  An automorphism phi commutes with integer
@@ -81,6 +84,7 @@ without it.
 
 from __future__ import annotations
 
+import os
 import time
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
@@ -319,17 +323,21 @@ class _WeightTables:
     A search under root r starts from Sigma = A*r | {0}, which already kills
     the c with a*c in -Sigma for some a in A; killed() finds them by solving
     a*x = t (mod n_j) coordinate by coordinate, and since Sigma only grows
-    they are dead in every state under r.  root_sums[r] keeps A*r from the
-    first search under r.  root_scans[r] = (scans, outs) keeps, from the
-    first search under r that scans (not one that ends on A*r alone: r dead,
-    k = 1, or too few elements left to grow Sigma), the survivors: the
-    others from r up, ascending, so the kernel never tests a killed
-    candidate and never builds its mask.  A state at level j scans scans[j]
-    and may append outs[j], the one element that takes its child to level
-    j + 1; a root has one level, scans = [survivors] and outs = [-1] (no
-    such element), except root 1 under the span rule.  Entries live as long
-    as the tables: per root scanned, one list of at most |G| indices, and
-    under the span rule r - 1 shorter ones.
+    they are dead in every state under r.  root_sums[r] keeps A*r and
+    root_kills[r] the killed set from the first search under r that needs
+    them, so a k = 2 search, which reads killed(r) alone (see _find_zsf),
+    and the k = 3 search after it solve the congruences once.
+    root_scans[r] = (scans, outs) keeps, from the first search under r that
+    scans (k >= 3, and not one that ends on A*r alone: r dead or too few
+    elements left to grow Sigma), the survivors: the others from r up that
+    are least in their orbit under the units fixing A (below), ascending,
+    so the kernel never tests a killed candidate and never builds its mask.
+    A state at level j scans scans[j] and may append outs[j], the one
+    element that takes its child to level j + 1; a root has one level,
+    scans = [survivors] and outs = [-1] (no such element), except root 1
+    under the span rule.  Entries live as long as the tables: per root
+    scanned, one list of at most |G| indices, and under the span rule r - 1
+    shorter ones.
 
     On G = Z_p^r with r >= 2 (span_prime = p; 0 elsewhere, and setting it to
     0 turns the rule off) a state whose prefix spans W scans only the
@@ -342,26 +350,23 @@ class _WeightTables:
     maps it lower, as s*c lies outside W too.  Any other root, which only
     tests set on Z_p^r through `roots`, scans one level.
 
-    moves[c], the shifts S - m for the padded bits m of A*c, is built the
-    first time the kernel would extend a prefix by c.  It is empty when a
-    unit s fixing A (s*A = A, see _stabilizer) maps c to a lower flat index,
-    and the kernel never extends a prefix by such c.  `minima`, the flat
-    index of each element's least image under those units, is built with
-    the first move list of an element other than 1, so searches that never
-    extend a prefix (k <= 2, or every candidate killed) never compute the
-    stabilizer.  Building it also drops the elements those units map lower
-    from every list in root_scans, in place, and lists built later leave
-    them out; the kernel reads its level's list afresh at every state.  That
-    changes no answer and no node count: the kernel already never extends a
-    prefix by them, and a search that ended on one would return a multiset
-    other than the lex-least one, which holds none of them (see the module
-    docstring).  No list loses its own root: a root is least in its
-    Aut(G)-orbit, which holds its images under those units.
+    root_scan is the one place that decides which elements a state may
+    append, and a list never changes once built.  Besides the killed
+    elements it leaves out every c that a unit s fixing A (s*A = A, see
+    _stabilizer) maps to a lower flat index: A*(s*c) = A*c, and the
+    lex-least multiset holds no such c (see the module docstring), so no
+    answer and no node count changes.  No list loses its own root: a root is
+    least in its Aut(G)-orbit, which holds its images under those units.
+    `minima`, the flat index of each element's least image under those
+    units, is None until the first list of the tables is built, which sets
+    it once, to [] when only s = 1 fixes A.  Searches that build no list
+    never compute the stabilizer.  moves[c], the shifts S - m for the padded
+    bits m of A*c, is built the first time the kernel extends a prefix by c.
     """
 
     __slots__ = (
         "group", "order", "padding", "weights", "negated", "plus", "minus", "masks", "moves",
-        "roots", "root_sums", "root_scans", "minima", "span_prime",
+        "roots", "root_sums", "root_kills", "root_scans", "minima", "span_prime",
     )
 
     def __init__(self, group: GroupSpec, weights: WeightSet):
@@ -384,8 +389,9 @@ class _WeightTables:
         self.moves: list[Optional[tuple[int, ...]]] = [None] * n
         self.roots = canonical_roots(group)
         self.root_sums: dict[int, int] = {}
+        self.root_kills: dict[int, set[int]] = {}
         self.root_scans: dict[int, tuple[list[list[int]], list[int]]] = {}
-        self.minima: Optional[Sequence[int]] = None
+        self.minima: Optional[list[int]] = None
         fs = group.invariant_factors
         elementary = len(fs) > 1 and fs[0] == e and isprime(e)
         self.span_prime = e if elementary else 0
@@ -405,13 +411,16 @@ class _WeightTables:
 
     def root_scan(self, root: int) -> tuple[list[list[int]], list[int]]:
         """Build and return root_scans[root] from the survivors, the elements
-        from root up that killed(root) leaves, ascending and narrowed to
-        stabilizer minima once those are known: root 1 under the span rule
-        gets a level per power of p, every other root one level."""
+        from root up that killed(root) leaves and no unit fixing A maps
+        lower, ascending: root 1 under the span rule gets a level per power
+        of p, every other root one level.  The first call computes minima."""
+        minima = self.minima
+        if minima is None:
+            stab = _stabilizer(self.weights)
+            minima = self.minima = orbit_minima(self.group, stab) if stab else []
         dead = self.killed(root)
         survivors = list(filterfalse(dead.__contains__, range(root, self.order)))
-        minima = self.minima
-        if isinstance(minima, list):  # not range: some unit fixing A
+        if minima:
             survivors = [x for x in survivors if minima[x] == x]
         scans, outs = [], []
         p = self.span_prime
@@ -427,26 +436,7 @@ class _WeightTables:
         return entry
 
     def shifts(self, c: int) -> tuple[int, ...]:
-        """The move list of c: S - m for the padded bits m of A*c, largest
-        first; empty when a unit fixing A maps c lower.
-
-        No unit maps c = 1, the least nonzero element, lower, so a search
-        that extends prefixes only by 1 never computes the stabilizer.
-        Computing it narrows every list in root_scans to its minima.
-        """
-        if c > 1:
-            minima = self.minima
-            if minima is None:
-                stab = _stabilizer(self.weights)
-                if stab:
-                    minima = self.minima = orbit_minima(self.group, stab)
-                    for scans, _ in self.root_scans.values():
-                        for scan in scans:
-                            scan[:] = [x for x in scan if minima[x] == x]
-                else:
-                    minima = self.minima = range(self.order)
-            if minima[c] != c:
-                return ()
+        """The move list of c: S - m for the padded bits m of A*c, largest first."""
         shift = self.padding.shift
         nj, period, bs = self.plus[0]
         if c < nj:  # as in bits()
@@ -462,14 +452,18 @@ class _WeightTables:
         coordinate solves a for every target t in one pass, -n marking no
         solution (the other digits add up to less than n); the multiples
         over all coordinates, a's offsets, add to flat indices without carry.
+        Kept in root_kills.
         """
+        dead = self.root_kills.get(root)
+        if dead is not None:
+            return dead
+        dead = self.root_kills[root] = set()
         n = self.order
         coords = self.padding.coords
         cols = []  # the digits of the targets 0 and -(b*root), per coordinate
         for nj, _, _ in coords:
             root, x = divmod(root, nj)
             cols.append([0] + [b * x % nj for b in self.negated])
-        dead: set[int] = set()
         for a in self.weights.residues:
             sums: list[int] = []
             offsets = [0]
@@ -523,10 +517,11 @@ def _indices_to_sequence(group: GroupSpec, indices: Iterable[int]) -> GSequence:
 class _Pool:
     """Ordered map over worker processes, open for the length of one public call.
 
-    Runs serially when threads <= 1 or a batch holds at most one job.  The
-    executor starts on the first parallel batch with min(threads, batch)
-    workers and serves the rest of the call, whose batches all have that
-    size: one per sweep row, or davenport-max's single batch.
+    Runs serially when threads or the CPU count is at most 1, or a batch
+    holds at most one job.  The executor starts on the first parallel batch
+    with min(threads, CPU count, batch) workers, as it may start them all at
+    once, and serves the rest of the call, whose batches all have that size:
+    one per sweep row, or davenport-max's single batch.
     """
 
     def __init__(self, threads: int):
@@ -543,11 +538,14 @@ class _Pool:
 
     def map(self, worker, args: list) -> list:
         """The worker's results over args, in order."""
-        if self.threads <= 1 or len(args) <= 1:
+        workers = min(self.threads, len(args))
+        if workers > 1:  # a serial map does not ask the system for its CPUs
+            workers = min(workers, os.cpu_count() or 1)
+        if workers <= 1:
             return [worker(a) for a in args]
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=min(self.threads, len(args)))
-        chunksize = max(1, len(args) // (4 * self.threads))
+            self._executor = ProcessPoolExecutor(max_workers=workers)
+        chunksize = max(1, len(args) // (4 * workers))
         return list(self._executor.map(worker, args, chunksize=chunksize))
 
 
@@ -563,7 +561,10 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     the last x, so a state prunes once more elements are still to place than
     lie outside Sigma, at the root and after every push alike.  Each state
     scans the list of its span level, and appending that level's element
-    outside the span moves its child one level up.
+    outside the span moves its child one level up.  At k = 2 the root's
+    state is the only one and killed() is exact against its Sigma, so the
+    least element from root up that killed() leaves is the answer, found
+    with no list, mask or stabilizer built.
     """
     w = tables.root_sums.get(root)
     if w is None:
@@ -577,6 +578,10 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     # the growth rule, as after a push
     if k - 1 > order - z.bit_count():
         return None, 0
+    if k == 2:
+        dead = tables.killed(root)
+        c = next(filterfalse(dead.__contains__, range(root, order)), None)
+        return (None if c is None else [root, c]), 1
     scans, outs = tables.root_scans.get(root) or tables.root_scan(root)
     negw = tables.masks  # A*(-c), 0 until built
     moves = tables.moves
@@ -594,7 +599,6 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     while stack:
         state = stack[-1]
         bits, remaining, start, tiled, scan, out = state
-        # the list is read per state: shifts() may narrow it in place
         for c in scan[bisect_left(scan, start):]:
             if (negw[c] or tables.mask(c)) & bits:
                 continue
@@ -604,8 +608,6 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
             mv = moves[c]
             if mv is None:
                 mv = moves[c] = tables.shifts(c)
-            if not mv:  # a unit fixing A maps c lower
-                continue
             if tiled is None:
                 tiled = bits
                 for s in spread:
@@ -649,10 +651,9 @@ def first_zero_free(
     Sigma | ((OR over m in A*x of T >> (S - m)) & mask), T the tiled Sigma.
     The bits of A*(-x), the kernel's masks, are kept for the call.  No step
     is kept, and none is taken by a multiset's last element, whose sums
-    nothing reads.  Every
-    element of A*x is moved by, so the walk reads no move list (which a
-    unit fixing A leaves empty).  It builds G's padded layout, one
-    2^(r-1)*|G|-bit mask, and no table, so _TABLE_BYTES does not apply.
+    nothing reads.  Each step reads A*x directly, not a move list.  It
+    builds G's padded layout, one 2^(r-1)*|G|-bit mask, and no table, so
+    _TABLE_BYTES does not apply.
     """
     pad = _padding(group)
     e = group.exponent

@@ -356,8 +356,6 @@ def complement_suite(ps: tuple[int, ...] = (13, 17, 29)) -> SuiteReport:
     checks: list[Check] = []
     for p in ps:
         for r in range((p - 1 + 3) // 4):
-            if 4 * r >= p - 1:
-                break
             try:
                 rep = complement_weight_set(p, r)
                 ok = rep.verified_bound == 2

@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 import sys
 import time
@@ -202,8 +203,8 @@ ELEMENTARY += [(5, 5), (5, 5, 5), (7, 7), (7, 7, 7), (11, 11)]
 @pytest.mark.parametrize("factors", ELEMENTARY)
 def test_root_one_scans_its_survivors_up_to_each_power_of_p(factors):
     # level j of root 1 holds its survivors up to p^(j+1), the span of
-    # 1, p, ..., p^j and the least element outside it, before and after the
-    # stabilizer of A narrows the lists, in either order
+    # 1, p, ..., p^j and the least element outside it, narrowed to the
+    # minima under the stabilizer of A
     g = GroupSpec(factors)
     p = factors[0]
     powers = [p**j for j in range(1, len(factors))]
@@ -218,16 +219,11 @@ def test_root_one_scans_its_survivors_up_to_each_power_of_p(factors):
         scaled = [[element_index(g, tuple_scale(factors, s, index_element(g, c))) for s in stab]
                   for c in range(g.order)]
         least = [c for c in survivors if min(scaled[c], default=c) >= c]
-        for narrowed_first in (False, True):
-            tables = solver._WeightTables(g, w)
-            if narrowed_first:
-                tables.shifts(2)
-            scans, outs = tables.root_scan(1)
-            assert outs == powers + [-1]
-            want = least if narrowed_first else survivors
-            assert scans == [[c for c in want if c <= q] for q in powers] + [want]
-            tables.shifts(2)
-            assert tables.root_scans[1] == ([[c for c in least if c <= q] for q in powers] + [least], outs)
+        tables = solver._WeightTables(g, w)
+        scans, outs = tables.root_scan(1)
+        assert outs == powers + [-1]
+        assert scans == [[c for c in least if c <= q] for q in powers] + [least]
+        assert tables.root_scans[1] == (scans, outs)
 
 
 def test_roots_other_than_one_scan_one_level():
@@ -315,8 +311,7 @@ def test_stabilizer():
     # s*A = A forces s = 1 modulo e/gcd(sum(A), e): every A for e <= 16, and
     # random A of any size, some closed under a random unit, for e <= 60
     for e in range(2, 17):
-        for bits in range(1, 1 << (e - 1)):
-            rs = tuple(a for a in range(1, e) if bits >> (a - 1) & 1)
+        for rs in _weight_sets(e):
             assert _stabilizer_group(WeightSet(e, rs)) == _stabilizer_by_definition(e, rs), rs
     for _ in range(600):
         e = rng.randint(17, 60)
@@ -353,6 +348,35 @@ def test_checks_that_never_extend_never_compute_the_stabilizer(monkeypatch):
     assert calls == [weight_sets[0]]
 
 
+def _weight_sets(e):
+    """Every weight set of Z_e, as ascending residue tuples."""
+    return [tuple(a for a in range(1, e) if bits >> (a - 1) & 1) for bits in range(1, 1 << (e - 1))]
+
+
+def test_k2_checks_read_the_roots_kills_alone(monkeypatch):
+    # a k = 2 check places its last element in the root's state, whose Sigma
+    # killed() tests exactly: it answers as the oracle does and builds no
+    # scan list, no mask and no stabilizer
+    built = []
+
+    class RecordingTables(solver._WeightTables):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(solver, "_WeightTables", RecordingTables)
+    cases = [((n,), rs) for n in range(2, 13) for rs in _weight_sets(n)]
+    cases += [(fs, rs) for fs in ((2, 4), (3, 3), (2, 2, 2)) for rs in _weight_sets(fs[-1])]
+    for factors, rs in cases:
+        g = GroupSpec(factors)
+        got = check_dav_at_most(g, WeightSet(g.exponent, rs), 2)
+        want = brute_lex_least_zsf(factors, rs, 2)
+        assert got.holds == (want is None), (factors, rs)
+        assert (got.counterexample and got.counterexample.entries) == want, (factors, rs)
+        tables = built.pop()
+        assert (tables.root_scans, any(tables.masks), tables.minima) == ({}, False, None), (factors, rs)
+
+
 def test_cap_aborts_early():
     with pytest.raises(CapExceededError):
         davenport(cyclic(64), WeightSet(64, (1,)), cap=10)
@@ -374,6 +398,7 @@ def test_thread_count_payload_invariance():
 
 def test_one_process_pool_per_call(monkeypatch):
     built = []
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
     class CountingExecutor(solver.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
@@ -387,6 +412,34 @@ def test_one_process_pool_per_call(monkeypatch):
     cfg = SweepConfig(p=31, k=2, theta_grid=(0.2, 0.4, 0.6), trials=4, seed=0)
     assert len(threshold_sweep(cfg, threads=2).rows) == 3
     assert built == [2]
+
+
+def test_pool_workers_are_capped_at_the_cpu_count(monkeypatch):
+    # an executor may start all its workers at once, so a thread count far
+    # past the CPUs must not start that many; the fake starts no process
+    built = []
+
+    class FakeExecutor:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def map(self, fn, args, chunksize):
+            built.append(chunksize)
+            return map(fn, args)
+
+        def shutdown(self, wait, cancel_futures):
+            pass
+
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    with solver._Pool(5000) as pool:
+        assert pool.map(abs, list(range(-100, 0))) == list(range(100, 0, -1))
+    assert built == [3, 100 // (4 * 3)]
+    # an unknown CPU count counts as one: serial, no executor
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    with solver._Pool(5000) as pool:
+        assert pool.map(abs, [-1, -2]) == [1, 2]
+    assert built == [3, 8]
 
 
 def test_one_table_per_certify_and_classify(monkeypatch):
