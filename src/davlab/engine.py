@@ -280,7 +280,8 @@ def has_weighted_zero_sum(group: GroupSpec, weights: WeightSet, seq: GSequence) 
 # sumset, negate and quotient_set (with _Layout.negate and _same_group) feed
 # no answer davlab computes.  They stay because the benchmark binds them:
 # perfbench/answer.py times negate and sumset and traces quotient_set, until
-# its probes move to the kernel's padded layout (ROADMAP item 9).
+# the benchmark change that starts BENCH_<n>.json moves its probes to the
+# kernel's padded layout.
 def sumset(s: ResidueSet, t: ResidueSet) -> ResidueSet:
     """{x + y : x in S, y in T}."""
     _same_group(s, t)

@@ -84,22 +84,21 @@ def fd_lower_bound(p: int, k: int) -> int:
     if k == 2:
         r = isqrt(p - 1)
         return r if r * r == p - 1 else r + 1
-    root, exact = integer_nthroot(p, k)
-    bound = root - 1 if exact else root  # ceil(p^{1/k}) - 1
-    return max(1, bound)
+    return _sums_bound(p, k)
+
+
+def _sums_bound(order: int, k: int) -> int:
+    """max(1, ceil(order^(1/k)) - 1): the (|A|+1)^k - 1 weighted sums of k
+    elements must cover the order - 1 nonzero targets."""
+    root, exact = integer_nthroot(order, k)
+    return max(1, root - 1 if exact else root)
 
 
 def _start_size(group: GroupSpec, k: int) -> int:
-    if k < 2:
-        return 1
+    # Z_p^r, r >= 1, takes the counting bound (fd_lower_bound's for r = 1,
+    # whose sharper k = 2 bound fd_fast_k2 uses); k >= 2 here
     fs = group.invariant_factors
-    if len(set(fs)) == 1 and isprime(fs[0]):
-        # Z_p^r, r >= 1: at most (|A|+1)^k - 1 weighted sums of k elements
-        # must cover the |G| - 1 nonzero targets, so |A| >= ceil(|G|^(1/k)) - 1
-        # (fd_lower_bound for r = 1, whose sharper k = 2 bound fd_fast_k2 uses)
-        root, exact = integer_nthroot(group.order, k)
-        return max(1, root - 1 if exact else root)
-    return 1
+    return _sums_bound(group.order, k) if len(set(fs)) == 1 and isprime(fs[0]) else 1
 
 
 class _Meter(Meter):

@@ -1,5 +1,11 @@
 """Shared brute-force oracles, deliberately independent of the package's
-bit-vector engine: plain tuple arithmetic and itertools enumeration only."""
+bit-vector engine: plain tuple arithmetic and itertools enumeration only.
+
+`brute_reachable` expands every (A union {0})^m coefficient tuple; it is the
+oracle of the engine's reachable sums and the reference for `sums_step`,
+which grows the nonempty sums one entry at a time.  `zsf_walk` is the one
+search over multisets, and every zero-sum-free oracle reads it.
+"""
 
 from __future__ import annotations
 
@@ -30,57 +36,51 @@ def brute_reachable(factors, weights, entries):
     return sums
 
 
+def sums_step(factors, weights, sums, x):
+    """The nonempty weighted sums S after appending x: S | A*x | (S + A*x)."""
+    multiples = {tuple_scale(factors, a, x) for a in weights}
+    return sums | multiples | {tuple_add(factors, s, m) for s in sums for m in multiples}
+
+
 def brute_is_zsf(factors, weights, entries):
+    sums = reduce(lambda s, x: sums_step(factors, weights, s, x), entries, frozenset())
+    return (0,) * len(factors) not in sums
+
+
+def zsf_walk(factors, weights, max_length=None):
+    """Every zero-sum-free nondecreasing multiset of nonzero elements, at most
+    max_length long, as a tuple of elements in flat-index order (the order
+    itertools.product lists them in).
+
+    Pre-order, so the walk yields () first and each multiset before its
+    extensions: in tuple order, and each length first at its lex-least
+    multiset.  A prefix carries its nonempty sums and is extended only while
+    0 is not among them.
+    """
+    elements = [e for e in itertools.product(*[range(n) for n in factors]) if any(e)]
     zero = (0,) * len(factors)
-    return zero not in brute_reachable(factors, weights, entries)
+
+    def rec(start, chosen, sums):
+        yield chosen
+        if len(chosen) == max_length:
+            return
+        for i in range(start, len(elements)):
+            grown = sums_step(factors, weights, sums, elements[i])
+            if zero not in grown:
+                yield from rec(i, chosen + (elements[i],), grown)
+
+    return rec(0, (), frozenset())
 
 
 def brute_davenport(factors, weights):
-    """1 + longest zero-sum-free multiset, by depth-first enumeration."""
-    elements = list(itertools.product(*[range(n) for n in factors]))
-    nonzero = [e for e in elements if any(e)]
-    best = 0
-
-    def rec(start, chosen):
-        nonlocal best
-        if len(chosen) > best:
-            best = len(chosen)
-        for i in range(start, len(nonzero)):
-            cand = chosen + [nonzero[i]]
-            if brute_is_zsf(factors, weights, cand):
-                rec(i, cand)
-
-    rec(0, [])
-    return best + 1
+    """1 + longest zero-sum-free multiset."""
+    return 1 + max(map(len, zsf_walk(factors, weights)))
 
 
 def brute_lex_least_zsf(factors, weights, length):
-    """The lexicographically least zero-sum-free multiset of a given size, or
-    None when there is none.
-
-    A depth-first walk over nondecreasing multisets in flat-index order (the
-    order itertools.product lists the elements in); the first multiset it
-    completes is the least.  Returned as a tuple of elements, ascending.
-    """
-    elements = [e for e in itertools.product(*[range(n) for n in factors]) if any(e)]
-
-    def rec(start, chosen, remaining):
-        if remaining == 0:
-            return tuple(chosen)
-        for i in range(start, len(elements)):
-            cand = chosen + [elements[i]]
-            if brute_is_zsf(factors, weights, cand):
-                found = rec(i, cand, remaining - 1)
-                if found is not None:
-                    return found
-        return None
-
-    return rec(0, [], length)
-
-
-def brute_has_zsf_of_length(factors, weights, length):
-    """Depth-limited search for one zero-sum-free multiset of a given size."""
-    return brute_lex_least_zsf(factors, weights, length) is not None
+    """The lexicographically least zero-sum-free multiset of a given size, as
+    a tuple of elements in ascending order, or None when there is none."""
+    return next((ms for ms in zsf_walk(factors, weights, length) if len(ms) == length), None)
 
 
 def brute_fd(n, k, max_size=None):
@@ -90,7 +90,7 @@ def brute_fd(n, k, max_size=None):
     limit = max_size if max_size is not None else n - 1
     for size in range(1, limit + 1):
         for residues in itertools.combinations(range(1, n), size):
-            if not brute_has_zsf_of_length((n,), residues, k):
+            if brute_lex_least_zsf((n,), residues, k) is None:
                 return size
     return None
 
