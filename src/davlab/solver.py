@@ -7,8 +7,15 @@ set Sigma of the prefix's weighted subsequence sums, the sums with the empty
 one, so 0 is always in Sigma.  Appending x closes a zero-sum exactly when
 some weight multiple of x lands in -Sigma, which is one AND of Sigma against
 the mask A*(-x); its bit 0 is set exactly when A*x holds 0.  Otherwise
-Sigma grows to Sigma | (Sigma + A*x).  A fail memo per (last element, Sigma)
-records the fewest remaining elements already shown impossible.
+Sigma grows to Sigma | (Sigma + A*x).  The growth rule prunes a state with r
+elements still to place once |Sigma| + g*(r - 1) + m > |G|: each element but
+the last grows Sigma by at least g, which is 1 in general and |A| on Z_p by
+Cauchy-Davenport, and the last x needs its |A*x| >= m sums -A*x outside
+Sigma, m being the least |A*x| over the nonzero x with 0 not in A*x.  A fail
+memo keyed by Sigma keeps the (last element c, elements still to place r) of
+the states that failed with that Sigma; an entry covers every later state
+with the same Sigma whose last element is c or above and which has r or more
+still to place (see _find_zsf).
 
 Reachable sets use a padded layout in which translating by any element is
 one right shift.  Every coordinate but the first gets twice its extent, so
@@ -60,8 +67,8 @@ element is restricted to orbit minima under the units s != 1 with s*A = A
 (A's stabilizer; -1 for A = -A): since A*(s*x) = A*x, swapping an element x
 of a zero-sum-free multiset for a lower s*x keeps it zero-sum-free and makes
 it lex-smaller, so the lex-least multiset holds no such x.  The fail memo
-stays sound, as the restricted subtree under a state still depends only on
-(last element, Sigma, elements still to place).
+stays sound: a state may still append exactly the elements of one list per
+root from its last element up that Sigma leaves alive.
 
 On G = Z_p^r with r >= 2 the root argument runs at every depth (the span
 rule).  Let W be the span of the prefix m_1, ..., m_i of the lex-least M.
@@ -72,12 +79,12 @@ W pointwise and act transitively on the elements outside it (a basis of W
 and x extends to a basis of G, which a linear map sends to one extending W
 and y), so a state extends only by an element of W or by the least flat
 index outside W.  This keeps every value, witness and culprit.  Every
-weight is a unit mod p, so W is the span of Sigma and the fail memo stays
-sound.  The search has the one root 1, and the last coordinate varies
-fastest, so after 1, p, ..., p^j the span is the flat indices [0, p^(j+1))
-and the least index outside it is p^(j+1): the rule is a bound, and a state
-that has appended p^j scans root 1's survivors up to p^(j+1) (see
-_WeightTables).  Groups that are not elementary abelian scan one list per
+weight is a unit mod p, so W is the span of Sigma: a state's list is still a
+function of Sigma, and the fail memo stays sound.  The search has the one
+root 1, and the last coordinate varies fastest, so after 1, p, ..., p^j the
+span is the flat indices [0, p^(j+1)) and the least index outside it is
+p^(j+1): the rule is a bound, and a state that has appended p^j scans root
+1's survivors up to p^(j+1) (see _WeightTables).  Groups that are not elementary abelian scan one list per
 root, as the rule does not apply to them.  Z_3 + Z_9, for one, is searched
 without it.
 """
@@ -115,10 +122,10 @@ from .groups import (
     unit_span,
     units_mapping,
 )
-from .numtheory import isprime
+from .numtheory import factorint, isprime
 
-# The fail memo is cleared wholesale past _memo_limit(width) states: at most
-# _MEMO_LIMIT, and fewer where keys of _MEMO_BYTES in total would not hold
+# The fail memo is cleared wholesale past _memo_limit(width) entries: at most
+# _MEMO_LIMIT, and fewer where entries of _MEMO_BYTES in total would not hold
 # that many.  Bounded memory at the cost of re-expansion, and deterministic
 # since clearing depends only on the visit order and the group.
 _MEMO_LIMIT = 1 << 19
@@ -136,14 +143,18 @@ _CHECK_EVERY = 4096
 
 
 def _memo_limit(width: int) -> int:
-    """Fail-memo entries one search may keep when Sigma takes `width` bits.
+    """Fail-memo entries (c, r) one search may keep when Sigma takes `width` bits.
 
-    A key (c, Sigma) is a 2-tuple of a small int and a width-bit int: 56 + 28
-    bytes plus 24 + 4 per 30 bits of Sigma, and about 50 more for its dict
-    slot.  Up to width 720 the entry cap is the smaller bound.
+    The memo maps each failed Sigma to one flat tuple (c_1, r_1, c_2, r_2,
+    ...).  A distinct Sigma costs about 50 bytes of dict slot, its width-bit
+    int (24 + 4 per 30 bits) and the tuple's 40-byte header; an entry costs
+    two tuple slots (16) and the ints c and r (28 each).  Every Sigma holds
+    at least one entry, so the memo costs at most 186 bytes plus 4 per 30
+    bits of Sigma per entry.  Up to width 510 the entry cap is the smaller
+    bound.
     """
-    per_key = 160 + 4 * -(-width // 30)
-    return min(_MEMO_LIMIT, _MEMO_BYTES // per_key)
+    per_entry = 186 + 4 * -(-width // 30)
+    return min(_MEMO_LIMIT, _MEMO_BYTES // per_entry)
 
 
 class _Padding:
@@ -187,6 +198,15 @@ class _Padding:
 
 
 _padding = lru_cache(maxsize=None)(_Padding)
+
+
+@lru_cache(maxsize=None)
+def _proper_divisors(n: int) -> tuple[int, ...]:
+    """The divisors d of n with 1 < d < n, ascending; () for a prime n."""
+    ds = [1]
+    for q, t in factorint(n).items():
+        ds = [d * q**i for d in ds for i in range(t + 1)]
+    return tuple(sorted(ds)[1:-1])
 
 
 class CapExceededError(RuntimeError):
@@ -348,7 +368,21 @@ class _WeightTables:
     all its survivors.  p^(j+1) is always a survivor: no element outside W
     is ever killed, as a*c lies outside W and -Sigma inside it, and no unit
     maps it lower, as s*c lies outside W too.  Any other root, which only
-    tests set on Z_p^r through `roots`, scans one level.
+    tests set on Z_p^r through `roots`, scans one level.  So which list a
+    state scans is a function of its Sigma, one list per root and on root 1
+    under the span rule the level of span(Sigma), every weight being a unit
+    mod p; that is what lets _find_zsf key its fail memo by Sigma alone and
+    let an entry at last element c cover every later start.
+
+    bound = (g, m) feeds the growth rule of every k >= 3 search, set by
+    growth() the first time one needs it; (1, 1) is the rule that counts one
+    new sum per element.  m is the room the last element x needs outside
+    Sigma, its sums -A*x: |A*x| = |A mod ord(x)|, as a*x = b*x iff ord(x)
+    divides a - b, and the orders are the divisors of exp(G), so m is read
+    from those divisors.  g is what each other element adds to Sigma, which
+    becomes Sigma + ({0} | A*x): on Z_p at least |A| by Cauchy-Davenport,
+    |X + Y| >= min(p, |X| + |Y| - 1), until Sigma is Z_p and kills every
+    candidate; elsewhere 1.  On Z_p both are |A| without a divisor.
 
     root_scan is the one place that decides which elements a state may
     append, and a list never changes once built.  Besides the killed
@@ -366,7 +400,7 @@ class _WeightTables:
 
     __slots__ = (
         "group", "order", "padding", "weights", "negated", "plus", "minus", "masks", "moves",
-        "roots", "root_sums", "root_kills", "root_scans", "minima", "span_prime",
+        "roots", "root_sums", "root_kills", "root_scans", "minima", "span_prime", "bound",
     )
 
     def __init__(self, group: GroupSpec, weights: WeightSet):
@@ -395,6 +429,7 @@ class _WeightTables:
         fs = group.invariant_factors
         elementary = len(fs) > 1 and fs[0] == e and isprime(e)
         self.span_prime = e if elementary else 0
+        self.bound: Optional[tuple[int, int]] = None
 
     @staticmethod
     def bits(c: int, scaled: tuple) -> int:
@@ -484,6 +519,30 @@ class _WeightTables:
                 dead.update([x + q for x in sums if x >= 0 for q in offsets])
         return dead
 
+    def growth(self) -> tuple[int, int]:
+        """Build and return bound = (g, m) for the growth rule (see _find_zsf).
+
+        m is the least |A*x| over nonzero x with 0 not in A*x.  a*x = b*x
+        iff ord(x) divides a - b, so |A*x| = |A mod ord(x)|, and the orders
+        of G's elements are the divisors of exp(G): m is the least |A mod d|
+        over the divisors d > 1 of exp(G) that divide no weight, which for
+        d = exp(G) is |A|.  g = |A| on Z_p (Cauchy-Davenport, see _find_zsf),
+        the cyclic group whose exponent has no proper divisor, and 1
+        elsewhere.
+        """
+        rs = self.weights.residues
+        ds = _proper_divisors(self.group.exponent)
+        m = len(rs)
+        for d in ds:
+            if m == 1:
+                break
+            rd = {a % d for a in rs}
+            if len(rd) < m and 0 not in rd:
+                m = len(rd)
+        g = len(rs) if not ds and self.group.rank == 1 else 1
+        self.bound = (g, m)
+        return self.bound
+
     def mask(self, c: int) -> int:
         """Build masks[c] = A*(-c), never 0."""
         w = self.masks[c] = self.bits(c, self.minus)
@@ -552,19 +611,35 @@ class _Pool:
 def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[int]], int]:
     """Lex-least zero-sum-free multiset of size k starting at root, plus nodes.
 
-    Depth-first over nondecreasing extensions on an explicit stack.  A state
-    (last, Sigma) that failed with r elements still to place fails for any
-    r' >= r, which the fail memo records.  c is killed when masks[c] = A*(-c)
-    meets Sigma, the sums with the empty one, and otherwise extends Sigma to
+    Depth-first over nondecreasing extensions on an explicit stack.  c is
+    killed when masks[c] = A*(-c) meets Sigma, the sums with the empty one,
+    and otherwise extends Sigma to
     Sigma | ((OR over s in moves[c] of T >> s) & mask) with T the tiled Sigma.
-    Every element but the last grows Sigma, which must still miss -A*x of
-    the last x, so a state prunes once more elements are still to place than
-    lie outside Sigma, at the root and after every push alike.  Each state
-    scans the list of its span level, and appending that level's element
-    outside the span moves its child one level up.  At k = 2 the root's
-    state is the only one and killed() is exact against its Sigma, so the
-    least element from root up that killed() leaves is the answer, found
-    with no list, mask or stabilizer built.
+    Each state scans the list of its span level, and appending that level's
+    element outside the span moves its child one level up.  At k = 2 the
+    root's state is the only one and killed() is exact against its Sigma,
+    so the least element from root up that killed() leaves is the answer,
+    found with no list, mask or stabilizer built.
+
+    The growth rule prunes a state with r elements still to place when
+    |Sigma| + g*(r - 1) + m > |G|, with (g, m) = tables.bound, at the root
+    and after every push alike.  Each of the first r - 1 elements grows
+    Sigma: by at least one element, since Sigma + A*x inside Sigma would put
+    -A*x in Sigma and kill x, and on Z_p by at least g = |A|, since Sigma
+    becomes Sigma + ({0} | A*x) and Cauchy-Davenport gives
+    |X + Y| >= min(p, |X| + |Y| - 1), while a full Z_p kills everything.
+    The last element x then needs its |A*x| >= m sums -A*x outside Sigma.
+    A k = 2 search takes (g, m) = (1, 1) and builds no bound.
+
+    The fail memo maps Sigma to the (last element c, elements still to
+    place r) of the states with that Sigma that failed, flattened into one
+    tuple (c_1, r_1, c_2, r_2, ...).  An entry covers a child (c', Sigma,
+    r') with c <= c' and r <= r'.  A state's candidates are the elements of
+    its scan list from c up, and the list depends on Sigma alone: one list
+    per root, and under the span rule the level, which is span(Sigma) as
+    every weight is a unit mod p.  So a later start scans a subset of the
+    same candidates, and a state that fails with r elements to place fails
+    with any r' >= r, as a zero-sum-free extension's prefixes are too.
     """
     w = tables.root_sums.get(root)
     if w is None:
@@ -575,8 +650,8 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
         return [root], 0
     order = tables.order
     z = w | 1
-    # the growth rule, as after a push
-    if k - 1 > order - z.bit_count():
+    g, m = (1, 1) if k == 2 else (tables.bound or tables.growth())
+    if z.bit_count() + g * (k - 2) + m > order:
         return None, 0
     if k == 2:
         dead = tables.killed(root)
@@ -586,9 +661,11 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     negw = tables.masks  # A*(-c), 0 until built
     moves = tables.moves
     pad = tables.padding
-    mask, spread, shift = pad.mask, pad.spread, pad.shift
+    mask, spread = pad.mask, pad.spread
     memo_limit = pad.memo_limit
-    fail_at: dict[tuple[int, int], int] = {}
+    room = order - m
+    fail_at: dict[int, tuple[int, ...]] = {}
+    entries = 0
     nodes = 1
     chosen = [root]
     # open states as [Sigma, elements still to place, next candidate, tiled
@@ -599,6 +676,7 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     while stack:
         state = stack[-1]
         bits, remaining, start, tiled, scan, out = state
+        most = room - g * (remaining - 2)  # the largest Sigma a child may have
         for c in scan[bisect_left(scan, start):]:
             if (negw[c] or tables.mask(c)) & bits:
                 continue
@@ -617,25 +695,36 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
             for s in mv:
                 nb |= tiled >> s
             nb = bits | (nb & mask)
-            if remaining - 1 > order - nb.bit_count():
+            if nb.bit_count() > most:
                 continue
-            known = fail_at.get((c, nb))
-            if known is None or remaining - 1 < known:
-                state[2] = c + 1
-                nodes += 1
-                chosen.append(c)
-                if c == out:  # c leaves the span: the next level
-                    up = outs.index(c) + 1
-                    stack.append([nb, remaining - 1, c, None, scans[up], outs[up]])
-                else:
-                    stack.append([nb, remaining - 1, c, None, scan, out])
-                break
+            known = fail_at.get(nb)
+            if known is not None and _covered(known, c, remaining - 1):
+                continue
+            state[2] = c + 1
+            nodes += 1
+            chosen.append(c)
+            if c == out:  # c leaves the span: the next level
+                up = outs.index(c) + 1
+                stack.append([nb, remaining - 1, c, None, scans[up], outs[up]])
+            else:
+                stack.append([nb, remaining - 1, c, None, scan, out])
+            break
         else:
-            if len(fail_at) >= memo_limit:
+            if entries >= memo_limit:
                 fail_at.clear()
-            fail_at[(chosen.pop(), bits)] = remaining
+                entries = 0
+            entries += 1
+            fail_at[bits] = fail_at.get(bits, ()) + (chosen.pop(), remaining)
             stack.pop()
     return None, nodes
+
+
+def _covered(entries: tuple[int, ...], c: int, r: int) -> bool:
+    """Whether a fail-memo entry (c_i, r_i) of one Sigma has c_i <= c and r_i <= r."""
+    for i in range(0, len(entries), 2):
+        if entries[i] <= c and entries[i + 1] <= r:
+            return True
+    return False
 
 
 def first_zero_free(
@@ -757,7 +846,7 @@ def certify_dav_value(
     Much cheaper than a full davenport() run when the value is predicted:
     one bounded refutation (no zero-sum-free multiset of size `value`) plus
     one bounded witness search (some zero-sum-free multiset of size
-    `value` - 1), both heavily pruned by the reachable-set growth bound and
+    `value` - 1), both heavily pruned by the reachable-set growth rule and
     both over one set of tables.  threads is accepted for a uniform API and
     ignored: the search is serial.
     """

@@ -11,10 +11,15 @@ never extends a prefix by an element such a unit maps lower.  On non-cyclic
 groups they are the counts of the kernel that also roots its search at the
 least element of each Aut(G)-orbit instead of each unit orbit, and on
 Z_p^r those of the kernel that also keeps every later element in the span
-of the prefix or least outside it.  The last two tests check those roots
-against the unit-orbit ones and that span rule against the search without
-it.  Any other change to the layout, the visit order or the fail memo shows
-up here as a different node count.
+of the prefix or least outside it.  Every count is that of the kernel whose
+fail memo is keyed by Sigma alone, with entries that cover later starts, and
+whose growth rule counts the last element's room m and, on Z_p, a growth of
+|A| per element (Cauchy-Davenport; see solver._find_zsf).  Node counts are
+not an invariant: a kernel that prunes more re-pins them, with values,
+witnesses, holds flags and counterexamples unchanged, and the tests below
+check each pruning rule against the search without it.  Any other change to
+the layout, the visit order or the fail memo shows up here as a different
+node count.
 """
 
 import random
@@ -61,15 +66,15 @@ def _run(fs, ws, k):
 PINNED = [
     ((12,), (2, 4, 9), None, 3, (1, 1), 4),
     ((12,), (2, 4, 9), 7, True, None, 2),
-    ((2, 2, 2, 4), (1,), None, 7, (1, 1, 1, 4, 8, 16), 6513),
+    ((2, 2, 2, 4), (1,), None, 7, (1, 1, 1, 4, 8, 16), 3192),
     ((2, 2, 2, 4), (1,), 2, False, (1, 1), 1),
     ((11,), (8,), None, 11, (1, 1, 1, 1, 1, 1, 1, 1, 1, 1), 45),
     ((11,), (8,), 1, False, (1,), 0),
     ((2, 2, 2, 4), (2,), None, 2, (1,), 1),
     ((2, 2, 2, 4), (2,), 5, True, None, 1),
-    ((2, 2, 6), (1, 5), None, 5, (1, 2, 6, 12), 157),
-    ((2, 2, 6), (1, 5), 6, True, None, 151),
-    ((19,), (10, 15, 18), None, 4, (1, 1, 3), 17),
+    ((2, 2, 6), (1, 5), None, 5, (1, 2, 6, 12), 83),
+    ((2, 2, 6), (1, 5), 6, True, None, 77),
+    ((19,), (10, 15, 18), None, 4, (1, 1, 3), 15),
     ((19,), (10, 15, 18), 3, False, (1, 1, 3), 2),
     ((2, 2, 2), (1,), None, 4, (1, 2, 4), 5),
     ((2, 2, 2), (1,), 8, True, None, 0),
@@ -82,65 +87,65 @@ PINNED = [
     ((24,), (5, 14, 16), None, 3, (1, 1), 17),
     ((24,), (5, 14, 16), 8, True, None, 16),
     ((2, 4), (1, 2, 3), None, 2, (1,), 1),
-    ((2, 4), (1, 2, 3), 5, True, None, 1),
+    ((2, 4), (1, 2, 3), 5, True, None, 0),
     ((2, 2, 2, 4), (1, 2, 3), None, 2, (1,), 1),
     ((2, 2, 2, 4), (1, 2, 3), 7, True, None, 1),
-    ((4, 4), (1, 3), None, 5, (1, 2, 4, 8), 46),
+    ((4, 4), (1, 3), None, 5, (1, 2, 4, 8), 33),
     ((4, 4), (1, 3), 3, False, (1, 2, 4), 2),
     ((2, 2, 2, 4), (1, 2), None, 2, (1,), 1),
     ((2, 2, 2, 4), (1, 2), 8, True, None, 1),
-    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 829),
+    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 298),
     ((2, 2, 2, 4), (1, 3), 5, False, (1, 2, 4, 8, 16), 4),
-    ((3, 3, 3), (2,), None, 7, (1, 1, 3, 3, 9, 9), 164),
+    ((3, 3, 3), (2,), None, 7, (1, 1, 3, 3, 9, 9), 134),
     ((3, 3, 3), (2,), 5, False, (1, 1, 3, 3, 9), 4),
     ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 9),
     ((2, 2, 2, 2), (1,), 2, False, (1, 2), 1),
     ((3, 3, 3), (1, 2), None, 4, (1, 3, 9), 5),
     ((3, 3, 3), (1, 2), 7, True, None, 2),
-    ((5, 5), (1,), None, 9, (1, 1, 1, 1, 5, 5, 5, 5), 1002),
+    ((5, 5), (1,), None, 9, (1, 1, 1, 1, 5, 5, 5, 5), 797),
     ((5, 5), (1,), 1, False, (1,), 0),
     ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 9),
     ((2, 2, 2, 2), (1,), 2, False, (1, 2), 1),
-    ((19,), (5, 12), None, 10, (1, 1, 1, 1, 1, 1, 1, 1, 1), 72),
+    ((19,), (5, 12), None, 10, (1, 1, 1, 1, 1, 1, 1, 1, 1), 36),
     ((19,), (5, 12), 1, False, (1,), 0),
-    ((2, 4, 4), (1, 2, 3), None, 3, (1, 4), 10),
-    ((2, 4, 4), (1, 2, 3), 8, True, None, 9),
-    ((4, 4), (2,), None, 3, (1, 4), 6),
-    ((4, 4), (2,), 3, True, None, 5),
+    ((2, 4, 4), (1, 2, 3), None, 3, (1, 4), 4),
+    ((2, 4, 4), (1, 2, 3), 8, True, None, 3),
+    ((4, 4), (2,), None, 3, (1, 4), 3),
+    ((4, 4), (2,), 3, True, None, 2),
     ((4, 4), (1, 2, 3), None, 3, (1, 4), 2),
     ((4, 4), (1, 2, 3), 4, True, None, 1),
     ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 9),
     ((2, 2, 2, 2), (1,), 2, False, (1, 2), 1),
-    ((13,), (1, 6, 11), None, 3, (1, 1), 9),
-    ((13,), (1, 6, 11), 8, True, None, 1),
-    ((2, 2, 6), (1, 3), None, 4, (1, 6, 12), 185),
-    ((2, 2, 6), (1, 3), 8, True, None, 182),
+    ((13,), (1, 6, 11), None, 3, (1, 1), 5),
+    ((13,), (1, 6, 11), 8, True, None, 0),
+    ((2, 2, 6), (1, 3), None, 4, (1, 6, 12), 127),
+    ((2, 2, 6), (1, 3), 8, True, None, 124),
     ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 9),
     ((2, 2, 2, 2), (1,), 7, True, None, 3),
-    ((3, 3, 3), (1,), None, 7, (1, 1, 3, 3, 9, 9), 164),
-    ((3, 3, 3), (1,), 7, True, None, 149),
+    ((3, 3, 3), (1,), None, 7, (1, 1, 3, 3, 9, 9), 134),
+    ((3, 3, 3), (1,), 7, True, None, 119),
     ((8,), (1, 2, 5), None, 3, (1, 1), 3),
     ((8,), (1, 2, 5), 1, False, (1,), 0),
     ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 9),
     ((2, 2, 2, 2), (1,), 3, False, (1, 2, 4), 2),
-    ((2, 6), (2,), None, 3, (1, 1), 11),
-    ((2, 6), (2,), 7, True, None, 10),
+    ((2, 6), (2,), None, 3, (1, 1), 5),
+    ((2, 6), (2,), 7, True, None, 4),
     ((3, 3, 3), (1, 2), None, 4, (1, 3, 9), 5),
     ((3, 3, 3), (1, 2), 5, True, None, 2),
-    ((2, 8), (3,), None, 9, (1, 1, 1, 1, 1, 1, 1, 8), 551),
+    ((2, 8), (3,), None, 9, (1, 1, 1, 1, 1, 1, 1, 8), 433),
     ((2, 8), (3,), 8, False, (1, 1, 1, 1, 1, 1, 1, 8), 7),
     ((2, 2, 2, 4), (1, 2), None, 2, (1,), 1),
     ((2, 2, 2, 4), (1, 2), 6, True, None, 1),
-    ((2, 2, 2, 4), (3,), None, 7, (1, 1, 1, 4, 8, 16), 6513),
+    ((2, 2, 2, 4), (3,), None, 7, (1, 1, 1, 4, 8, 16), 3192),
     ((2, 2, 2, 4), (3,), 5, False, (1, 1, 1, 4, 8), 4),
     ((8,), (1,), None, 8, (1, 1, 1, 1, 1, 1, 1), 21),
     ((8,), (1,), 2, False, (1, 1), 1),
-    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 829),
+    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 298),
     ((2, 2, 2, 4), (1, 3), 1, False, (1,), 0),
-    ((2, 2, 4), (1, 3), None, 5, (1, 2, 4, 8), 97),
+    ((2, 2, 4), (1, 3), None, 5, (1, 2, 4, 8), 56),
     ((2, 2, 4), (1, 3), 2, False, (1, 2), 1),
-    ((2, 4, 4), (1, 2, 3), None, 3, (1, 4), 10),
-    ((2, 4, 4), (1, 2, 3), 5, True, None, 9),
+    ((2, 4, 4), (1, 2, 3), None, 3, (1, 4), 4),
+    ((2, 4, 4), (1, 2, 3), 5, True, None, 3),
     ((2, 4), (1, 2), None, 2, (1,), 1),
     ((2, 4), (1, 2), 3, True, None, 1),
     ((23,), (12,), None, 23, (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1), 231),
@@ -149,35 +154,35 @@ PINNED = [
     ((18,), (3, 9), 5, True, None, 3),
     ((2, 2, 4), (1, 2), None, 2, (1,), 1),
     ((2, 2, 4), (1, 2), 1, False, (1,), 0),
-    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 829),
+    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 298),
     ((2, 2, 2, 4), (1, 3), 2, False, (1, 2), 1),
     ((2, 2), (1,), None, 3, (1, 2), 2),
     ((2, 2), (1,), 2, False, (1, 2), 1),
-    ((2, 2, 6), (1, 5), None, 5, (1, 2, 6, 12), 157),
-    ((2, 2, 6), (1, 5), 7, True, None, 151),
-    ((2, 4, 4), (3,), None, 8, (1, 1, 1, 4, 4, 4, 16), 18601),
-    ((2, 4, 4), (3,), 8, True, None, 18580),
+    ((2, 2, 6), (1, 5), None, 5, (1, 2, 6, 12), 83),
+    ((2, 2, 6), (1, 5), 7, True, None, 77),
+    ((2, 4, 4), (3,), None, 8, (1, 1, 1, 4, 4, 4, 16), 11931),
+    ((2, 4, 4), (3,), 8, True, None, 11910),
     ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 9),
     ((2, 2, 2, 2), (1,), 7, True, None, 3),
-    ((2, 2, 6), (4,), None, 3, (1, 1), 19),
+    ((2, 2, 6), (4,), None, 3, (1, 1), 5),
     ((2, 2, 6), (4,), 1, False, (1,), 0),
-    ((2, 2, 6), (1, 3), None, 4, (1, 6, 12), 185),
-    ((2, 2, 6), (1, 3), 7, True, None, 182),
-    ((2, 4, 4), (3,), None, 8, (1, 1, 1, 4, 4, 4, 16), 18601),
+    ((2, 2, 6), (1, 3), None, 4, (1, 6, 12), 127),
+    ((2, 2, 6), (1, 3), 7, True, None, 124),
+    ((2, 4, 4), (3,), None, 8, (1, 1, 1, 4, 4, 4, 16), 11931),
     ((2, 4, 4), (3,), 6, False, (1, 1, 1, 4, 4, 4), 5),
     ((2, 2), (1,), None, 3, (1, 2), 2),
     ((2, 2), (1,), 2, False, (1, 2), 1),
     ((3,), (2,), None, 3, (1, 1), 1),
     ((3,), (2,), 5, True, None, 0),
     ((15,), (3, 6, 7), None, 3, (1, 1), 5),
-    ((15,), (3, 6, 7), 7, True, None, 3),
+    ((15,), (3, 6, 7), 7, True, None, 2),
     ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 9),
     ((2, 2, 2, 2), (1,), 3, False, (1, 2, 4), 2),
     ((2, 2), (1,), None, 3, (1, 2), 2),
     ((2, 2), (1,), 3, True, None, 1),
     ((2, 2), (1,), None, 3, (1, 2), 2),
     ((2, 2), (1,), 8, True, None, 0),
-    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 829),
+    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 298),
     ((2, 2, 2, 4), (1, 3), 3, False, (1, 2, 4), 2),
 ]
 
@@ -190,10 +195,10 @@ def test_kernel_matches_pinned_results():
 # davenport (value, witness, nodes) on groups of several roots whose
 # refutations reach roots after the first, from the benchmark's exact battery
 PINNED_MULTI_ROOT = [
-    ((150,), (1, 2, 148, 149), 5, (1, 3, 9, 27), 12284),
-    ((48,), (1, 47), 6, (1, 2, 4, 8, 16), 2689),
-    ((3, 9), (1,), 11, (1, 1, 1, 1, 1, 1, 1, 1, 9, 9), 14498),
-    ((2, 4, 4), (1,), 8, (1, 1, 1, 4, 4, 4, 16), 18601),
+    ((150,), (1, 2, 148, 149), 5, (1, 3, 9, 27), 11478),
+    ((48,), (1, 47), 6, (1, 2, 4, 8, 16), 2191),
+    ((3, 9), (1,), 11, (1, 1, 1, 1, 1, 1, 1, 1, 9, 9), 11662),
+    ((2, 4, 4), (1,), 8, (1, 1, 1, 4, 4, 4, 16), 11931),
 ]
 
 
@@ -258,3 +263,54 @@ def test_span_rule_agrees_with_the_search_without_it():
         else:
             assert got[2] == off[2], (fs, ws, k)
     assert elementary >= 30 and lowered >= 20
+
+
+def _growth_cases():
+    """Davenport questions on Z_n, n <= 40, with {1, 2}, {1, -1}, the
+    intervals [1, r] and the units."""
+    cases = []
+    for n in range(3, 41):
+        sets = {(1, 2), (1, n - 1), tuple(units(n))}
+        sets |= {tuple(range(1, r + 1)) for r in range(1, n)}
+        cases += [((n,), ws, None) for ws in sorted(sets)]
+    return cases
+
+
+def test_growth_rule_agrees_with_one_new_sum_per_element():
+    # bound = (1, 1) is the rule that counts one new sum per element and one
+    # for the last element's room; (g, m) keeps every answer and drops nodes
+    cases = _draw() + _growth_cases()
+    lowered = 0
+    for fs, ws, k in cases:
+        old = _run_on_tables(fs, ws, k, bound=(1, 1))
+        got = _run_on_tables(fs, ws, k)
+        assert got[:2] == old[:2], (fs, ws, k)
+        assert got[2] <= old[2], (fs, ws, k)
+        lowered += got[2] < old[2]
+    assert len(cases) > 700 and lowered >= 300
+
+
+def _exact_start(entries, c, r):
+    """The fail memo that covers a child only at its entries' own start c."""
+    return any(entries[i] == c and entries[i + 1] <= r for i in range(0, len(entries), 2))
+
+
+def test_fail_memo_covers_later_starts(monkeypatch):
+    # an entry (c, r) of a Sigma covers a child (c', r') with c <= c' and
+    # r <= r'; against the memo that covers c' = c only, it keeps every
+    # answer and drops nodes
+    covered = solver._covered
+    assert covered((5, 3), 5, 3) and covered((5, 3), 7, 4)
+    assert not covered((5, 3), 4, 3) and not covered((5, 3), 5, 2)
+    assert covered((9, 1, 5, 3), 9, 1) and covered((9, 1, 5, 3), 6, 3)
+    assert not covered((9, 1, 5, 3), 6, 2)
+    cases = _draw() + _growth_cases()
+    got = [_run_on_tables(*case) for case in cases]
+    monkeypatch.setattr(solver, "_covered", _exact_start)
+    lowered = 0
+    for case, new in zip(cases, got):
+        exact = _run_on_tables(*case)
+        assert new[:2] == exact[:2], case
+        assert new[2] <= exact[2], case
+        lowered += new[2] < exact[2]
+    assert lowered >= 100, lowered

@@ -10,6 +10,7 @@ import pytest
 from davlab import solver
 from davlab.engine import GSequence, WeightSet, has_weighted_zero_sum
 from davlab.groups import GroupOrderError, GroupSpec, cyclic, element_index, index_element, normalize_group, units
+from davlab.numtheory import isprime
 from davlab.randomlab import Classification, SweepConfig, classify_dav, threshold_sweep
 from davlab.solver import (
     CapExceededError,
@@ -98,25 +99,88 @@ def test_davenport_matches_brute_force_products():
 @pytest.mark.parametrize(
     "factors, weights, value, nodes, witness",
     [
-        ((3, 9), (1,), 11, 14_498, ((0, 1),) * 8 + ((1, 0),) * 2),
-        ((3, 3, 3), (1,), 7, 164, ((0, 0, 1),) * 2 + ((0, 1, 0),) * 2 + ((1, 0, 0),) * 2),
-        ((5, 5), (1,), 9, 1_002, ((0, 1),) * 4 + ((1, 0),) * 4),
-        ((150,), (1, 2, 148, 149), 5, 12_284, ((1,), (3,), (9,), (27,))),
-        ((48,), (1, 47), 6, 2_689, ((1,), (2,), (4,), (8,), (16,))),
+        ((3, 9), (1,), 11, 11_662, ((0, 1),) * 8 + ((1, 0),) * 2),
+        ((3, 3, 3), (1,), 7, 134, ((0, 0, 1),) * 2 + ((0, 1, 0),) * 2 + ((1, 0, 0),) * 2),
+        ((5, 5), (1,), 9, 797, ((0, 1),) * 4 + ((1, 0),) * 4),
+        ((150,), (1, 2, 148, 149), 5, 11_478, ((1,), (3,), (9,), (27,))),
+        ((48,), (1, 47), 6, 2_191, ((1,), (2,), (4,), (8,), (16,))),
         ((2, 2, 2, 2), (1,), 5, 9, ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))),
     ],
 )
 def test_node_counts_and_witnesses_pinned(factors, weights, value, nodes, witness):
     # values and witnesses are the first kernel's; nodes are pinned too, so a
-    # faster kernel must visit the same nodes in the same order.  The two
-    # rows whose weights a unit s != 1 fixes (s = -1) count the nodes of the
-    # kernel that never extends a prefix by an element s maps lower, and the
-    # non-cyclic rows those of the kernel rooted at Aut(G)-orbit minima; the
-    # Z_p^r rows those of the kernel that also keeps every later element in
-    # the span of the prefix or least outside it.
+    # change to the visit order or to what is pruned shows up here, and a
+    # kernel that prunes more must re-pin them with the same values and
+    # witnesses.  The counts are those of the kernel that never extends a
+    # prefix by an element a unit fixing A maps lower, roots at Aut(G)-orbit
+    # minima, keeps every later element of Z_p^r in the span of the prefix
+    # or least outside it, keys its fail memo by Sigma with entries covering
+    # later starts, and prunes by the growth rule with the last element's
+    # room m (see solver._find_zsf).
     g = GroupSpec(factors)
     r = davenport(g, WeightSet(g.exponent, weights), threads=1)
     assert (r.value, r.nodes_explored, r.witness.entries) == (value, nodes, witness)
+
+
+def test_cauchy_davenport_refutes_at_the_root():
+    # D_A(Z_p) <= floor((p - 1)/|A|) + 1: at k = 33 the root's Sigma of 4
+    # sums, 3 more per later element and the last element's 3 pass 97, so
+    # the refutation takes no node (the scan took 9,191 nodes when every
+    # element counted one new sum and the last element one)
+    g = cyclic(97)
+    w = WeightSet(97, (1, 2, 3))
+    r = davenport(g, w)
+    assert (r.value, r.nodes_explored, r.witness.entries) == (33, 496, ((1,),) * 32)
+    check = check_dav_at_most(g, w, 33)
+    assert (check.holds, check.nodes) == (True, 0)
+
+
+def test_growth_bound_is_the_least_room_of_a_last_element():
+    # m = min |A*x| over nonzero x with 0 not in A*x, read from the divisors
+    # of exp(G); g = |A| on Z_p only
+    rng = random.Random(61)
+    checked = 0
+    for fs in (fs for rank in GROUPS_BY_RANK for fs in rank):
+        g = GroupSpec(fs)
+        e = g.exponent
+        assert g.order <= 64
+        elements = [index_element(g, c) for c in range(1, g.order)]
+        for _ in range(4):
+            ws = tuple(sorted(rng.sample(range(1, e), rng.randint(1, min(5, e - 1)))))
+            multiples = [{tuple_scale(fs, a, x) for a in ws} for x in elements]
+            room = min(len(ax) for ax in multiples if (0,) * len(fs) not in ax)
+            tables = solver._WeightTables(g, WeightSet(e, ws))
+            assert tables.bound is None
+            grow = len(ws) if len(fs) == 1 and isprime(e) else 1
+            assert tables.growth() == tables.bound == (grow, room), (fs, ws)
+            checked += 1
+    assert checked >= 150
+
+
+def test_pruned_search_matches_brute_force_oracles():
+    # the growth rule (g, m) and the fail memo over later starts prune only
+    # states with no zero-sum-free completion: every bounded check up to D
+    # answers as the oracle does
+    rng = random.Random(67)
+    cases = []
+    for n in range(2, 17):
+        sets = {tuple(units(n)), tuple(range(1, n // 2 + 1))}
+        if n > 2:
+            sets |= {(1, 2), (1, n - 1)}
+        sets |= {tuple(sorted(rng.sample(range(1, n), rng.randint(1, min(4, n - 1))))) for _ in range(3)}
+        cases += [((n,), ws) for ws in sorted(sets)]
+    cases += [(fs, ws) for fs in ((2, 4), (3, 3), (2, 2, 2)) for ws in _weight_sets(fs[-1])]
+    for factors, ws in cases:
+        g = GroupSpec(factors)
+        w = WeightSet(g.exponent, ws)
+        r = davenport(g, w)
+        assert r.value == brute_davenport(factors, ws), (factors, ws)
+        assert check_dav_at_most(g, w, r.value).holds, (factors, ws)
+        for k in range(1, r.value):
+            want = brute_lex_least_zsf(factors, ws, k)
+            got = check_dav_at_most(g, w, k)
+            assert not got.holds and got.counterexample.entries == want, (factors, ws, k)
+        assert r.witness.entries == brute_lex_least_zsf(factors, ws, r.value - 1), (factors, ws)
 
 
 @pytest.mark.parametrize(

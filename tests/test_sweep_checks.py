@@ -45,17 +45,17 @@ PINNED = [
     (15, 24, True, None, 163),
     (16, 28, True, None, 104),
     (17, 26, True, None, 152),
-    (18, 45, True, None, 3),
-    (19, 35, True, None, 36),
-    (20, 51, True, None, 5),
+    (18, 45, True, None, 1),
+    (19, 35, True, None, 6),
+    (20, 51, True, None, 1),
     (21, 23, True, None, 194),
-    (22, 47, True, None, 6),
+    (22, 47, True, None, 1),
     (23, 30, True, None, 74),
-    (24, 39, True, None, 15),
-    (25, 35, True, None, 35),
-    (26, 44, True, None, 10),
-    (27, 38, True, None, 23),
-    (28, 52, True, None, 2),
+    (24, 39, True, None, 1),
+    (25, 35, True, None, 3),
+    (26, 44, True, None, 2),
+    (27, 38, True, None, 1),
+    (28, 52, True, None, 1),
     (29, 49, True, None, 1),
 ]
 
