@@ -12,7 +12,7 @@ has_weighted_zero_sum reads bit 0 of the fold: an implementation that shares
 only images with the search kernel, kept as its independent oracle.  The
 multiples A*x come from flat indices by arithmetic on digits (images), which
 solver's padded layout shares through scaled_weights.  The zero-sum-free
-test that fd and classify_dav run on many multisets is solver's
+test that fd's culprit walk runs on many multisets is solver's
 first_zero_free, the search kernel's own test and step on that layout.
 
 Weight sets are enumerated one per unit-dilation orbit by

@@ -17,9 +17,8 @@ from typing import Optional
 
 from .engine import WeightSet
 from .fdsolver import ratio_covers
-from .groups import GroupSpec, check_order, cyclic
+from .groups import check_order, cyclic
 from .numtheory import isprime
-from . import solver
 from .solver import Budget, BudgetExceededError, Meter, _Pool, check_dav_at_most
 
 
@@ -111,14 +110,9 @@ def classify_dav(p: int, weights, k: int) -> Classification:
     Two tests decide it, D_A <= k - 1 and D_A <= k.  A test of D_A <= 2 is
     the exact criterion A/A = Z_p* (fdsolver.ratio_covers), which costs
     |A| rotations of a (p-1)-bit set, or |A|^2 products when that is fewer
-    than p, instead of a bounded check; larger bounds go through the
-    bounded check, which stays check_dav_at_most for k < 4, and for k >= 4,
-    where both tests are bounded checks, the two share one set of tables.
-    The k-1 test is skipped for k <= 2, as D_A(Z_p) >= 2, and when the
-    all-ones multiset of length k-1 is already zero-sum-free, which rules LT
-    out without a search; that
-    pretest is one solver.first_zero_free walk, the bounded check's own
-    test and step with no tables built.
+    than p; any other bound is one check_dav_at_most call.  No weight is
+    0 mod p, so [1] is zero-sum-free under every A and D_A(Z_p) >= 2: the
+    k - 1 test is skipped for k <= 2.
     """
     check_order(p)
     if not isprime(p):
@@ -129,21 +123,11 @@ def classify_dav(p: int, weights, k: int) -> Classification:
     if ws.exponent != p:
         raise ValueError(f"weight exponent {ws.exponent} does not match p = {p}")
     group = cyclic(p)
-    if k < 4:
-        return _classify(group, ws, k, lambda j: check_dav_at_most(group, ws, j).holds)
-    return _classify(group, ws, k, solver._WeightTables(group, ws).holds)
-
-
-def _classify(group: GroupSpec, ws: WeightSet, k: int, bounded) -> Classification:
-    """classify_dav's two tests, bounded(j) deciding D_A <= j for j != 2."""
 
     def at_most(j: int) -> bool:
-        return ratio_covers(group.order, ws.residues) if j == 2 else bounded(j)
+        return ratio_covers(p, ws.residues) if j == 2 else check_dav_at_most(group, ws, j).holds
 
-    ones = [[1] * (k - 1)]  # flat index 1 is the element 1 of Z_p
-    # no weight is 0 mod p, so [1] is zero-sum-free under every A and
-    # D_A(Z_p) >= 2: LT needs no test below k = 3
-    if k >= 3 and solver.first_zero_free(group, ws.residues, ones) is None and at_most(k - 1):
+    if k >= 3 and at_most(k - 1):
         return Classification.LT
     if at_most(k):
         return Classification.EQ

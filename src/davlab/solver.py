@@ -27,14 +27,14 @@ every point at x_j and x_j + n_j in each coordinate.  Then for a move m,
 bits of G: of the two copies in coordinate j exactly one lands in
 [0, n_j), and a borrow from a negative coordinate lands in its padding.
 first_zero_free runs the same test and step along given multisets, with no
-search, memo or table beyond the masks A*(-x): fd refutes candidates with
-it by the culprits of its failed checks, and classify_dav pretests the
-all-ones multiset.  It is the one zero-sum-free walk besides the kernel.
+search, memo or table beyond the masks A*(-x) and move lists of the elements
+it walks: fd refutes candidates with it by the culprits of its failed
+checks.  It is the one zero-sum-free walk besides the kernel.
 
 check_dav_at_most(G, A, k) is one kernel call per root, and D_A(G) is the
 first k at which it holds, so davenport() scans k = 1, 2, ... over one set
-of tables; certify_dav_value and classify_dav run their two bounded checks
-over one set too.  A k < D usually finds its multiset with little or no
+of tables, and certify_dav_value runs its two bounded checks over one
+set too.  A k < D usually finds its multiset with little or no
 backtracking (k - 1 nodes when none), so nearly all of a scan is the one
 refutation at k = D.  Masks and move lists follow one rule (see
 _WeightTables): each is built the first time the kernel reads it, the mask
@@ -84,9 +84,9 @@ function of Sigma, and the fail memo stays sound.  The search has the one
 root 1, and the last coordinate varies fastest, so after 1, p, ..., p^j the
 span is the flat indices [0, p^(j+1)) and the least index outside it is
 p^(j+1): the rule is a bound, and a state that has appended p^j scans root
-1's survivors up to p^(j+1) (see _WeightTables).  Groups that are not elementary abelian scan one list per
-root, as the rule does not apply to them.  Z_3 + Z_9, for one, is searched
-without it.
+1's survivors up to p^(j+1) (see _WeightTables).  Groups that are not
+elementary abelian scan one list per root, as the rule does not apply to
+them.  Z_3 + Z_9, for one, is searched without it.
 """
 
 from __future__ import annotations
@@ -470,13 +470,14 @@ class _WeightTables:
         entry = self.root_scans[root] = (scans, outs)
         return entry
 
-    def shifts(self, c: int) -> tuple[int, ...]:
-        """The move list of c: S - m for the padded bits m of A*c, largest first."""
-        shift = self.padding.shift
-        nj, period, bs = self.plus[0]
+    @staticmethod
+    def shifts(c: int, plus: tuple, shift: int) -> tuple[int, ...]:
+        """The move list of c: S - m for the padded bits m of A*c, largest
+        first, with plus the scaled weights A and shift S."""
+        nj, period, bs = plus[0]
         if c < nj:  # as in bits()
             return tuple(sorted({shift - b * c % period for b in bs}, reverse=True))
-        return tuple(sorted({shift - m for m in images(c, self.plus)}, reverse=True))
+        return tuple(sorted({shift - m for m in images(c, plus)}, reverse=True))
 
     def killed(self, root: int) -> set[int]:
         """Flat indices c with a*c in -Sigma for some weight a, where
@@ -685,7 +686,7 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
                 return chosen, nodes
             mv = moves[c]
             if mv is None:
-                mv = moves[c] = tables.shifts(c)
+                mv = moves[c] = tables.shifts(c, tables.plus, pad.shift)
             if tiled is None:
                 tiled = bits
                 for s in spread:
@@ -738,19 +739,20 @@ def first_zero_free(
     with Sigma, the sums with the empty one, when A*(-x) meets Sigma, and
     otherwise Sigma grows to
     Sigma | ((OR over m in A*x of T >> (S - m)) & mask), T the tiled Sigma.
-    The bits of A*(-x), the kernel's masks, are kept for the call.  No step
-    is kept, and none is taken by a multiset's last element, whose sums
-    nothing reads.  Each step reads A*x directly, not a move list.  It
-    builds G's padded layout, one 2^(r-1)*|G|-bit mask, and no table, so
-    _TABLE_BYTES does not apply.
+    The bits of A*(-x), the kernel's masks, and the move list of x, the
+    kernel's shifts S - m, are kept for the call, each built the first time
+    a walk reads it.  No step is kept, and none is taken by a multiset's
+    last element, whose sums nothing reads.  It builds G's padded layout,
+    one 2^(r-1)*|G|-bit mask, and no table, so _TABLE_BYTES does not apply.
     """
     pad = _padding(group)
     e = group.exponent
     plus = pad.scaled(residues)
     minus = pad.scaled(tuple([e - a for a in residues]))  # (e - a)*x = -a*x
     mask, spread, shift = pad.mask, pad.spread, pad.shift
-    bits_of = _WeightTables.bits
+    bits_of, shifts_of = _WeightTables.bits, _WeightTables.shifts
     negs: dict[int, int] = {}
+    moves: dict[int, tuple[int, ...]] = {}
     for j, ms in enumerate(multisets):
         bits = 1
         last = len(ms) - 1
@@ -761,12 +763,15 @@ def first_zero_free(
             if neg & bits:
                 break
             if i < last:
+                mv = moves.get(x)
+                if mv is None:
+                    mv = moves[x] = shifts_of(x, plus, shift)
                 tiled = bits
                 for s in spread:
                     tiled |= tiled << s
                 nb = 0
-                for m in images(x, plus):
-                    nb |= tiled >> shift - m
+                for s in mv:
+                    nb |= tiled >> s
                 bits |= nb & mask
         else:
             return j

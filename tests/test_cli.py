@@ -112,12 +112,16 @@ def test_non_finite_settings_are_usage_errors(capsys, argv):
         ("verify", "known-formulas", "--max-n", "1"),
         ("verify", "intervals", "--limit", "3"),
         ("construct", "quartic", "--p", "499", "--n-dilates", "-1"),
+        ("davenport", "--group", "8", "--weights", "1", "--cap", "0"),
+        ("sweep", "--p", "31", "--k", "2", "--theta", "0.1:0.2", "--trials", "1"),
+        ("sweep", "--p", "31", "--k", "2", "--theta", "0.1:0.2:0", "--trials", "1"),
     ],
 )
 def test_settings_that_bound_nothing_are_usage_errors(capsys, argv):
     # a negative budget tripped before it started (exit 2), an empty suite
     # passed over no case (exit 0), and a negative dilate count failed as a
-    # violated claim (exit 1)
+    # violated claim (exit 1); a cap of 0 admits no value, and a theta grid
+    # needs A:B:STEPS with at least one step
     code, out, err = run_cli(capsys, *argv)
     assert code == 64
     assert out == ""

@@ -361,6 +361,20 @@ def test_bounded_checks_go_through_check_dav_at_most(monkeypatch):
         calls.clear()
         assert classify_dav(7, weights, 3) is want
         assert len(calls) == 1, weights
+    # k >= 4: both tests are bounded checks, the k test made only when the
+    # k - 1 test fails.  On Z_11, D is 3, 4, 5, 6 for {1, 2, 3, 4}, {1, 2, 3},
+    # {1, 3}, {1, 2}
+    for weights, k, want, checks in (
+        ([1, 2, 3, 4], 4, Classification.LT, 1),
+        ([1, 2, 3], 4, Classification.EQ, 2),
+        ([1, 3], 4, Classification.GT, 2),
+        ([1, 2, 3], 5, Classification.LT, 1),
+        ([1, 3], 5, Classification.EQ, 2),
+        ([1, 2], 5, Classification.GT, 2),
+    ):
+        calls.clear()
+        assert classify_dav(11, weights, k) is want
+        assert [c[2] for c in calls] == [k - 1, k][:checks], (weights, k)
 
 
 def test_fd_z53_k3():

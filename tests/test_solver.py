@@ -11,7 +11,7 @@ from davlab import solver
 from davlab.engine import GSequence, WeightSet, has_weighted_zero_sum
 from davlab.groups import GroupOrderError, GroupSpec, cyclic, element_index, index_element, normalize_group, units
 from davlab.numtheory import isprime
-from davlab.randomlab import Classification, SweepConfig, classify_dav, threshold_sweep
+from davlab.randomlab import SweepConfig, threshold_sweep
 from davlab.solver import (
     CapExceededError,
     certify_dav_value,
@@ -99,12 +99,21 @@ def test_davenport_matches_brute_force_products():
 @pytest.mark.parametrize(
     "factors, weights, value, nodes, witness",
     [
-        ((3, 9), (1,), 11, 11_662, ((0, 1),) * 8 + ((1, 0),) * 2),
-        ((3, 3, 3), (1,), 7, 134, ((0, 0, 1),) * 2 + ((0, 1, 0),) * 2 + ((1, 0, 0),) * 2),
-        ((5, 5), (1,), 9, 797, ((0, 1),) * 4 + ((1, 0),) * 4),
-        ((150,), (1, 2, 148, 149), 5, 11_478, ((1,), (3,), (9,), (27,))),
-        ((48,), (1, 47), 6, 2_191, ((1,), (2,), (4,), (8,), (16,))),
-        ((2, 2, 2, 2), (1,), 5, 9, ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))),
+        pytest.param((3, 9), (1,), 11, 11_662, ((0, 1),) * 8 + ((1, 0),) * 2, id="Z3xZ9-1"),
+        pytest.param(
+            (3, 3, 3), (1,), 7, 134, ((0, 0, 1),) * 2 + ((0, 1, 0),) * 2 + ((1, 0, 0),) * 2,
+            id="Z3xZ3xZ3-1",
+        ),
+        pytest.param((5, 5), (1,), 9, 797, ((0, 1),) * 4 + ((1, 0),) * 4, id="Z5xZ5-1"),
+        pytest.param(
+            (150,), (1, 2, 148, 149), 5, 11_478, ((1,), (3,), (9,), (27,)),
+            id="Z150-pm1pm2",
+        ),
+        pytest.param((48,), (1, 47), 6, 2_191, ((1,), (2,), (4,), (8,), (16,)), id="Z48-pm1"),
+        pytest.param(
+            (2, 2, 2, 2), (1,), 5, 9, ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)),
+            id="Z2xZ2xZ2xZ2-1",
+        ),
     ],
 )
 def test_node_counts_and_witnesses_pinned(factors, weights, value, nodes, witness):
@@ -521,10 +530,6 @@ def test_one_table_per_certify_and_classify(monkeypatch):
     built.clear()
     assert not certify_dav_value(cyclic(23), WeightSet(23, (1, 2, 3)), 9)
     assert len(built) == 1
-    built.clear()
-    # k = 4: the tests D_A <= 3 and D_A <= 4 are both bounded checks
-    assert classify_dav(11, WeightSet(11, (1, 2, 3)), 4) is Classification.EQ
-    assert len(built) == 1
 
 
 def _killed_by_root(factors, weights, root):
@@ -672,6 +677,38 @@ def test_memo_limit_bounded_in_bytes():
     assert limit * key_bytes <= solver._MEMO_BYTES
 
 
+@pytest.mark.parametrize(
+    "factors, weights",
+    [
+        pytest.param((3, 9), (1,), id="Z3xZ9-1"),
+        pytest.param((48,), (1, 47), id="Z48-pm1"),
+        pytest.param((5, 5), (1,), id="Z5xZ5-1"),
+    ],
+)
+def test_fail_memo_clear_keeps_answers(factors, weights):
+    # a fail memo of 2 entries is cleared over and over: the value, the
+    # witness and the culprit at k = D - 1 stay the default's, and the nodes
+    # rise, as states the cleared entries covered are expanded again
+    g = GroupSpec(factors)
+    ws = WeightSet(g.exponent, weights)
+    tables = solver._WeightTables(g, ws)
+    tables.padding = pad = solver._Padding(g)
+    pad.memo_limit = 2
+    nodes, k, witness = 0, 1, []
+    while True:
+        found, n_nodes = tables.first(k)
+        nodes += n_nodes
+        if found is None:
+            break
+        witness, k = found, k + 1
+    default = davenport(g, ws)
+    assert k == default.value
+    # the witness is the culprit of the small memo's check at k = D - 1
+    culprit = solver._indices_to_sequence(g, witness)
+    assert culprit == default.witness == check_dav_at_most(g, ws, k - 1).counterexample
+    assert nodes > default.nodes_explored
+
+
 def test_move_tables_bounded_in_bytes():
     # the padded layout gives Z_2^r sets of 2^(2r-1) bits; past the table bound
     # the kernel refuses the group before it builds anything
@@ -693,6 +730,8 @@ def test_certify_dav_value_agrees_with_solver():
         assert certify_dav_value(cyclic(n), ws, value)
         assert not certify_dav_value(cyclic(n), ws, value + 1)
         assert not certify_dav_value(cyclic(n), ws, value - 1)
+    # no value below 1 is certified, and no search runs for it
+    assert certify_dav_value(cyclic(7), WeightSet(7, (1,)), 0) is False
 
 
 def test_certify_threaded_with_listed_weights():
