@@ -259,6 +259,47 @@ def canonical_roots(group: GroupSpec) -> tuple[int, ...]:
     of b factors n, never the |G| elements.  For cyclic Z_n the roots are
     the divisors of n below n.
     """
+    zero, _, least = _orbit_classes(group)
+    return tuple(sorted(i for key, i in least.items() if key != zero))
+
+
+@lru_cache(maxsize=None)
+def aut_orbit_minima(group: GroupSpec) -> tuple[int, ...]:
+    """For each flat index, the least flat index of its Aut(G)-orbit: 0 for
+    0 and a member of canonical_roots(group) for every other element.
+
+    The orbit of x is fixed by its divisors d_j = gcd(x_j, n_j) through the
+    height sequences of canonical_roots, so the labels are read per divisor
+    tuple, prod tau(n_j) <= |G| of them, and spread over the flat indices
+    digit by digit.  On cyclic Z_n the label of x is gcd(x, n).
+    """
+    zero, seqs, least = _orbit_classes(group)
+    divisors = [sorted(seq) for seq in seqs]  # per coordinate, the residues d mod n_j
+    labels = [least[_height_key(zero, seqs, xs)] for xs in product(*divisors)]
+    at = [0]  # per flat index, the position of its divisor tuple in labels
+    for n, ds in zip(group.invariant_factors, divisors):
+        pos = {d: i for i, d in enumerate(ds)}
+        col = [pos[gcd(a, n) % n] for a in range(n)]
+        t = len(ds)
+        at = [b * t + c for b in at for c in col]
+    return tuple([labels[i] for i in at])
+
+
+def _height_key(zero: tuple[int, ...], seqs, xs: Sequence[int]) -> tuple[int, ...]:
+    """The padded height sequences of the element with divisor residues xs,
+    one per coordinate: the elementwise minimum of its coordinates' (see
+    canonical_roots)."""
+    return tuple(map(min, zero, *[s[x] for s, x in zip(seqs, xs)]))
+
+
+@lru_cache(maxsize=None)
+def _orbit_classes(group: GroupSpec) -> tuple[tuple[int, ...], tuple[dict, ...], dict]:
+    """(zero, seqs, least) for the orbit rule of canonical_roots: zero is the
+    padded height sequences of 0, seqs[j] maps each divisor d of n_j, as the
+    residue d mod n_j, to the padded sequences of a coordinate j with
+    gcd(x_j, n_j) = d, and least maps each key of _height_key to the least
+    flat index with it, the orbit minimum.  Only divisor tuples
+    nondecreasing within each run of equal factors are visited."""
     fs = group.invariant_factors
     tops = factorint(fs[-1])
     zero = tuple(e for e in tops.values() for _ in range(e))  # the sequences of 0
@@ -279,9 +320,8 @@ def canonical_roots(group: GroupSpec) -> tuple[int, ...]:
     least: dict[tuple[int, ...], int] = {}
     for parts in product(*runs):
         xs = [x for part in parts for x in part]
-        key = tuple(map(min, zero, *[s[x] for s, x in zip(seqs, xs)]))
+        key = _height_key(zero, seqs, xs)
         i = sum(map(mul, xs, strides))
         if i < least.get(key, i + 1):
             least[key] = i
-    del least[zero]
-    return tuple(sorted(least.values()))
+    return zero, tuple(seqs), least

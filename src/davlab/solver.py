@@ -62,7 +62,17 @@ multiset M of some size, sorted(phi(M)) would be a lex-smaller one, so M
 starts at an orbit minimum and the restriction loses neither existence nor
 the lex-least witness.  On cyclic groups the orbits are the unit orbits and
 the roots the divisors of n below n; on Z_p^r every nonzero element is in
-one orbit, so a refutation searches the single root 1.  Every later
+one orbit, so a refutation searches the single root 1.  Roots are searched
+in ascending order and a k ends at the first that extends, so when root r
+is searched no zero-sum-free multiset of size k starts at an earlier root.
+Then none starting at r holds an element x whose orbit minimum rho is an
+earlier root: phi with phi(x) = rho would map it to one whose least element
+lies below r, and mapping the least element to its orbit minimum, again and
+again, ends at one that starts at an earlier root.  So every root after the
+first scans only the elements whose orbit minimum is no earlier root, in the
+spirit of isomorph-free generation (McKay, J. Algorithms 26, 1998); the
+lex-least witness holds none of the others either, since all its elements
+have orbit minima from its first element up.  Every later
 element is restricted to orbit minima under the units s != 1 with s*A = A
 (A's stabilizer; -1 for A = -A): since A*(s*x) = A*x, swapping an element x
 of a zero-sum-free multiset for a lower s*x keeps it zero-sum-free and makes
@@ -114,6 +124,7 @@ from .engine import (
 from .groups import (
     GroupOrderError,
     GroupSpec,
+    aut_orbit_minima,
     canonical_roots,
     check_order,
     cyclic,
@@ -327,6 +338,17 @@ def _stabilizer(weights: WeightSet) -> tuple[int, ...]:
     return tuple(gens)
 
 
+def _outside_orbits(group: GroupSpec, roots: set[int], xs: list[int]) -> list[int]:
+    """The elements of xs whose Aut(G)-orbit minimum is not in roots: on
+    cyclic Z_n that minimum is gcd(x, n), elsewhere groups.aut_orbit_minima
+    reads it, built once per group."""
+    if group.rank == 1:
+        n = group.order
+        return [x for x in xs if gcd(x, n) not in roots]
+    label = aut_orbit_minima(group)
+    return [x for x in xs if label[x] not in roots]
+
+
 class _WeightTables:
     """Per-(group, weights) masks and move lists for the multiset search,
     each built the first time a search can read it.
@@ -391,6 +413,15 @@ class _WeightTables:
     lex-least multiset holds no such c (see the module docstring), so no
     answer and no node count changes.  No list loses its own root: a root is
     least in its Aut(G)-orbit, which holds its images under those units.
+    Under a root after the first it also leaves out every c whose Aut(G)-
+    orbit minimum is a root before it in `roots` (_outside_orbits): first()
+    reaches a root only once every earlier one has failed at this k, and
+    then no zero-sum-free multiset under it holds such a c (see the module
+    docstring), so no answer changes.  Nodes nearly always fall, but a
+    skipped c no longer leaves fail-memo entries, and where another element
+    kills and extends as c does (c + n/2 on Z_n with every weight even) its
+    states are expanded instead of covered.  The rule reads no k and no
+    state, so it keeps one list per root.
     `minima`, the flat index of each element's least image under those
     units, is None until the first list of the tables is built, which sets
     it once, to [] when only s = 1 fixes A.  Searches that build no list
@@ -446,9 +477,11 @@ class _WeightTables:
 
     def root_scan(self, root: int) -> tuple[list[list[int]], list[int]]:
         """Build and return root_scans[root] from the survivors, the elements
-        from root up that killed(root) leaves and no unit fixing A maps
-        lower, ascending: root 1 under the span rule gets a level per power
-        of p, every other root one level.  The first call computes minima."""
+        from root up that killed(root) leaves, no unit fixing A maps lower
+        and, under a root after the first, whose Aut(G)-orbit minimum is no
+        earlier root in `roots`, ascending: root 1 under the span rule gets
+        a level per power of p, every other root one level.  The first call
+        computes minima."""
         minima = self.minima
         if minima is None:
             stab = _stabilizer(self.weights)
@@ -457,6 +490,9 @@ class _WeightTables:
         survivors = list(filterfalse(dead.__contains__, range(root, self.order)))
         if minima:
             survivors = [x for x in survivors if minima[x] == x]
+        earlier = self.roots[:self.roots.index(root)]
+        if earlier:
+            survivors = _outside_orbits(self.group, set(earlier), survivors)
         scans, outs = [], []
         p = self.span_prime
         if p and root == 1:
@@ -555,7 +591,8 @@ class _WeightTables:
 
         Roots are scanned in ascending order and the scan stops at the first
         root with a size-k extension, so nodes count up to and including
-        that root.
+        that root, and each root is searched only once every earlier one
+        has failed, which lets it skip their orbits (see root_scan).
         """
         nodes = 0
         for root in self.roots:
@@ -612,6 +649,10 @@ class _Pool:
 def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[int]], int]:
     """Lex-least zero-sum-free multiset of size k starting at root, plus nodes.
 
+    Under a root after the first the answer holds when, as in first(),
+    every earlier root has no size-k extension: its scan list leaves out
+    the orbits of those roots (see _WeightTables).
+
     Depth-first over nondecreasing extensions on an explicit stack.  c is
     killed when masks[c] = A*(-c) meets Sigma, the sums with the empty one,
     and otherwise extends Sigma to
@@ -637,10 +678,11 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     tuple (c_1, r_1, c_2, r_2, ...).  An entry covers a child (c', Sigma,
     r') with c <= c' and r <= r'.  A state's candidates are the elements of
     its scan list from c up, and the list depends on Sigma alone: one list
-    per root, and under the span rule the level, which is span(Sigma) as
-    every weight is a unit mod p.  So a later start scans a subset of the
-    same candidates, and a state that fails with r elements to place fails
-    with any r' >= r, as a zero-sum-free extension's prefixes are too.
+    per root, whatever orbits it leaves out, and under the span rule the
+    level, which is span(Sigma) as every weight is a unit mod p.  So a
+    later start scans a subset of the same candidates, and a state that
+    fails with r elements to place fails with any r' >= r, as a
+    zero-sum-free extension's prefixes are too.
     """
     w = tables.root_sums.get(root)
     if w is None:

@@ -11,6 +11,7 @@ from davlab.groups import (
     GroupOrderError,
     GroupSpec,
     as_element,
+    aut_orbit_minima,
     canonical_roots,
     check_element,
     cyclic,
@@ -230,6 +231,23 @@ def test_canonical_roots_are_automorphism_orbit_minima(factors):
     g = GroupSpec(factors)
     mins = brute_aut_orbit_minima(factors)
     assert canonical_roots(g) == tuple(i for i, m in enumerate(mins) if 0 < i == m)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [(2, 4), (2, 6), (2, 8), (4, 4), (3, 9), (6, 6), (9, 9), (2, 2, 4), (2, 4, 4), (2, 2, 6), (3, 3, 9)],
+)
+def test_aut_orbit_minima_are_the_least_automorphic_images(factors):
+    # every flat index is labelled with the least image under the automorphisms
+    g = GroupSpec(factors)
+    labels = aut_orbit_minima(g)
+    assert list(labels) == brute_aut_orbit_minima(factors)
+    assert sorted(set(labels) - {0}) == list(canonical_roots(g))
+
+
+def test_aut_orbit_minima_on_cyclic_groups_are_gcds():
+    for n in range(2, 61):
+        assert aut_orbit_minima(cyclic(n)) == (0,) + tuple(gcd(x, n) for x in range(1, n)), n
 
 
 @pytest.mark.parametrize(

@@ -12,9 +12,11 @@ groups they are the counts of the kernel that also roots its search at the
 least element of each Aut(G)-orbit instead of each unit orbit, and on
 Z_p^r those of the kernel that also keeps every later element in the span
 of the prefix or least outside it.  Every count is that of the kernel whose
-fail memo is keyed by Sigma alone, with entries that cover later starts, and
+fail memo is keyed by Sigma alone, with entries that cover later starts,
 whose growth rule counts the last element's room m and, on Z_p, a growth of
-|A| per element (Cauchy-Davenport; see solver._find_zsf).  Node counts are
+|A| per element (Cauchy-Davenport; see solver._find_zsf), and whose roots
+after the first never append an element whose Aut(G)-orbit minimum is an
+earlier root (see solver._WeightTables.root_scan).  Node counts are
 not an invariant: a kernel that prunes more re-pins them, with values,
 witnesses, holds flags and counterexamples unchanged, and the tests below
 check each pruning rule against the search without it.  Any other change to
@@ -23,6 +25,7 @@ node count.
 """
 
 import random
+from collections import Counter
 
 from davlab import solver
 from davlab.engine import WeightSet
@@ -66,14 +69,14 @@ def _run(fs, ws, k):
 PINNED = [
     ((12,), (2, 4, 9), None, 3, (1, 1), 4),
     ((12,), (2, 4, 9), 7, True, None, 2),
-    ((2, 2, 2, 4), (1,), None, 7, (1, 1, 1, 4, 8, 16), 3192),
+    ((2, 2, 2, 4), (1,), None, 7, (1, 1, 1, 4, 8, 16), 2794),
     ((2, 2, 2, 4), (1,), 2, False, (1, 1), 1),
     ((11,), (8,), None, 11, (1, 1, 1, 1, 1, 1, 1, 1, 1, 1), 45),
     ((11,), (8,), 1, False, (1,), 0),
     ((2, 2, 2, 4), (2,), None, 2, (1,), 1),
     ((2, 2, 2, 4), (2,), 5, True, None, 1),
-    ((2, 2, 6), (1, 5), None, 5, (1, 2, 6, 12), 83),
-    ((2, 2, 6), (1, 5), 6, True, None, 77),
+    ((2, 2, 6), (1, 5), None, 5, (1, 2, 6, 12), 71),
+    ((2, 2, 6), (1, 5), 6, True, None, 65),
     ((19,), (10, 15, 18), None, 4, (1, 1, 3), 15),
     ((19,), (10, 15, 18), 3, False, (1, 1, 3), 2),
     ((2, 2, 2), (1,), None, 4, (1, 2, 4), 5),
@@ -84,17 +87,17 @@ PINNED = [
     ((2, 2, 2, 4), (2, 3), 7, True, None, 1),
     ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 9),
     ((2, 2, 2, 2), (1,), 1, False, (1,), 0),
-    ((24,), (5, 14, 16), None, 3, (1, 1), 17),
-    ((24,), (5, 14, 16), 8, True, None, 16),
+    ((24,), (5, 14, 16), None, 3, (1, 1), 13),
+    ((24,), (5, 14, 16), 8, True, None, 12),
     ((2, 4), (1, 2, 3), None, 2, (1,), 1),
     ((2, 4), (1, 2, 3), 5, True, None, 0),
     ((2, 2, 2, 4), (1, 2, 3), None, 2, (1,), 1),
     ((2, 2, 2, 4), (1, 2, 3), 7, True, None, 1),
-    ((4, 4), (1, 3), None, 5, (1, 2, 4, 8), 33),
+    ((4, 4), (1, 3), None, 5, (1, 2, 4, 8), 25),
     ((4, 4), (1, 3), 3, False, (1, 2, 4), 2),
     ((2, 2, 2, 4), (1, 2), None, 2, (1,), 1),
     ((2, 2, 2, 4), (1, 2), 8, True, None, 1),
-    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 298),
+    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 206),
     ((2, 2, 2, 4), (1, 3), 5, False, (1, 2, 4, 8, 16), 4),
     ((3, 3, 3), (2,), None, 7, (1, 1, 3, 3, 9, 9), 134),
     ((3, 3, 3), (2,), 5, False, (1, 1, 3, 3, 9), 4),
@@ -118,8 +121,8 @@ PINNED = [
     ((2, 2, 2, 2), (1,), 2, False, (1, 2), 1),
     ((13,), (1, 6, 11), None, 3, (1, 1), 5),
     ((13,), (1, 6, 11), 8, True, None, 0),
-    ((2, 2, 6), (1, 3), None, 4, (1, 6, 12), 127),
-    ((2, 2, 6), (1, 3), 8, True, None, 124),
+    ((2, 2, 6), (1, 3), None, 4, (1, 6, 12), 103),
+    ((2, 2, 6), (1, 3), 8, True, None, 100),
     ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 9),
     ((2, 2, 2, 2), (1,), 7, True, None, 3),
     ((3, 3, 3), (1,), None, 7, (1, 1, 3, 3, 9, 9), 134),
@@ -132,17 +135,17 @@ PINNED = [
     ((2, 6), (2,), 7, True, None, 4),
     ((3, 3, 3), (1, 2), None, 4, (1, 3, 9), 5),
     ((3, 3, 3), (1, 2), 5, True, None, 2),
-    ((2, 8), (3,), None, 9, (1, 1, 1, 1, 1, 1, 1, 8), 433),
+    ((2, 8), (3,), None, 9, (1, 1, 1, 1, 1, 1, 1, 8), 221),
     ((2, 8), (3,), 8, False, (1, 1, 1, 1, 1, 1, 1, 8), 7),
     ((2, 2, 2, 4), (1, 2), None, 2, (1,), 1),
     ((2, 2, 2, 4), (1, 2), 6, True, None, 1),
-    ((2, 2, 2, 4), (3,), None, 7, (1, 1, 1, 4, 8, 16), 3192),
+    ((2, 2, 2, 4), (3,), None, 7, (1, 1, 1, 4, 8, 16), 2794),
     ((2, 2, 2, 4), (3,), 5, False, (1, 1, 1, 4, 8), 4),
     ((8,), (1,), None, 8, (1, 1, 1, 1, 1, 1, 1), 21),
     ((8,), (1,), 2, False, (1, 1), 1),
-    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 298),
+    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 206),
     ((2, 2, 2, 4), (1, 3), 1, False, (1,), 0),
-    ((2, 2, 4), (1, 3), None, 5, (1, 2, 4, 8), 56),
+    ((2, 2, 4), (1, 3), None, 5, (1, 2, 4, 8), 40),
     ((2, 2, 4), (1, 3), 2, False, (1, 2), 1),
     ((2, 4, 4), (1, 2, 3), None, 3, (1, 4), 4),
     ((2, 4, 4), (1, 2, 3), 5, True, None, 3),
@@ -154,21 +157,21 @@ PINNED = [
     ((18,), (3, 9), 5, True, None, 3),
     ((2, 2, 4), (1, 2), None, 2, (1,), 1),
     ((2, 2, 4), (1, 2), 1, False, (1,), 0),
-    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 298),
+    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 206),
     ((2, 2, 2, 4), (1, 3), 2, False, (1, 2), 1),
     ((2, 2), (1,), None, 3, (1, 2), 2),
     ((2, 2), (1,), 2, False, (1, 2), 1),
-    ((2, 2, 6), (1, 5), None, 5, (1, 2, 6, 12), 83),
-    ((2, 2, 6), (1, 5), 7, True, None, 77),
-    ((2, 4, 4), (3,), None, 8, (1, 1, 1, 4, 4, 4, 16), 11931),
-    ((2, 4, 4), (3,), 8, True, None, 11910),
+    ((2, 2, 6), (1, 5), None, 5, (1, 2, 6, 12), 71),
+    ((2, 2, 6), (1, 5), 7, True, None, 65),
+    ((2, 4, 4), (3,), None, 8, (1, 1, 1, 4, 4, 4, 16), 10598),
+    ((2, 4, 4), (3,), 8, True, None, 10577),
     ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 9),
     ((2, 2, 2, 2), (1,), 7, True, None, 3),
     ((2, 2, 6), (4,), None, 3, (1, 1), 5),
     ((2, 2, 6), (4,), 1, False, (1,), 0),
-    ((2, 2, 6), (1, 3), None, 4, (1, 6, 12), 127),
-    ((2, 2, 6), (1, 3), 7, True, None, 124),
-    ((2, 4, 4), (3,), None, 8, (1, 1, 1, 4, 4, 4, 16), 11931),
+    ((2, 2, 6), (1, 3), None, 4, (1, 6, 12), 103),
+    ((2, 2, 6), (1, 3), 7, True, None, 100),
+    ((2, 4, 4), (3,), None, 8, (1, 1, 1, 4, 4, 4, 16), 10598),
     ((2, 4, 4), (3,), 6, False, (1, 1, 1, 4, 4, 4), 5),
     ((2, 2), (1,), None, 3, (1, 2), 2),
     ((2, 2), (1,), 2, False, (1, 2), 1),
@@ -182,7 +185,7 @@ PINNED = [
     ((2, 2), (1,), 3, True, None, 1),
     ((2, 2), (1,), None, 3, (1, 2), 2),
     ((2, 2), (1,), 8, True, None, 0),
-    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 298),
+    ((2, 2, 2, 4), (1, 3), None, 6, (1, 2, 4, 8, 16), 206),
     ((2, 2, 2, 4), (1, 3), 3, False, (1, 2, 4), 2),
 ]
 
@@ -195,10 +198,10 @@ def test_kernel_matches_pinned_results():
 # davenport (value, witness, nodes) on groups of several roots whose
 # refutations reach roots after the first, from the benchmark's exact battery
 PINNED_MULTI_ROOT = [
-    ((150,), (1, 2, 148, 149), 5, (1, 3, 9, 27), 11478),
-    ((48,), (1, 47), 6, (1, 2, 4, 8, 16), 2191),
-    ((3, 9), (1,), 11, (1, 1, 1, 1, 1, 1, 1, 1, 9, 9), 11662),
-    ((2, 4, 4), (1,), 8, (1, 1, 1, 4, 4, 4, 16), 11931),
+    ((150,), (1, 2, 148, 149), 5, (1, 3, 9, 27), 3026),
+    ((48,), (1, 47), 6, (1, 2, 4, 8, 16), 785),
+    ((3, 9), (1,), 11, (1, 1, 1, 1, 1, 1, 1, 1, 9, 9), 6230),
+    ((2, 4, 4), (1,), 8, (1, 1, 1, 4, 4, 4, 16), 10598),
 ]
 
 
@@ -314,3 +317,44 @@ def test_fail_memo_covers_later_starts(monkeypatch):
         assert new[2] <= exact[2], case
         lowered += new[2] < exact[2]
     assert lowered >= 100, lowered
+
+
+# weight sets whose lex-least zero-sum-free multiset of size 3 starts at the
+# root 2, with 2 repeated: [2, 2, 3] or [2, 2, 9]
+LATER_ROOT_WITNESSES = [((24,), (1, 3, 7, 10)), ((24,), (3, 5, 11, 14, 15)), ((30,), (1, 3, 4, 5, 13))]
+
+
+def _exact_battery_multi_root():
+    """The benchmark's exact davenport questions, undilated, on the groups
+    with more than one root: {1} on Z_n (n <= 30), {1, -1} (n <= 48), the
+    intervals [1, r] for r <= 4 (n <= 40), {1} and {1, -1} on Z_3+Z_9,
+    Z_2+Z_4, Z_4+Z_4, Z_2+Z_6 and Z_2^2+Z_4, and {±1, ±2} on Z_150."""
+    cases = []
+    for n in range(4, 49):
+        if isprime(n):
+            continue
+        if n <= 30:
+            cases.append(((n,), (1,), None))
+        cases.append(((n,), (1, n - 1), None))
+        cases += [((n,), tuple(range(1, r + 1)), None) for r in (2, 3, 4) if r + 2 <= n <= 40]
+    for fs in ((3, 9), (2, 4), (4, 4), (2, 6), (2, 2, 4)):
+        cases += [(fs, (1,), None), (fs, (1, fs[-1] - 1), None)]
+    cases.append(((150,), (1, 2, 148, 149), None))
+    return cases
+
+
+def test_later_roots_skip_the_orbits_of_earlier_roots(monkeypatch):
+    # under a root after the first, an element whose Aut(G)-orbit minimum is
+    # an earlier root is never appended; against the search that appends
+    # it, every answer stays and, on these questions, no node count rises
+    cases = _draw() + _exact_battery_multi_root()
+    cases += [(fs, ws, k) for fs, ws in LATER_ROOT_WITNESSES for k in (None, 3)]
+    got = [_run(*case) for case in cases]
+    monkeypatch.setattr(solver, "_outside_orbits", lambda group, roots, xs: xs)
+    lowered = Counter()
+    for case, new in zip(cases, got):
+        off = _run(*case)
+        assert new[:2] == off[:2], case
+        assert new[2] <= off[2], case
+        lowered[len(case[0]) > 1] += new[2] < off[2]
+    assert lowered[False] >= 80 and lowered[True] >= 25, lowered
