@@ -165,10 +165,6 @@ class _Layout:
         self._ones = sum(st for _, st, _ in coords)  # flat index of (1, ..., 1)
         self._strides = tuple([(nj, st) for nj, st, _ in coords])
 
-    def scaled(self, bs: tuple[int, ...]) -> tuple:
-        """The weights bs scaled for images() into flat indices."""
-        return scaled_weights(self._strides, bs)
-
     def translate(self, bits: int, idx: int) -> int:
         """Image of the set under x -> x + g where g has flat index idx."""
         if idx == 0 or bits == 0:
@@ -262,7 +258,7 @@ def reachable_sums(group: GroupSpec, weights: WeightSet, seq: GSequence) -> Resi
     """
     indices = _seq_indices(group, weights, seq)
     lay = _layout(group)
-    plus = lay.scaled(weights.residues)
+    plus = scaled_weights(lay._strides, weights.residues)
     bits = 0
     for i in indices:
         nxt = bits

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, product
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -123,17 +123,6 @@ def parse_group(text: str) -> GroupSpec:
     except ValueError:
         raise ValueError(f"cannot parse group {text!r}: expected N or NxM...") from None
     return normalize_group(orders)
-
-
-def scalar_mul(group: GroupSpec, c: int, g: Element) -> Element:
-    fs = group.invariant_factors
-    if len(g) != len(fs):
-        raise ValueError("coordinate count mismatch")
-    return tuple((c * a) % n for a, n in zip(g, fs))
-
-
-def element_order(group: GroupSpec, g: Element) -> int:
-    return lcm(*(n // gcd(a, n) for a, n in zip(g, group.invariant_factors)))
 
 
 def check_element(group: GroupSpec, g: Element) -> Element:

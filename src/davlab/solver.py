@@ -174,7 +174,7 @@ class _Padding:
     coords lists (n_j, st_j, P_j) for each coordinate, last first, with st_j
     the flat stride and P_j the padded one, so divmod by n_j in that order
     reads the digits of a flat index, and strides the pairs (n_j, P_j) that
-    scaled() passes to scaled_weights; mask holds the padded bits of G's
+    engine.scaled_weights reads; mask holds the padded bits of G's
     elements; spread lists the tiling shifts n_j*P_j for j = r..1; shift is
     S = sum n_j*P_j; width is the bits a reachable set can take, 2^(r-1)*|G|.
     """
@@ -202,10 +202,6 @@ class _Padding:
             mask = tile(mask, pj, nj)
         self.mask = mask
         self.memo_limit = _memo_limit(self.width)
-
-    def scaled(self, bs: tuple[int, ...]) -> tuple:
-        """The weights bs scaled for images() into padded bits."""
-        return scaled_weights(self.strides, bs)
 
 
 _padding = lru_cache(maxsize=None)(_Padding)
@@ -350,88 +346,88 @@ def _outside_orbits(group: GroupSpec, roots: set[int], xs: list[int]) -> list[in
 
 
 class _WeightTables:
-    """Per-(group, weights) masks and move lists for the multiset search,
-    each built the first time a search can read it.
+    """Per-(group, weights) state of the multiset search, each part built
+    the first time a search can read it.  Sets are in the padded layout of
+    `padding`; lists are indexed by the flat index c of an element.
 
-    Indexed by the flat index c of an element, holding sets in the padded
-    layout of `padding`.  A candidate c dies against Sigma, the sums with the
-    empty one, when A*c meets -Sigma, which masks[c] = A*(-c) tests with one
-    AND; 0 is in Sigma, so that covers A*c holding 0.  A*(-c) is never empty,
-    so masks holds 0 exactly where no mask is built yet, and the kernel
-    builds a 0 entry through mask() the first time it tests it, at every
-    level, for every k and every root; a search builds only the masks it
-    tested.
-
-    A search under root r starts from Sigma = A*r | {0}, which already kills
-    the c with a*c in -Sigma for some a in A; killed() finds them by solving
-    a*x = t (mod n_j) coordinate by coordinate, and since Sigma only grows
-    they are dead in every state under r.  root_sums[r] keeps A*r and
-    root_kills[r] the killed set from the first search under r that needs
-    them, so a k = 2 search, which reads killed(r) alone (see _find_zsf),
-    and the k = 3 search after it solve the congruences once.
-    root_scans[r] = (scans, outs) keeps, from the first search under r that
-    scans (k >= 3, and not one that ends on A*r alone: r dead or too few
-    elements left to grow Sigma), the survivors: the others from r up that
-    are least in their orbit under the units fixing A (below), ascending,
-    so the kernel never tests a killed candidate and never builds its mask.
-    A state at level j scans scans[j] and may append outs[j], the one
-    element that takes its child to level j + 1; a root has one level,
-    scans = [survivors] and outs = [-1] (no such element), except root 1
-    under the span rule.  Entries live as long as the tables: per root
-    scanned, one list of at most |G| indices, and under the span rule r - 1
-    shorter ones.
-
-    On G = Z_p^r with r >= 2 (span_prime = p; 0 elsewhere, and setting it to
-    0 turns the rule off) a state whose prefix spans W scans only the
-    survivors in W and the least flat index outside W (see the module
-    docstring).  From root 1 the prefix 1, p, ..., p^j spans the flat
-    indices [0, p^(j+1)), so level j of root 1, for p^(j+1) < |G|, is its
-    survivors up to p^(j+1) with out element p^(j+1), and the last level is
-    all its survivors.  p^(j+1) is always a survivor: no element outside W
-    is ever killed, as a*c lies outside W and -Sigma inside it, and no unit
-    maps it lower, as s*c lies outside W too.  Any other root, which only
-    tests set on Z_p^r through `roots`, scans one level.  So which list a
-    state scans is a function of its Sigma, one list per root and on root 1
-    under the span rule the level of span(Sigma), every weight being a unit
-    mod p; that is what lets _find_zsf key its fail memo by Sigma alone and
-    let an entry at last element c cover every later start.
-
-    bound = (g, m) feeds the growth rule of every k >= 3 search, set by
-    growth() the first time one needs it; (1, 1) is the rule that counts one
-    new sum per element.  m is the room the last element x needs outside
-    Sigma, its sums -A*x: |A*x| = |A mod ord(x)|, as a*x = b*x iff ord(x)
-    divides a - b, and the orders are the divisors of exp(G), so m is read
-    from those divisors.  g is what each other element adds to Sigma, which
-    becomes Sigma + ({0} | A*x): on Z_p at least |A| by Cauchy-Davenport,
-    |X + Y| >= min(p, |X| + |Y| - 1), until Sigma is Z_p and kills every
-    candidate; elsewhere 1.  On Z_p both are |A| without a divisor.
+    Per element:
+    - masks[c] = A*(-c), built by mask() the first time the kernel tests c,
+      at any level, k or root.  c dies against Sigma, the sums with the
+      empty one, when A*c meets -Sigma: one AND, and as 0 is in Sigma it
+      covers A*c holding 0.  A*(-c) is never empty, so 0 means not built.
+    - moves[c], the shifts S - m for the padded bits m of A*c, built the
+      first time the kernel extends a prefix by c.
+    - minima[c], c's least image under the units s with s*A = A (see
+      _stabilizer).  minima is None until the first list of the tables is
+      built, which sets it once, to [] when only s = 1 fixes A; searches
+      that build no list never compute the stabilizer.
+    Per root r, kept as long as the tables:
+    - root_kills[r] = killed(r), the c with a*c in -Sigma for Sigma =
+      A*r | {0} and some a in A, found by solving a*x = t (mod n_j)
+      coordinate by coordinate.  Sigma only grows, so they are dead in every
+      state under r.  A k = 2 search reads it alone (see _find_zsf), and the
+      k = 3 search after it solves no congruence again.
+    - root_scans[r] = (scans, outs) from root_scan(r), built by the first
+      search under r that scans (k >= 3, and not one that ends on A*r
+      alone: r dead or too few elements left to grow Sigma).  A state at
+      level j scans scans[j] and may append outs[j], the one element that
+      takes its child to level j + 1.  A root has one level, scans =
+      [survivors] and outs = [-1] (no such element), except root 1 under
+      the span rule, which adds r - 1 shorter lists.
+    Per table: the scaled weights plus (A) and minus (-A), the roots
+    (groups.canonical_roots), span_prime and bound.
 
     root_scan is the one place that decides which elements a state may
-    append, and a list never changes once built.  Besides the killed
-    elements it leaves out every c that a unit s fixing A (s*A = A, see
-    _stabilizer) maps to a lower flat index: A*(s*c) = A*c, and the
-    lex-least multiset holds no such c (see the module docstring), so no
-    answer and no node count changes.  No list loses its own root: a root is
-    least in its Aut(G)-orbit, which holds its images under those units.
-    Under a root after the first it also leaves out every c whose Aut(G)-
-    orbit minimum is a root before it in `roots` (_outside_orbits): first()
-    reaches a root only once every earlier one has failed at this k, and
-    then no zero-sum-free multiset under it holds such a c (see the module
-    docstring), so no answer changes.  Nodes nearly always fall, but a
-    skipped c no longer leaves fail-memo entries, and where another element
-    kills and extends as c does (c + n/2 on Z_n with every weight even) its
-    states are expanded instead of covered.  The rule reads no k and no
-    state, so it keeps one list per root.
-    `minima`, the flat index of each element's least image under those
-    units, is None until the first list of the tables is built, which sets
-    it once, to [] when only s = 1 fixes A.  Searches that build no list
-    never compute the stabilizer.  moves[c], the shifts S - m for the padded
-    bits m of A*c, is built the first time the kernel extends a prefix by c.
+    append, and a list never changes once built.  It keeps the elements
+    from r up, ascending, except the ones its rules leave out:
+    - Killed by r: only candidate tests, and their masks, as each would
+      fail its mask test in every state under r.
+    - Mapped lower by a unit s with s*A = A: only candidate tests.  The
+      lex-least multiset holds no such c (see the module docstring), and
+      A*(s*c) = A*c, so appending c or s*c makes the same child Sigma: the
+      lower twin's failure is a fail-memo entry that covers the upper one.
+      Nodes have fallen only where the memo was cleared between the twins
+      (Z_210 with {1, -1}).  No list loses its own root, least in its
+      Aut(G)-orbit, which holds its images.
+    - Under a root after the first, a c whose Aut(G)-orbit minimum is a
+      root before it in `roots` (_outside_orbits): nodes.  first() reaches
+      a root only once every earlier one has failed at this k, and then no
+      zero-sum-free multiset under it holds such a c (see the module
+      docstring).  Nodes nearly always fall, but a skipped c no longer
+      leaves fail-memo entries, and where another element kills and
+      extends as c does (c + n/2 on Z_n with every weight even) its states
+      are expanded instead of covered.
+    - On G = Z_p^r with r >= 2 (span_prime = p; 0 elsewhere, and setting it
+      to 0 turns the rule off), outside the span W of the prefix all but
+      the least flat index (the span rule, see the module docstring):
+      nodes.  From root 1 the prefix 1, p, ..., p^j spans the flat indices
+      [0, p^(j+1)), so level j of root 1, for p^(j+1) < |G|, is its
+      survivors up to p^(j+1) with out element p^(j+1), and the last level
+      is all of them.  p^(j+1) always survives: no element outside W is
+      killed, as a*c lies outside W and -Sigma inside it, and no unit maps
+      it lower, as s*c lies outside W too.  Any other root, which only
+      tests set on Z_p^r through `roots`, scans one level.
+    No rule reads k, and a state's list is a function of its Sigma: one
+    list per root, and on root 1 under the span rule the level of
+    span(Sigma), every weight being a unit mod p.  That lets _find_zsf key
+    its fail memo by Sigma alone and let an entry at last element c cover
+    every later start.
+
+    bound = (g, m) feeds the growth rule of every k >= 3 search, which cuts
+    nodes; growth() sets it the first time one needs it, and (1, 1) is the
+    rule that counts one new sum per element.  m is the room the last
+    element x needs outside Sigma, its sums -A*x: |A*x| = |A mod ord(x)|,
+    as a*x = b*x iff ord(x) divides a - b, and the orders are the divisors
+    of exp(G), so m is read from those divisors.  g is what each other
+    element adds to Sigma, which becomes Sigma + ({0} | A*x): on Z_p at
+    least |A| by Cauchy-Davenport, |X + Y| >= min(p, |X| + |Y| - 1), until
+    Sigma is Z_p and kills every candidate; elsewhere 1.  On Z_p both are
+    |A| without a divisor.
     """
 
     __slots__ = (
-        "group", "order", "padding", "weights", "negated", "plus", "minus", "masks", "moves",
-        "roots", "root_sums", "root_kills", "root_scans", "minima", "span_prime", "bound",
+        "group", "order", "padding", "weights", "plus", "minus", "masks", "moves",
+        "roots", "root_kills", "root_scans", "minima", "span_prime", "bound",
     )
 
     def __init__(self, group: GroupSpec, weights: WeightSet):
@@ -447,13 +443,12 @@ class _WeightTables:
         self.padding = pad = _padding(group)
         self.weights = weights
         e = group.exponent
-        self.negated = tuple([e - a for a in weights.residues])  # (e - a)*x = -a*x
-        self.plus = pad.scaled(weights.residues)
-        self.minus = pad.scaled(self.negated)
+        negated = tuple([e - a for a in weights.residues])  # (e - a)*x = -a*x
+        self.plus = scaled_weights(pad.strides, weights.residues)
+        self.minus = scaled_weights(pad.strides, negated)
         self.masks = [0] * n
         self.moves: list[Optional[tuple[int, ...]]] = [None] * n
         self.roots = canonical_roots(group)
-        self.root_sums: dict[int, int] = {}
         self.root_kills: dict[int, set[int]] = {}
         self.root_scans: dict[int, tuple[list[list[int]], list[int]]] = {}
         self.minima: Optional[list[int]] = None
@@ -535,7 +530,7 @@ class _WeightTables:
         cols = []  # the digits of the targets 0 and -(b*root), per coordinate
         for nj, _, _ in coords:
             root, x = divmod(root, nj)
-            cols.append([0] + [b * x % nj for b in self.negated])
+            cols.append([0] + [-b * x % nj for b in self.weights.residues])
         for a in self.weights.residues:
             sums: list[int] = []
             offsets = [0]
@@ -601,10 +596,6 @@ class _WeightTables:
             if found is not None:
                 return found, nodes
         return None, nodes
-
-    def holds(self, k: int) -> bool:
-        """D_A(G) <= k."""
-        return self.first(k)[0] is None
 
 
 def _indices_to_sequence(group: GroupSpec, indices: Iterable[int]) -> GSequence:
@@ -684,9 +675,7 @@ def _find_zsf(tables: _WeightTables, root: int, k: int) -> tuple[Optional[list[i
     fails with r elements to place fails with any r' >= r, as a
     zero-sum-free extension's prefixes are too.
     """
-    w = tables.root_sums.get(root)
-    if w is None:
-        w = tables.root_sums[root] = tables.bits(root, tables.plus)
+    w = tables.bits(root, tables.plus)
     if w & 1:
         return None, 0
     if k == 1:
@@ -789,8 +778,8 @@ def first_zero_free(
     """
     pad = _padding(group)
     e = group.exponent
-    plus = pad.scaled(residues)
-    minus = pad.scaled(tuple([e - a for a in residues]))  # (e - a)*x = -a*x
+    plus = scaled_weights(pad.strides, residues)
+    minus = scaled_weights(pad.strides, tuple([e - a for a in residues]))  # (e - a)*x = -a*x
     mask, spread, shift = pad.mask, pad.spread, pad.shift
     bits_of, shifts_of = _WeightTables.bits, _WeightTables.shifts
     negs: dict[int, int] = {}
@@ -900,7 +889,7 @@ def certify_dav_value(
     if value < 1:
         return False
     tables = _WeightTables(group, weights)
-    return tables.holds(value) and (value == 1 or not tables.holds(value - 1))
+    return tables.first(value)[0] is None and (value == 1 or tables.first(value - 1)[0] is not None)
 
 
 def _max_dav_worker(args) -> tuple[int, tuple[int, ...]]:

@@ -207,8 +207,8 @@ def _fd_relations(p: int, m: int, k: int) -> list[Check]:
     """
     if not isprime(p):
         raise ValueError(f"p = {p} must be prime")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if m < 2:  # m = 1 would only compare fd(Z_p, k) with itself
+        raise ValueError(f"m = {m} reaches no relation: it must be >= 2")
     if k < 1:
         raise ValueError("k must be >= 1")
     if m > floor_log(p, DEFAULT_ORDER_LIMIT):

@@ -110,6 +110,7 @@ def test_non_finite_settings_are_usage_errors(capsys, argv):
         ("sweep", "--p", "31", "--k", "3", "--theta", "0.2:0.4:3", "--trials", "2")
         + ("--max-seconds", "-1"),
         ("verify", "known-formulas", "--max-n", "1"),
+        ("verify", "relations", "--p", "3", "--m", "1"),
         ("verify", "intervals", "--limit", "3"),
         ("construct", "quartic", "--p", "499", "--n-dilates", "-1"),
         ("davenport", "--group", "8", "--weights", "1", "--cap", "0"),
@@ -119,7 +120,8 @@ def test_non_finite_settings_are_usage_errors(capsys, argv):
 )
 def test_settings_that_bound_nothing_are_usage_errors(capsys, argv):
     # a negative budget tripped before it started (exit 2), an empty suite
-    # passed over no case (exit 0), and a negative dilate count failed as a
+    # passed over no case and relations at m = 1 over fd(Z_p) against
+    # itself (exit 0), and a negative dilate count failed as a
     # violated claim (exit 1); a cap of 0 admits no value, and a theta grid
     # needs A:B:STEPS with at least one step
     code, out, err = run_cli(capsys, *argv)

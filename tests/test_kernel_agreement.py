@@ -5,13 +5,14 @@ counterexample, nodes) for check_dav_at_most, on (G, A, k) drawn by _draw()
 over groups of rank 1 to 4.  Witnesses are flat indices.  Values, witnesses,
 holds flags and counterexamples are those of the flat-layout kernel, which
 translated reachable sets one move at a time with engine._Layout.translate.
-Node counts on cyclic groups are those of that kernel where no unit s != 1
-fixes A (s*A = A); where one does, they are the counts of the kernel that
-never extends a prefix by an element such a unit maps lower.  On non-cyclic
-groups they are the counts of the kernel that also roots its search at the
-least element of each Aut(G)-orbit instead of each unit orbit, and on
-Z_p^r those of the kernel that also keeps every later element in the span
-of the prefix or least outside it.  Every count is that of the kernel whose
+Node counts on cyclic groups are those of that kernel.  Leaving out the
+elements that a unit s != 1 with s*A = A maps lower changes no count: since
+A*(s*x) = A*x, the lower twin's failure is a fail-memo entry that covers the
+upper twin (the last test below).  On non-cyclic groups the counts are
+those of the kernel that also roots its search at the least element of
+each Aut(G)-orbit instead of each unit orbit, and on Z_p^r those of the
+kernel that also keeps every later element in the span of the prefix or
+least outside it.  Every count is that of the kernel whose
 fail memo is keyed by Sigma alone, with entries that cover later starts,
 whose growth rule counts the last element's room m and, on Z_p, a growth of
 |A| per element (Cauchy-Davenport; see solver._find_zsf), and whose roots
@@ -358,3 +359,19 @@ def test_later_roots_skip_the_orbits_of_earlier_roots(monkeypatch):
         assert new[2] <= off[2], case
         lowered[len(case[0]) > 1] += new[2] < off[2]
     assert lowered[False] >= 80 and lowered[True] >= 25, lowered
+
+
+def test_unit_stabilizer_rule_changes_no_node_count(monkeypatch):
+    # a unit s with s*A = A gives A*(s*x) = A*x, so appending x or s*x makes
+    # the same child Sigma: the two are killed or pruned alike, and where the
+    # lower twin's child fails, its fail-memo entry covers the upper twin's.
+    # Leaving out the elements such a unit maps lower saves candidate tests
+    # only, on every question the other agreement tests ask.
+    cases = _draw() + _growth_cases() + _exact_battery_multi_root()
+    cases += [(fs, ws, k) for fs, ws in LATER_ROOT_WITNESSES for k in (None, 3)]
+    fixed = sum(bool(solver._stabilizer(WeightSet(fs[-1], ws))) for fs, ws, _ in cases)
+    got = [_run(*case) for case in cases]
+    monkeypatch.setattr(solver, "_stabilizer", lambda weights: ())
+    for case, new in zip(cases, got):
+        assert new == _run(*case), case
+    assert len(cases) > 1100 and fixed >= 150, (len(cases), fixed)

@@ -311,7 +311,7 @@ def test_roots_other_than_one_scan_one_level():
     tables = solver._WeightTables(g, w)
     tables.roots = (3,)  # (1, 0)
     assert tables.first(4)[0] == [3, 3, 4, 4]
-    assert tables.holds(5)
+    assert tables.first(5)[0] is None
     survivors = [c for c in range(3, 9) if c not in tables.killed(3)]
     assert tables.root_scans == {3: ([survivors], [-1])}
 

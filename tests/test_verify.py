@@ -91,6 +91,14 @@ def test_relations_suite_refuses_m_or_k_without_p(kwargs):
         relations_suite(**kwargs)
 
 
+@pytest.mark.parametrize("m", [1, 0])
+def test_relations_suite_refuses_m_below_two(monkeypatch, m):
+    # m = 1 would pass on checks that compare fd(Z_p, k) with itself
+    monkeypatch.setattr(verify, "fd", None)  # refused before any fd call
+    with pytest.raises(ValueError, match="must be >= 2"):
+        relations_suite(p=3, m=m)
+
+
 @pytest.mark.parametrize("p, m, k", [(3, 2, 2), (5, 2, 2), (2, 3, 2), (2, 2, 4)])
 def test_relations_suite_parametrized(p, m, k):
     report = relations_suite(p=p, m=m, k=k)
