@@ -6,23 +6,24 @@ over groups of rank 1 to 4.  Witnesses are flat indices.  Values, witnesses,
 holds flags and counterexamples are those of the flat-layout kernel, which
 translated reachable sets one move at a time with engine._Layout.translate.
 Node counts on cyclic groups are those of that kernel.  Leaving out the
-elements that a unit s != 1 with s*A = A maps lower changes no count: since
-A*(s*x) = A*x, the lower twin's failure is a fail-memo entry that covers the
-upper twin (the last test below).  On non-cyclic groups the counts are
-those of the kernel that also roots its search at the least element of
-each Aut(G)-orbit instead of each unit orbit, and on Z_p^r those of the
-kernel that also keeps every later element in the span of the prefix or
-least outside it.  Every count is that of the kernel whose
-fail memo is keyed by Sigma alone, with entries that cover later starts,
-whose growth rule counts the last element's room m and, on Z_p, a growth of
-|A| per element (Cauchy-Davenport; see solver._find_zsf), and whose roots
-after the first never append an element whose Aut(G)-orbit minimum is an
-earlier root (see solver._WeightTables.root_scan).  Node counts are
-not an invariant: a kernel that prunes more re-pins them, with values,
-witnesses, holds flags and counterexamples unchanged, and the tests below
-check each pruning rule against the search without it.  Any other change to
-the layout, the visit order or the fail memo shows up here as a different
-node count.
+elements that a unit s != 1 with s*A = A maps lower changes no count without
+re-rooting: since A*(s*x) = A*x, the lower twin's failure is a fail-memo
+entry that covers the upper twin (the last test below).  On non-cyclic
+groups the counts are those of the kernel that also roots its search at the
+least element of each Aut(G)-orbit instead of each unit orbit, and on Z_p^r
+those of the kernel that also keeps every later element in the span of the
+prefix or least outside it.  Every count is that of the kernel whose fail
+memo is keyed by Sigma alone, with entries that cover later starts, whose
+growth rule counts the last element's room m and, on Z_p, a growth of |A|
+per element (Cauchy-Davenport; see solver._find_zsf), whose roots after the
+first never append an element whose Aut(G)-orbit minimum is an earlier root
+(see solver._WeightTables.root_scan), and whose root state skips a second
+element x2 = u*root with u^-1*root < x2 (re-rooting, see
+solver._find_zsf).  Node counts are not an invariant: a kernel that prunes
+more re-pins them, with values, witnesses, holds flags and counterexamples
+unchanged, and the tests below check each pruning rule against the search
+without it.  Any other change to the layout, the visit order or the fail
+memo shows up here as a different node count.
 """
 
 import random
@@ -33,6 +34,8 @@ from davlab.engine import WeightSet
 from davlab.groups import GroupSpec, element_index, orbit_minima, units
 from davlab.numtheory import isprime
 from davlab.solver import check_dav_at_most, davenport
+
+from test_sweep_checks import P as SWEEP_P, _draw as sweep_draw
 
 GROUPS_BY_RANK = [
     [(n,) for n in range(2, 25)],
@@ -78,7 +81,7 @@ PINNED = [
     ((2, 2, 2, 4), (2,), 5, True, None, 1),
     ((2, 2, 6), (1, 5), None, 5, (1, 2, 6, 12), 71),
     ((2, 2, 6), (1, 5), 6, True, None, 65),
-    ((19,), (10, 15, 18), None, 4, (1, 1, 3), 15),
+    ((19,), (10, 15, 18), None, 4, (1, 1, 3), 10),
     ((19,), (10, 15, 18), 3, False, (1, 1, 3), 2),
     ((2, 2, 2), (1,), None, 4, (1, 2, 4), 5),
     ((2, 2, 2), (1,), 8, True, None, 0),
@@ -106,7 +109,7 @@ PINNED = [
     ((2, 2, 2, 2), (1,), 2, False, (1, 2), 1),
     ((3, 3, 3), (1, 2), None, 4, (1, 3, 9), 5),
     ((3, 3, 3), (1, 2), 7, True, None, 2),
-    ((5, 5), (1,), None, 9, (1, 1, 1, 1, 5, 5, 5, 5), 797),
+    ((5, 5), (1,), None, 9, (1, 1, 1, 1, 5, 5, 5, 5), 757),
     ((5, 5), (1,), 1, False, (1,), 0),
     ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 9),
     ((2, 2, 2, 2), (1,), 2, False, (1, 2), 1),
@@ -120,7 +123,7 @@ PINNED = [
     ((4, 4), (1, 2, 3), 4, True, None, 1),
     ((2, 2, 2, 2), (1,), None, 5, (1, 2, 4, 8), 9),
     ((2, 2, 2, 2), (1,), 2, False, (1, 2), 1),
-    ((13,), (1, 6, 11), None, 3, (1, 1), 5),
+    ((13,), (1, 6, 11), None, 3, (1, 1), 4),
     ((13,), (1, 6, 11), 8, True, None, 0),
     ((2, 2, 6), (1, 3), None, 4, (1, 6, 12), 103),
     ((2, 2, 6), (1, 3), 8, True, None, 100),
@@ -199,9 +202,9 @@ def test_kernel_matches_pinned_results():
 # davenport (value, witness, nodes) on groups of several roots whose
 # refutations reach roots after the first, from the benchmark's exact battery
 PINNED_MULTI_ROOT = [
-    ((150,), (1, 2, 148, 149), 5, (1, 3, 9, 27), 3026),
+    ((150,), (1, 2, 148, 149), 5, (1, 3, 9, 27), 2949),
     ((48,), (1, 47), 6, (1, 2, 4, 8, 16), 785),
-    ((3, 9), (1,), 11, (1, 1, 1, 1, 1, 1, 1, 1, 9, 9), 6230),
+    ((3, 9), (1,), 11, (1, 1, 1, 1, 1, 1, 1, 1, 9, 9), 5097),
     ((2, 4, 4), (1,), 8, (1, 1, 1, 4, 4, 4, 16), 10598),
 ]
 
@@ -361,17 +364,49 @@ def test_later_roots_skip_the_orbits_of_earlier_roots(monkeypatch):
     assert lowered[False] >= 80 and lowered[True] >= 25, lowered
 
 
+def _sweep_questions(count=60):
+    """check_dav_at_most(Z_499, A, 3) for `count` theta-random A spread over
+    the k = 3 window of the benchmark's sweep."""
+    return [((SWEEP_P,), sweep_draw(i, count).residues, 3) for i in range(count)]
+
+
+def test_re_rooting_agrees_with_the_search_without_it():
+    # the root state skips x2 = u*root, u a unit mod ord(root), when
+    # u^-1*root < x2 (see solver._find_zsf); against the search without it
+    # (reroot = 0) every answer stays and, on these questions, no node count
+    # rises
+    cases = _draw() + _growth_cases() + _exact_battery_multi_root() + _sweep_questions()
+    cases += [(fs, ws, k) for fs, ws in LATER_ROOT_WITNESSES for k in (None, 3)]
+    lowered = Counter()
+    for case in cases:
+        off = _run_on_tables(*case, reroot=0)
+        got = _run_on_tables(*case)
+        assert got[:2] == off[:2], case
+        assert got[2] <= off[2], case
+        lowered[case[0] == (SWEEP_P,)] += got[2] < off[2]
+    assert lowered[False] >= 150 and lowered[True] >= 20, lowered
+
+
 def test_unit_stabilizer_rule_changes_no_node_count(monkeypatch):
     # a unit s with s*A = A gives A*(s*x) = A*x, so appending x or s*x makes
     # the same child Sigma: the two are killed or pruned alike, and where the
     # lower twin's child fails, its fail-memo entry covers the upper twin's.
-    # Leaving out the elements such a unit maps lower saves candidate tests
-    # only, on every question the other agreement tests ask.
+    # Without re-rooting, leaving out the elements such a unit maps lower
+    # saves candidate tests only, on every question the other agreement tests
+    # ask.  With it, the root state may skip the lower twin and keep the
+    # upper one, which then has no fail-memo entry to cover it: answers stay,
+    # and leaving out the upper twin saves nodes too.
     cases = _draw() + _growth_cases() + _exact_battery_multi_root()
     cases += [(fs, ws, k) for fs, ws in LATER_ROOT_WITNESSES for k in (None, 3)]
     fixed = sum(bool(solver._stabilizer(WeightSet(fs[-1], ws))) for fs, ws, _ in cases)
-    got = [_run(*case) for case in cases]
+    got = [(_run_on_tables(*case, reroot=0), _run_on_tables(*case)) for case in cases]
     monkeypatch.setattr(solver, "_stabilizer", lambda weights: ())
-    for case, new in zip(cases, got):
-        assert new == _run(*case), case
+    lowered = 0
+    for case, (new_off, new_on) in zip(cases, got):
+        assert new_off == _run_on_tables(*case, reroot=0), case
+        old_on = _run_on_tables(*case)
+        assert new_on[:2] == old_on[:2], case
+        assert new_on[2] <= old_on[2], case
+        lowered += new_on[2] < old_on[2]
     assert len(cases) > 1100 and fixed >= 150, (len(cases), fixed)
+    assert lowered >= 30, lowered

@@ -99,14 +99,14 @@ def test_davenport_matches_brute_force_products():
 @pytest.mark.parametrize(
     "factors, weights, value, nodes, witness",
     [
-        pytest.param((3, 9), (1,), 11, 6_230, ((0, 1),) * 8 + ((1, 0),) * 2, id="Z3xZ9-1"),
+        pytest.param((3, 9), (1,), 11, 5_097, ((0, 1),) * 8 + ((1, 0),) * 2, id="Z3xZ9-1"),
         pytest.param(
             (3, 3, 3), (1,), 7, 134, ((0, 0, 1),) * 2 + ((0, 1, 0),) * 2 + ((1, 0, 0),) * 2,
             id="Z3xZ3xZ3-1",
         ),
-        pytest.param((5, 5), (1,), 9, 797, ((0, 1),) * 4 + ((1, 0),) * 4, id="Z5xZ5-1"),
+        pytest.param((5, 5), (1,), 9, 757, ((0, 1),) * 4 + ((1, 0),) * 4, id="Z5xZ5-1"),
         pytest.param(
-            (150,), (1, 2, 148, 149), 5, 3_026, ((1,), (3,), (9,), (27,)),
+            (150,), (1, 2, 148, 149), 5, 2_949, ((1,), (3,), (9,), (27,)),
             id="Z150-pm1pm2",
         ),
         pytest.param((48,), (1, 47), 6, 785, ((1,), (2,), (4,), (8,), (16,)), id="Z48-pm1"),
@@ -125,8 +125,8 @@ def test_node_counts_and_witnesses_pinned(factors, weights, value, nodes, witnes
     # minima, keeps every later element of Z_p^r in the span of the prefix
     # or least outside it, keys its fail memo by Sigma with entries covering
     # later starts, prunes by the growth rule with the last element's room m
-    # (see solver._find_zsf), and under a later root skips the Aut(G)-orbits
-    # of earlier roots.
+    # (see solver._find_zsf), under a later root skips the Aut(G)-orbits of
+    # earlier roots, and re-roots the root state at its second element.
     g = GroupSpec(factors)
     r = davenport(g, WeightSet(g.exponent, weights), threads=1)
     assert (r.value, r.nodes_explored, r.witness.entries) == (value, nodes, witness)
@@ -168,10 +168,10 @@ def test_growth_bound_is_the_least_room_of_a_last_element():
 
 
 def test_pruned_search_matches_brute_force_oracles():
-    # the growth rule (g, m), the fail memo over later starts and, under a
-    # later root, the skipped orbits of earlier roots prune only states with
-    # no zero-sum-free completion: every bounded check up to D answers as
-    # the oracle does
+    # the growth rule (g, m), the fail memo over later starts, re-rooting at
+    # the second element and, under a later root, the skipped orbits of
+    # earlier roots keep the lex-least zero-sum-free multiset: every bounded
+    # check up to D answers as the oracle does
     rng = random.Random(67)
     cases = []
     for n in range(2, 17):
@@ -194,6 +194,37 @@ def test_pruned_search_matches_brute_force_oracles():
             got = check_dav_at_most(g, w, k)
             assert not got.holds and got.counterexample.entries == want, (factors, ws, k)
         assert r.witness.entries == brute_lex_least_zsf(factors, ws, r.value - 1), (factors, ws)
+
+
+def _re_rooted_lower(factors, first, second):
+    """Whether second = u*first for a unit u mod ord(first) with u^-1*first
+    below second, elements as tuples (their order is flat-index order): the
+    automorphism x -> u^-1*x would then map (first, second, ...) to a
+    multiset starting (first, u^-1*first, ...), lex-smaller."""
+    order = next(t for t in itertools.count(1) if not any(tuple_scale(factors, t, first)))
+    for u in range(1, order):
+        if gcd(u, order) == 1 and tuple_scale(factors, u, first) == second:
+            return tuple_scale(factors, pow(u, -1, order), first) < second
+    return False
+
+
+def test_lex_least_second_element_is_never_re_rooted_lower():
+    # the root state skips x2 = u*root when u^-1*root < x2 (see
+    # solver._find_zsf), and the oracle's lex-least zero-sum-free multisets
+    # never start with such a pair, over every weight set of these groups
+    groups = [(n,) for n in range(3, 11)] + [(2, 4), (3, 3), (2, 6), (2, 2, 4)]
+    cases = [(fs, ws) for fs in groups for ws in _weight_sets(fs[-1])] + LATER_ROOT_WITNESSES
+    multiples = 0
+    for factors, ws in cases:
+        for k in itertools.count(2):
+            ms = brute_lex_least_zsf(factors, ws, k)
+            if ms is None:
+                break
+            assert not _re_rooted_lower(factors, ms[0], ms[1]), (factors, ws, ms)
+            multiples += ms[1] != ms[0] and any(
+                tuple_scale(factors, u, ms[0]) == ms[1] for u in range(2, factors[-1])
+            )
+    assert multiples >= 100, multiples
 
 
 @pytest.mark.parametrize(

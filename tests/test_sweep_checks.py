@@ -6,7 +6,9 @@ classification of a seeded theta-random A.  The rows below are the kernel's
 (|A|, holds, counterexample, nodes) for thirty such A, drawn by _draw() at
 densities spread over the k = 3 window of the benchmark's sweep, from the
 kernel that built the mask A*(-c) of every element c up front.  Counterexamples
-are residues.
+are residues.  Node counts are those of the kernel whose root state skips a
+second element x with x^-1 < x (re-rooting, see solver._find_zsf), about
+half of what that kernel took; the masks it builds are unchanged.
 """
 
 import math
@@ -20,10 +22,12 @@ from davlab.solver import check_dav_at_most
 P = 499
 
 
-def _draw(i):
+def _draw(i, count=30):
+    """The i-th of `count` theta-random A, densities evenly spaced from the
+    window's low end to its high end."""
     low = 0.2 * math.sqrt(P) / P
     high = 1.5 * (9 * P * math.log(P)) ** (1 / 3) / P
-    return sample_theta_random(P, low + (high - low) * i / 29, random.Random(8000 + i))
+    return sample_theta_random(P, low + (high - low) * i / (count - 1), random.Random(8000 + i))
 
 
 PINNED = [
@@ -34,25 +38,25 @@ PINNED = [
     (4, 8, False, (1, 1, 1), 2),
     (5, 11, False, (1, 1, 1), 2),
     (6, 14, False, (1, 7, 274), 4),
-    (7, 16, True, None, 285),
+    (7, 16, True, None, 143),
     (8, 14, False, (1, 1, 11), 2),
     (9, 18, False, (1, 1, 87), 2),
-    (10, 17, True, None, 276),
-    (11, 21, True, None, 194),
+    (10, 17, True, None, 139),
+    (11, 21, True, None, 98),
     (12, 19, False, (1, 1, 1), 2),
-    (13, 27, True, None, 115),
-    (14, 27, True, None, 98),
-    (15, 24, True, None, 163),
-    (16, 28, True, None, 104),
-    (17, 26, True, None, 152),
+    (13, 27, True, None, 58),
+    (14, 27, True, None, 50),
+    (15, 24, True, None, 82),
+    (16, 28, True, None, 53),
+    (17, 26, True, None, 77),
     (18, 45, True, None, 1),
-    (19, 35, True, None, 6),
+    (19, 35, True, None, 4),
     (20, 51, True, None, 1),
-    (21, 23, True, None, 194),
+    (21, 23, True, None, 98),
     (22, 47, True, None, 1),
-    (23, 30, True, None, 74),
+    (23, 30, True, None, 38),
     (24, 39, True, None, 1),
-    (25, 35, True, None, 3),
+    (25, 35, True, None, 2),
     (26, 44, True, None, 2),
     (27, 38, True, None, 1),
     (28, 52, True, None, 1),
@@ -75,7 +79,7 @@ def test_refutation_builds_fewer_masks_than_elements():
     # never built; a refutation reads the mask of every other one
     ws = _draw(13)
     tables = solver._WeightTables(cyclic(P), ws)
-    assert solver._find_zsf(tables, 1, 3) == (None, 115)
+    assert solver._find_zsf(tables, 1, 3) == (None, 58)
     built = sum(1 for w in tables.masks if w)
     assert 0 < built < P - 1
 
@@ -85,7 +89,7 @@ def test_refutation_masks_pinned():
     # build a mask for each one it tests and for no candidate the root
     # kills, so the counts equal those of a scan over every element
     tables = solver._WeightTables(cyclic(P), _draw(13))
-    assert solver._find_zsf(tables, 1, 3) == (None, 115)
+    assert solver._find_zsf(tables, 1, 3) == (None, 58)
     assert sum(1 for w in tables.masks if w) == 114
     tables = solver._WeightTables(cyclic(P), _draw(0))
     assert solver._find_zsf(tables, 1, 4) == ([1, 1, 1, 2], 3)
