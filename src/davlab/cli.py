@@ -12,7 +12,6 @@ not read and an unwritable --log or --out file, refused before computing).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import re
@@ -308,7 +307,7 @@ def _cmd_sweep(args) -> _Outcome:
             f"{r.mean_size:<8.2f} {r.trials_empty}"
         )
     code = EXIT_BUDGET if res.partial else EXIT_OK
-    return "sweep", dataclasses.asdict(config), result, lines, code
+    return "sweep", config.as_dict(), result, lines, code
 
 
 # verify: each suite's flags (the ones it needs once any is given, then the

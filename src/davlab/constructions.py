@@ -10,10 +10,10 @@ rechecked on the constructed objects.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from math import ceil, inf, isqrt
 from typing import Optional
 
+from ._record import Record
 from .engine import WeightSet
 from .fdsolver import fd_lower_bound, ratio_missing
 from .groups import check_order, cyclic
@@ -29,15 +29,24 @@ class ConstructionError(RuntimeError):
         self.info = info
 
 
-@dataclass(frozen=True)
-class ConstructionReport:
-    construction: str
-    parameters: dict
-    weight_set: WeightSet
-    size: int
-    verified_bound: Optional[int]
-    verification: Optional[str]  # "exhaustive" | "ratio-criterion" | None
-    metrics: dict = field(default_factory=dict)
+class ConstructionReport(Record):
+    def __init__(
+        self,
+        construction: str,
+        parameters: dict,
+        weight_set: WeightSet,
+        size: int,
+        verified_bound: Optional[int],
+        verification: Optional[str],  # "exhaustive" | "ratio-criterion" | None
+        metrics: Optional[dict] = None,
+    ):
+        object.__setattr__(self, "construction", construction)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "weight_set", weight_set)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "verified_bound", verified_bound)
+        object.__setattr__(self, "verification", verification)
+        object.__setattr__(self, "metrics", {} if metrics is None else metrics)
 
     def as_dict(self) -> dict:
         return {
@@ -134,12 +143,13 @@ class GFCubicField:
         raise RuntimeError("multiplicative group has no generator")  # impossible
 
 
-@dataclass(frozen=True)
-class PerfectDifferenceSet:
+class PerfectDifferenceSet(Record):
     """Subset of Z_v whose nonzero differences each occur exactly once."""
 
-    v: int
-    elements: tuple[int, ...]
+    def __init__(self, v: int, elements: tuple[int, ...]):
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "elements", elements)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         els = self.elements

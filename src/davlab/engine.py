@@ -22,13 +22,13 @@ so a caller that stops at its first hit lists no further representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from operator import add
 from typing import Iterable, Iterator
 
+from ._record import Record
 from .groups import (
     Element,
     GroupSpec,
@@ -40,12 +40,22 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
-class WeightSet:
+class WeightSet(Record):
     """Nonempty set of weights in [1, exponent-1], stored sorted."""
 
-    exponent: int
-    residues: tuple[int, ...]
+    def __init__(self, exponent: int, residues: tuple[int, ...]):
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "residues", residues)
+        self.__post_init__()
+
+    # spelled out for speed, as in GroupSpec
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.exponent == other.exponent and self.residues == other.residues
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.exponent, self.residues))
 
     def __post_init__(self) -> None:
         if self.exponent < 2:
@@ -80,12 +90,13 @@ class WeightSet:
         return v in self.residues
 
 
-@dataclass(frozen=True)
-class GSequence:
+class GSequence(Record):
     """Finite sequence over a group; order never matters for zero-sums."""
 
-    group: GroupSpec
-    entries: tuple[Element, ...]
+    def __init__(self, group: GroupSpec, entries: tuple[Element, ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for g in self.entries:
@@ -201,12 +212,13 @@ def iter_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-@dataclass(frozen=True)
-class ResidueSet:
+class ResidueSet(Record):
     """Immutable subset of a group backed by a bit vector."""
 
-    group: GroupSpec
-    bits: int
+    def __init__(self, group: GroupSpec, bits: int):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "bits", bits)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.bits < 0 or self.bits >> self.group.order:

@@ -18,12 +18,12 @@ UNKNOWN plus the largest size fully ruled out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 from math import inf, isqrt
 from typing import Callable, Iterable, Optional
 
+from ._record import Record
 from .engine import WeightSet, dilation_orbit_reps
 from .groups import GroupSpec, check_order, element_index
 from .numtheory import integer_nthroot, isprime, primitive_root
@@ -36,8 +36,7 @@ class FdStatus(str, Enum):
     UNKNOWN = "UNKNOWN"
 
 
-@dataclass(frozen=True)
-class FdSearchStats:
+class FdSearchStats(Record):
     """How an fd call got its answer.
 
     candidates counts the weight sets tried.  On the orbit path, checks
@@ -47,19 +46,27 @@ class FdSearchStats:
     extensions as nodes.
     """
 
-    nodes: int
-    candidates: int
-    elapsed: float
-    checks: int
+    def __init__(self, nodes: int, candidates: int, elapsed: float, checks: int):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "elapsed", elapsed)
+        object.__setattr__(self, "checks", checks)
 
 
-@dataclass(frozen=True)
-class FdResult:
-    status: FdStatus
-    value: Optional[int]
-    witness_set: Optional[WeightSet]
-    sizes_excluded: int
-    search_stats: FdSearchStats
+class FdResult(Record):
+    def __init__(
+        self,
+        status: FdStatus,
+        value: Optional[int],
+        witness_set: Optional[WeightSet],
+        sizes_excluded: int,
+        search_stats: FdSearchStats,
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness_set", witness_set)
+        object.__setattr__(self, "sizes_excluded", sizes_excluded)
+        object.__setattr__(self, "search_stats", search_stats)
 
     def as_comparable(self) -> float:
         """Value with INFINITE mapped to +inf; UNKNOWN refuses to compare."""

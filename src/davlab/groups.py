@@ -8,13 +8,13 @@ bit-vector residue sets elsewhere in the package rely on this layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, product
 from math import gcd, prod
 from operator import mul
 from typing import Iterator, Sequence
 
+from ._record import Record
 from .numtheory import factorint
 
 Element = tuple[int, ...]
@@ -34,11 +34,23 @@ def check_order(n: int) -> None:
         raise GroupOrderError(f"group order {n} exceeds limit {DEFAULT_ORDER_LIMIT}")
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Record):
     """Invariant-factor chain (n_1, ..., n_s) with n_1 | n_2 | ... | n_s."""
 
-    invariant_factors: tuple[int, ...]
+    def __init__(self, invariant_factors: tuple[int, ...]):
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        self.__post_init__()
+
+    # GroupSpec keys the solver's lru_cache lookups and WeightSet is built for
+    # each fd candidate, so both spell out __eq__ and __hash__, which run
+    # faster than Record's through its attrgetter key
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.invariant_factors == other.invariant_factors
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.invariant_factors)
 
     def __post_init__(self) -> None:
         fs = self.invariant_factors

@@ -8,13 +8,12 @@ fixed mixing function so results are bit-identical at any thread count.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from ._record import Record
 from .engine import WeightSet
 from .fdsolver import ratio_covers
 from .groups import check_order, cyclic
@@ -28,14 +27,23 @@ class Classification(str, Enum):
     GT = "GT"
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    p: int
-    k: int
-    theta_grid: tuple[float, ...]
-    trials: int
-    seed: int
-    omega: float = 10.0
+class SweepConfig(Record):
+    def __init__(
+        self,
+        p: int,
+        k: int,
+        theta_grid: tuple[float, ...],
+        trials: int,
+        seed: int,
+        omega: float = 10.0,
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "theta_grid", theta_grid)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "omega", omega)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # sampling alone walks all p - 1 residues per trial: refuse first
@@ -56,27 +64,43 @@ class SweepConfig:
             raise ValueError("omega must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    theta: float
-    empirical_p_le: float
-    empirical_p_eq: float
-    mean_size: float
-    trials_empty: int
+class SweepRow(Record):
+    def __init__(
+        self,
+        theta: float,
+        empirical_p_le: float,
+        empirical_p_eq: float,
+        mean_size: float,
+        trials_empty: int,
+    ):
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "empirical_p_le", empirical_p_le)
+        object.__setattr__(self, "empirical_p_eq", empirical_p_eq)
+        object.__setattr__(self, "mean_size", mean_size)
+        object.__setattr__(self, "trials_empty", trials_empty)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 0 <= self.empirical_p_eq <= self.empirical_p_le <= 1:
             raise ValueError("need 0 <= p_eq <= p_le <= 1")
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    config: SweepConfig
-    rows: tuple[SweepRow, ...]
-    partial: bool
-    window: tuple[float, float]
-    window_empty: bool
-    elapsed: float
+class SweepResult(Record):
+    def __init__(
+        self,
+        config: SweepConfig,
+        rows: tuple[SweepRow, ...],
+        partial: bool,
+        window: tuple[float, float],
+        window_empty: bool,
+        elapsed: float,
+    ):
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "partial", partial)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "window_empty", window_empty)
+        object.__setattr__(self, "elapsed", elapsed)
 
     def to_csv(self) -> str:
         lines = ["theta,p_le,p_eq,mean_size,empty,trials"]
@@ -90,6 +114,8 @@ class SweepResult:
 
 def trial_seed(seed: int, theta_index: int, trial_index: int) -> int:
     """Fixed mixing function for per-trial RNG seeds (parallel determinism)."""
+    import hashlib
+
     tag = f"davlab-sweep:{seed}:{theta_index}:{trial_index}".encode()
     return int.from_bytes(hashlib.sha256(tag).digest()[:8], "big")
 

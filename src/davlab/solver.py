@@ -124,14 +124,13 @@ from __future__ import annotations
 import os
 import time
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import filterfalse
 from math import gcd
 from operator import add
 from typing import Iterable, Optional, Sequence
 
+from ._record import Record
 from .engine import (
     GSequence,
     WeightSet,
@@ -249,8 +248,7 @@ class BudgetExceededError(RuntimeError):
     """Raised by Meter.check() when a node or time budget has run out."""
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Record):
     """Limits that one Meter per call tests at deterministic checkpoints.
 
     It trips once the nodes exceed max_nodes or max_seconds have passed
@@ -263,8 +261,10 @@ class Budget:
     bounded check, and davenport and the bounded checks take no budget.
     """
 
-    max_nodes: Optional[int] = None
-    max_seconds: Optional[float] = None
+    def __init__(self, max_nodes: Optional[int] = None, max_seconds: Optional[float] = None):
+        object.__setattr__(self, "max_nodes", max_nodes)
+        object.__setattr__(self, "max_seconds", max_seconds)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # 0 is a limit that trips at the first checkpoint; a negative one is
@@ -304,19 +304,19 @@ class Meter:
         return time.perf_counter() - self.start
 
 
-@dataclass(frozen=True)
-class DavenportResult:
-    value: int
-    witness: GSequence
-    nodes_explored: int
-    elapsed: float
+class DavenportResult(Record):
+    def __init__(self, value: int, witness: GSequence, nodes_explored: int, elapsed: float):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "nodes_explored", nodes_explored)
+        object.__setattr__(self, "elapsed", elapsed)
 
 
-@dataclass(frozen=True)
-class BoundedCheckResult:
-    holds: bool
-    counterexample: Optional[GSequence]
-    nodes: int = 0
+class BoundedCheckResult(Record):
+    def __init__(self, holds: bool, counterexample: Optional[GSequence], nodes: int = 0):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "counterexample", counterexample)
+        object.__setattr__(self, "nodes", nodes)
 
 
 def _stabilizer(weights: WeightSet) -> tuple[int, ...]:
@@ -639,12 +639,14 @@ class _Pool:
     holds at most one job.  The executor starts on the first parallel batch
     with min(threads, CPU count, batch) workers, as it may start them all at
     once, and serves the rest of the call, whose batches all have that size:
-    one per sweep row, or davenport-max's single batch.
+    one per sweep row, or davenport-max's single batch.  concurrent.futures
+    is imported there too, at the first parallel batch, so a serial call
+    never loads the process-pool stack (multiprocessing, socket, pickle).
     """
 
     def __init__(self, threads: int):
         self.threads = threads
-        self._executor: Optional[ProcessPoolExecutor] = None
+        self._executor = None
 
     def __enter__(self) -> "_Pool":
         return self
@@ -662,6 +664,8 @@ class _Pool:
         if workers <= 1:
             return [worker(a) for a in args]
         if self._executor is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             self._executor = ProcessPoolExecutor(max_workers=workers)
         chunksize = max(1, len(args) // (4 * workers))
         return list(self._executor.map(worker, args, chunksize=chunksize))
@@ -941,12 +945,12 @@ def _max_dav_worker(args) -> tuple[int, tuple[int, ...]]:
     return r.value, residues
 
 
-@dataclass(frozen=True)
-class MaxDavenportResult:
-    value: int
-    argmax: WeightSet
-    candidates: int
-    elapsed: float
+class MaxDavenportResult(Record):
+    def __init__(self, value: int, argmax: WeightSet, candidates: int, elapsed: float):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "argmax", argmax)
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "elapsed", elapsed)
 
 
 def max_davenport_over_size(p: int, k: int, threads: int = 1) -> MaxDavenportResult:

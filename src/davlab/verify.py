@@ -11,10 +11,10 @@ searches instead of a full exact solve.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
 from math import ceil, isqrt
 from typing import Optional
 
+from ._record import Record
 from .constructions import (
     ConstructionError,
     complement_weight_set,
@@ -36,19 +36,19 @@ from .numtheory import factorint, floor_log, isprime, primerange
 from .solver import certify_dav_value, davenport, max_davenport_over_size
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    computed: object
-    expected: object
-    ok: bool
+class Check(Record):
+    def __init__(self, name: str, computed: object, expected: object, ok: bool):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "computed", computed)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "ok", ok)
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    checks: tuple[Check, ...]
-    elapsed: float
+class SuiteReport(Record):
+    def __init__(self, suite: str, checks: tuple[Check, ...], elapsed: float):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "elapsed", elapsed)
 
     @property
     def ok(self) -> bool:
@@ -61,7 +61,7 @@ class SuiteReport:
         return {
             "suite": self.suite,
             "ok": self.ok,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [c.as_dict() for c in self.checks],
             "elapsed": self.elapsed,
         }
 

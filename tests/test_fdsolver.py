@@ -5,7 +5,7 @@ from concurrent import futures
 
 import pytest
 
-from davlab import fdsolver, randomlab, solver
+from davlab import fdsolver, randomlab
 from davlab.engine import WeightSet, dilation_orbit_reps
 from davlab.fdsolver import (
     FdStatus,
@@ -285,7 +285,6 @@ def test_fd_never_starts_a_process_pool(monkeypatch):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(futures, "ProcessPoolExecutor", refuse)
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", refuse)
     for n, value in ((31, 4), (25, 2)):
         res = fd(cyclic(n), 3, threads=2)
         assert (res.status, res.value) == (FdStatus.FINITE, value), n

@@ -137,11 +137,25 @@ def test_floor_log():
             assert base**t <= n < base ** (t + 1)
 
 
-def test_cli_import_leaves_sympy_out():
-    code = "import sys, davlab.cli; print('sympy' in sys.modules)"
+@pytest.fixture(scope="module")
+def cli_import_modules():
+    """The modules loaded after `import davlab.cli` in a fresh interpreter."""
+    code = "import sys, davlab.cli; print(' '.join(sys.modules))"
     src = os.path.dirname(os.path.dirname(davlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
-    assert out.strip() == "False"
+    return set(out.split())
+
+
+# sympy is no dependency; the process-pool stack (concurrent.futures and
+# multiprocessing) loads at a pool's first parallel batch, hashlib at the
+# first sweep trial seed, and records compile nothing, unlike dataclasses
+# with its inspect chain
+@pytest.mark.parametrize(
+    "module", ["sympy", "concurrent.futures", "multiprocessing", "dataclasses", "hashlib", "inspect"]
+)
+def test_cli_import_leaves_module_out(cli_import_modules, module):
+    assert "davlab.cli" in cli_import_modules
+    assert module not in cli_import_modules

@@ -3,6 +3,7 @@ import os
 import random
 import sys
 import time
+from concurrent import futures
 from math import ceil, gcd
 
 import pytest
@@ -508,12 +509,12 @@ def test_one_process_pool_per_call(monkeypatch):
     built = []
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
-    class CountingExecutor(solver.ProcessPoolExecutor):
+    class CountingExecutor(futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             built.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", CountingExecutor)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingExecutor)
     # the k-scan searches its roots serially at any thread count
     assert davenport(normalize_group([2, 12]), WeightSet(12, (1, 5)), threads=2).value == 6
     assert built == []
@@ -538,7 +539,7 @@ def test_pool_workers_are_capped_at_the_cpu_count(monkeypatch):
         def shutdown(self, wait, cancel_futures):
             pass
 
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", FakeExecutor)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     with solver._Pool(5000) as pool:
         assert pool.map(abs, list(range(-100, 0))) == list(range(100, 0, -1))

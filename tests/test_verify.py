@@ -4,12 +4,10 @@ Each suite is exercised at a reduced size so the whole file stays fast;
 the full-size runs live in test_acceptance.py.
 """
 
-import dataclasses
-
 import pytest
 
 from davlab import verify
-from davlab.solver import davenport
+from davlab.solver import DavenportResult, davenport
 from davlab.verify import (
     SUITES,
     complement_suite,
@@ -133,7 +131,7 @@ def test_pair_lemma_suite_names_first_violation(monkeypatch):
     def fake(group, weights):
         res = davenport(group, weights)
         if weights.exponent == 6 and weights.residues == (2, 4):
-            return dataclasses.replace(res, value=99)
+            return DavenportResult(99, res.witness, res.nodes_explored, res.elapsed)
         return res
 
     monkeypatch.setattr(verify, "davenport", fake)
